@@ -26,7 +26,13 @@ from .errors import (
     SynthesisFailed,
     ToolkitError,
 )
-from .linkage import TravelRange, solve_geometry, sweep_rows_to_csv, sweep_transmission
+from .linkage import (
+    TravelRange,
+    solve_geometry,
+    sweep_rows_to_csv,
+    sweep_transmission,
+    travel_grid,
+)
 from .picksim import ActuationMode, DEFAULT_FIELD_STATS
 from .quantiles import summarize_csv_text
 from .wrench import (
@@ -124,12 +130,9 @@ def cmd_bruise(args) -> int:
         return USAGE_ERROR
     ratio_anchor = solve_geometry(cfg.linkage, x_anchor).ratio
     f_nut = f_anchor / ratio_anchor
-    step = args.step
-    n = int(math.floor((cfg.travel.x_max - cfg.travel.x_min) / step + 1e-9)) + 1
     lines = ["x_mm,f_out_N,exceeds_threshold"]
     xs, fs, exceeded = [], [], False
-    for i in range(n):
-        x = cfg.travel.x_min + i * step
+    for x in travel_grid(cfg.travel, args.step):
         f_out = solve_geometry(cfg.linkage, x).ratio * f_nut
         flag = f_out > cfg.bruise_threshold
         exceeded = exceeded or flag
@@ -188,7 +191,7 @@ def cmd_campath(args) -> int:
 
 def cmd_grasp(args) -> int:
     cfg = _load_config(args)
-    model = shipped_calibration() if args.calibrated else cfg.grasp_model
+    model = cfg.grasp_model if args.config_model else shipped_calibration()
     scenario = GraspScenario(
         fruit_radius=args.fruit_diameter / 2.0,
         fruit_offset=args.offset,
@@ -302,10 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--angle", type=float, default=0.0, help="pull angle, deg")
     g.add_argument("--pull", choices=("axial", "rotational"), default="axial")
     g.add_argument("--fruit-diameter", type=float, default=75.0, help="mm")
-    g.add_argument("--calibrated", action="store_true", default=True,
-                   help="use the bundled calibration (default)")
-    g.add_argument("--config-model", dest="calibrated", action="store_false",
-                   help="use the grasp model from the config file instead")
+    g.add_argument("--config-model", action="store_true",
+                   help="use the grasp model from the config file instead of "
+                        "the bundled calibration")
     g.set_defaults(func=cmd_grasp)
 
     k = sub.add_parser("calibrate", help="fit the grasp model to measurements")

@@ -19,6 +19,7 @@ products) is provided by ``moment_balance_check`` to guard the closed form.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import GeometryInfeasible, NegativeY
@@ -224,6 +225,17 @@ SWEEP_CSV_HEADER = (
 )
 
 
+def travel_grid(travel: TravelRange, step: float) -> Iterator[float]:
+    """Nut positions x_min, x_min + step, ... that do not pass x_max.
+
+    The step is checked at the call; the positions are generated lazily.
+    """
+    if not step > 0.0:
+        raise ValueError("step must be > 0")
+    n = int(math.floor((travel.x_max - travel.x_min) / step + 1e-9)) + 1
+    return (travel.x_min + i * step for i in range(n))
+
+
 def sweep_transmission(
     params: LinkageParams,
     travel: TravelRange,
@@ -237,12 +249,8 @@ def sweep_transmission(
     ``f_out_target`` and the matching motor torque. Rows where the geometry
     fails are kept and marked infeasible rather than dropped.
     """
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
-    n = int(math.floor((travel.x_max - travel.x_min) / step + 1e-9)) + 1
     rows = []
-    for i in range(n):
-        x = travel.x_min + i * step
+    for x in travel_grid(travel, step):
         try:
             st = solve_geometry(params, x)
         except GeometryInfeasible:

@@ -3,9 +3,14 @@
 Single picks walk the phase machine used in the physical trials: approach
 up to 50 mm, engage suction cups, deploy the fingers, then pull back until
 the detachment threshold or grasp failure. Campaigns Monte-Carlo the same
-machine with per-trial draws from field-statistics quantile models. Each
-trial derives its own RNG stream from (seed, trial index), so results are
-bit-identical regardless of execution order or thread count.
+machine with per-trial draws from field-statistics quantile models; both
+run one attempt through the same engage -> deploy -> pull step. Each trial
+derives its own RNG stream from (seed, trial index), so results are
+bit-identical regardless of execution order or thread count. A retry
+re-solves the strength LP only when it lands on an engaged cup set the
+trial has not solved yet; nothing is cached across trials or campaigns,
+so a campaign run again in the same process (e.g. the same seed with
+leaf occlusion) re-solves every strength.
 
 Modeling notes (documented limitations):
   - variables are sampled independently; the field data carries no joint
@@ -86,41 +91,59 @@ class PickState:
     strength: float = 0.0  # N, grasp strength used in the pull comparison
 
 
-def cups_engaged_at(offset: float, azimuth: float) -> int:
-    """Cups whose centers land within reach of the offset fruit axis.
+def cups_engaged_at(offset: float, azimuth: float) -> tuple[int, ...]:
+    """Indices of the cups whose centers land within reach of the offset fruit axis.
 
     A cup engages when its center lies within ring + CUP_ENGAGE_TOL_MM of
     the fruit axis shifted by ``offset`` toward ``azimuth``.
     """
-    n = 0
     fruit = offset * np.array([math.cos(azimuth), math.sin(azimuth)])
-    for lon in CUP_LONGITUDES_DEG:
+    engaged = []
+    for i, lon in enumerate(CUP_LONGITUDES_DEG):
         az = math.radians(lon)
         cup = CUP_RING_MM * np.array([math.cos(az), math.sin(az)])
         if float(np.linalg.norm(cup - fruit)) <= CUP_RING_MM + CUP_ENGAGE_TOL_MM:
-            n += 1
-    return n
-
-
-@lru_cache(maxsize=4096)
-def _strength_cached(mode: str, radius: float, angle: float,
-                     cups: tuple[int, ...], params_key: tuple) -> float:
-    params = GraspModelParams(*params_key)
-    if mode == "fingers" or not cups:
-        scenario = GraspScenario(fruit_radius=radius, pull_angle=angle,
-                                 mode=ActuationMode.FINGERS)
-        if mode == "suction":
-            return 0.0
-        return predict_strength(scenario, params)
-    scenario = GraspScenario(fruit_radius=radius, pull_angle=angle,
-                             mode=ActuationMode(mode))
-    return predict_strength(scenario, params, cup_indices=cups)
+            engaged.append(i)
+    return tuple(engaged)
 
 
 def _trial_strength(mode: ActuationMode, radius: float, angle_deg: float,
                     cups: tuple[int, ...], model: GraspModelParams) -> float:
-    key = (model.pad_force, model.mu_pad, model.suction_axial, model.shear_fraction)
-    return _strength_cached(mode.value, radius, angle_deg, cups, key)
+    # a dual grasp whose cups all missed holds with the fingers alone
+    scenario = GraspScenario(fruit_radius=radius, pull_angle=angle_deg,
+                             mode=mode if cups else ActuationMode.FINGERS)
+    return predict_strength(scenario, model, cup_indices=cups)
+
+
+def _attempt(mode: ActuationMode, offset: float, azimuth: float, radius: float,
+             angle_deg: float, model: GraspModelParams, engage_rule: int,
+             detachment_force: float,
+             strengths: dict) -> tuple[tuple[int, ...], PickOutcome, float]:
+    """One attempt: engage the cups, deploy the fingers, pull.
+
+    Returns the engaged cups, the outcome and the strength (0 when nothing
+    engaged). ``strengths`` maps cup sets already solved for this fruit
+    and pull to their strength.
+    """
+    cups = () if mode is ActuationMode.FINGERS else cups_engaged_at(offset, azimuth)
+    if mode is ActuationMode.SUCTION:
+        engaged = len(cups) >= engage_rule
+    else:
+        # the sweeping fingers funnel the fruit in only from close enough
+        engaged = offset <= FINGER_CAPTURE_TOL_MM
+    if not engaged:
+        return cups, PickOutcome.NO_ENGAGE, 0.0
+    if cups not in strengths:
+        strengths[cups] = _trial_strength(mode, radius, angle_deg, cups, model)
+    strength = strengths[cups]
+    if strength >= detachment_force:
+        return cups, PickOutcome.PICKED, strength
+    return cups, PickOutcome.GRASP_SLIP, strength
+
+
+def _check_engage_rule(engage_rule: int) -> None:
+    if engage_rule not in (1, 2, 3):
+        raise ValueError("engage_rule must be 1..3")
 
 
 @lru_cache(maxsize=64)
@@ -141,42 +164,25 @@ def run_pick(
     The scenario's fruit offset doubles as the lateral misalignment for cup
     engagement (lab usage). All failure paths are outcomes, not errors.
     """
-    if engage_rule not in (1, 2, 3):
-        raise ValueError("engage_rule must be 1..3")
-
+    _check_engage_rule(engage_rule)
     # approach: advance until the palm meets the fruit (placed 50 mm away)
-    approach_travel = APPROACH_LIMIT_MM
-
-    cups = 0
-    cup_idx: tuple[int, ...] = ()
-    if scenario.mode in (ActuationMode.SUCTION, ActuationMode.DUAL):
-        fruit = scenario.fruit_offset * np.array(
-            [math.cos(misalignment_azimuth), math.sin(misalignment_azimuth)]
-        )
-        engaged = []
-        for i, lon in enumerate(CUP_LONGITUDES_DEG):
-            az = math.radians(lon)
-            cup = CUP_RING_MM * np.array([math.cos(az), math.sin(az)])
-            if float(np.linalg.norm(cup - fruit)) <= CUP_RING_MM + CUP_ENGAGE_TOL_MM:
-                engaged.append(i)
-        cups = len(engaged)
-        cup_idx = tuple(engaged)
-
-    if scenario.mode is ActuationMode.SUCTION and cups < engage_rule:
-        return PickState(PickPhase.DONE, cups, approach_travel, PickOutcome.NO_ENGAGE)
-
-    if scenario.mode in (ActuationMode.FINGERS, ActuationMode.DUAL):
-        # finger deploy: the sweep must clear the fruit and capture it
+    mode, offset = scenario.mode, scenario.fruit_offset
+    if mode is not ActuationMode.SUCTION:
         report = _default_tracks_report(proxy.fruit_diameter / 2.0)
-        if report.interference or scenario.fruit_offset > FINGER_CAPTURE_TOL_MM:
-            return PickState(PickPhase.DONE, cups, approach_travel, PickOutcome.NO_ENGAGE)
+        if report.interference:
+            # the finger sweep would hit the fruit, so the fingers never deploy
+            cups = () if mode is ActuationMode.FINGERS else cups_engaged_at(
+                offset, misalignment_azimuth)
+            return PickState(PickPhase.DONE, len(cups), APPROACH_LIMIT_MM,
+                             PickOutcome.NO_ENGAGE)
 
-    strength = _trial_strength(scenario.mode, scenario.fruit_radius,
-                               scenario.pull_angle, cup_idx, model)
+    cups, outcome, strength = _attempt(
+        mode, offset, misalignment_azimuth, scenario.fruit_radius, scenario.pull_angle,
+        model, engage_rule, proxy.detachment_force, {})
+    if outcome is PickOutcome.NO_ENGAGE:
+        return PickState(PickPhase.DONE, len(cups), APPROACH_LIMIT_MM, outcome)
     pull_travel = proxy.detachment_force / proxy.branch_stiffness * 1000.0
-    if strength >= proxy.detachment_force:
-        return PickState(PickPhase.DONE, cups, pull_travel, PickOutcome.PICKED, strength)
-    return PickState(PickPhase.DONE, cups, pull_travel, PickOutcome.GRASP_SLIP, strength)
+    return PickState(PickPhase.DONE, len(cups), pull_travel, outcome, strength)
 
 
 @dataclass(frozen=True)
@@ -306,43 +312,15 @@ def _run_trial(
         return TrialRecord(index, net, offset, stiffness, mode, 0.0, PickOutcome.NO_ENGAGE)
 
     angle = math.degrees(math.asin(min(tan / max(net, 1e-9), 1.0)))
-
+    strengths: dict = {}
     for attempt in range(retries + 1):
-        cups = 0
-        cup_idx: tuple[int, ...] = ()
-        if mode in (ActuationMode.SUCTION, ActuationMode.DUAL):
-            fruit = offset * np.array([math.cos(azimuth), math.sin(azimuth)])
-            engaged = []
-            for i, lon in enumerate(CUP_LONGITUDES_DEG):
-                az = math.radians(lon)
-                cup = CUP_RING_MM * np.array([math.cos(az), math.sin(az)])
-                if float(np.linalg.norm(cup - fruit)) <= CUP_RING_MM + CUP_ENGAGE_TOL_MM:
-                    engaged.append(i)
-            cups = len(engaged)
-            cup_idx = tuple(engaged)
-
-        engage_ok = True
-        if mode is ActuationMode.SUCTION:
-            engage_ok = cups >= engage_rule
-        else:
-            engage_ok = offset <= FINGER_CAPTURE_TOL_MM
-        if not engage_ok:
-            if attempt < retries:
-                offset = float(stats.gripper_offset.sample(rng.random()))
-                continue
-            return TrialRecord(index, net, offset, stiffness, mode, 0.0,
-                               PickOutcome.NO_ENGAGE)
-
-        strength = _trial_strength(mode, diameter / 2.0, angle, cup_idx, model)
-        if strength >= net:
-            return TrialRecord(index, net, offset, stiffness, mode, strength,
-                               PickOutcome.PICKED)
-        if attempt < retries:
+        if attempt:
             offset = float(stats.gripper_offset.sample(rng.random()))
-            continue
-        return TrialRecord(index, net, offset, stiffness, mode, strength,
-                           PickOutcome.GRASP_SLIP)
-    raise AssertionError("unreachable")
+        _, outcome, strength = _attempt(mode, offset, azimuth, diameter / 2.0, angle,
+                                        model, engage_rule, net, strengths)
+        if outcome is PickOutcome.PICKED:
+            break
+    return TrialRecord(index, net, offset, stiffness, mode, strength, outcome)
 
 
 def run_campaign(
@@ -365,6 +343,9 @@ def run_campaign(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    _check_engage_rule(engage_rule)
     args = [(stats, model, mode, seed, i, engage_rule, occlusion_fail_prob, retries)
             for i in range(trials)]
     if threads > 1:

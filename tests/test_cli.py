@@ -70,6 +70,13 @@ class TestBruise:
         code, _, err = run(capsys, tmp_path, "bruise", "--anchor", "18@70")
         assert code == 2
 
+    @pytest.mark.parametrize("step", ["0", "-1", "nan"])
+    def test_nonpositive_step_usage_error(self, capsys, tmp_path, step):
+        code, out, err = run(capsys, tmp_path, "bruise", "--step", step)
+        assert code == 2
+        assert out == ""
+        assert "step must be > 0" in err
+
 
 class TestGrasp:
     def test_dual_axial(self, capsys, tmp_path):
@@ -91,6 +98,14 @@ class TestGrasp:
         code, _, err = run(capsys, tmp_path, "grasp", "--offset", "40")
         assert code == 3
 
+    def test_config_model_differs_from_calibration(self, capsys, tmp_path):
+        # the bundled config's grasp model (pad 18 N) is not the shipped
+        # calibration (pad 8.5 N)
+        code, out, _ = run(capsys, tmp_path, "grasp")
+        code_cfg, out_cfg, _ = run(capsys, tmp_path, "grasp", "--config-model")
+        assert code == code_cfg == 0
+        assert json.loads(out_cfg)["strength_N"] != json.loads(out)["strength_N"]
+
 
 class TestCampath:
     def test_report_and_poses(self, capsys, tmp_path):
@@ -109,6 +124,11 @@ class TestSimulate:
         code2, out2, _ = run(capsys, tmp_path, "simulate", "--trials", "1", "--seed", "7")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_negative_retries_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, tmp_path, "simulate", "--trials", "1", "--retries", "-1")
+        assert code == 2
+        assert "retries must be >= 0" in err
 
     def test_csv_log(self, capsys, tmp_path):
         code = main(["--out", str(tmp_path), "--format", "csv", "simulate",

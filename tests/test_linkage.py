@@ -25,6 +25,7 @@ from tandemgrip.linkage import (
     solve_geometry,
     sweep_rows_to_csv,
     sweep_transmission,
+    travel_grid,
     transmission_ratio,
 )
 
@@ -198,6 +199,13 @@ class TestSweep:
         )
         assert len(rows) == 9
         assert not rows[0].feasible and rows[-1].feasible
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
+    def test_nonpositive_step_rejected(self, step):
+        with pytest.raises(ValueError):
+            travel_grid(DEFAULT_TRAVEL, step)
+        with pytest.raises(ValueError):
+            sweep_transmission(DEFAULT_LINKAGE, DEFAULT_TRAVEL, step, 30.0, DEFAULT_SCREW)
 
     def test_csv_header_and_stability(self):
         rows = sweep_transmission(DEFAULT_LINKAGE, DEFAULT_TRAVEL, 0.5, 30.0, DEFAULT_SCREW)

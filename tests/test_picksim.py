@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from tandemgrip import picksim, wrench
 from tandemgrip.config import shipped_calibration
 from tandemgrip.picksim import (
     DEFAULT_FIELD_STATS,
@@ -64,13 +65,13 @@ class TestRunPick:
 
 class TestEngagement:
     def test_centered_fruit_engages_all(self):
-        assert cups_engaged_at(0.0, 0.0) == 3
+        assert cups_engaged_at(0.0, 0.0) == (0, 1, 2)
 
     def test_large_offset_toward_cup_loses_far_cups(self):
-        assert cups_engaged_at(36.0, math.radians(60.0)) == 1
+        assert cups_engaged_at(36.0, math.radians(60.0)) == (0,)
 
     def test_partial_engagement_band(self):
-        assert cups_engaged_at(25.0, math.radians(0.0)) >= 2
+        assert cups_engaged_at(25.0, math.radians(0.0)) == (0, 2)
 
 
 class TestCampaign:
@@ -119,6 +120,59 @@ class TestCampaign:
         retry = run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.SUCTION, 150, seed=17,
                              retries=2)
         assert retry.success_rate >= base.success_rate
+
+    def test_negative_retries_rejected(self, model):
+        with pytest.raises(ValueError):
+            run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 1, seed=0,
+                         retries=-1)
+
+    @pytest.mark.parametrize("rule", [0, 4])
+    def test_engage_rule_validation(self, model, rule):
+        with pytest.raises(ValueError):
+            run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.SUCTION, 1, seed=0,
+                         engage_rule=rule)
+
+    @pytest.mark.parametrize("mode", [ActuationMode.SUCTION, ActuationMode.FINGERS])
+    def test_retry_log_independent_of_earlier_campaigns(self, model, mode):
+        def campaign():
+            return run_campaign(DEFAULT_FIELD_STATS, model, mode, 40, seed=23, retries=2)
+
+        cold = campaign()
+        run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 40, seed=23, retries=2)
+        assert campaign().log == cold.log
+
+    @pytest.mark.parametrize("mode", list(ActuationMode))
+    def test_one_solve_per_engaged_cup_set_per_trial(self, model, mode, monkeypatch):
+        solves = []
+        real_solve = wrench.solve_pull
+
+        def solve_pull(*args, **kwargs):
+            solves.append(1)
+            return real_solve(*args, **kwargs)
+
+        trial = []
+        real_trial = picksim._run_trial
+
+        def run_trial(*args):
+            trial.append(args[4])   # the trial index
+            return real_trial(*args)
+
+        engaged_attempts = []
+        real_attempt = picksim._attempt
+
+        def attempt(*args):
+            cups, outcome, strength = real_attempt(*args)
+            if outcome is not PickOutcome.NO_ENGAGE:
+                engaged_attempts.append((trial[-1], cups))
+            return cups, outcome, strength
+
+        monkeypatch.setattr(wrench, "solve_pull", solve_pull)
+        monkeypatch.setattr(picksim, "_run_trial", run_trial)
+        monkeypatch.setattr(picksim, "_attempt", attempt)
+        run_campaign(DEFAULT_FIELD_STATS, model, mode, 30, seed=29, retries=3)
+        assert len(solves) == len(set(engaged_attempts)) > 0
+        # retries do land on cup sets the trial has already solved
+        assert len(engaged_attempts) > len(set(engaged_attempts))
 
     def test_trials_csv(self, model):
         r = run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 5, seed=1)
