@@ -320,7 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--mode", choices=("suction", "fingers", "dual"), default="dual")
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=int, default=1,
+                   help="must be >= 1; kept for compatibility, it changes neither "
+                        "the results nor the run time (campaigns run in batched "
+                        "rounds on one thread)")
     s.add_argument("--occlusion", action="store_true",
                    help="apply the leaf-occlusion failure probability")
     s.add_argument("--retries", type=int, default=0)

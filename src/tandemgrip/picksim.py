@@ -4,13 +4,18 @@ Single picks walk the phase machine used in the physical trials: approach
 up to 50 mm, engage suction cups, deploy the fingers, then pull back until
 the detachment threshold or grasp failure. Campaigns Monte-Carlo the same
 machine with per-trial draws from field-statistics quantile models; both
-run one attempt through the same engage -> deploy -> pull step. Each trial
-derives its own RNG stream from (seed, trial index), so results are
-bit-identical regardless of execution order or thread count. A retry
-re-solves the strength LP only when it lands on an engaged cup set the
-trial has not solved yet; nothing is cached across trials or campaigns,
-so a campaign run again in the same process (e.g. the same seed with
-leaf occlusion) re-solves every strength.
+use the same engagement rule and the same strength-vs-detachment compare.
+Each trial derives its own RNG stream from (seed, trial index), so results
+are bit-identical regardless of execution order.
+
+Campaigns run in batched rounds: every unfinished trial advances to its
+next strength query, and the round's queries are solved together as
+batched LPs (``wrench.predict_strengths``), whose results are
+byte-identical to solving them one at a time. A retry re-solves the
+strength LP only when it lands on an engaged cup set the trial has not
+solved yet; nothing is cached across trials or campaigns, so a campaign
+run again in the same process re-solves every strength. ``threads`` is
+accepted for compatibility and has no effect.
 
 Modeling notes (documented limitations):
   - variables are sampled independently; the field data carries no joint
@@ -29,13 +34,11 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
-from . import campath
 from .quantiles import QuantileModel
 from .wrench import (
     ActuationMode,
@@ -44,12 +47,15 @@ from .wrench import (
     GraspModelParams,
     GraspScenario,
     predict_strength,
+    predict_strengths,
 )
 
 APPROACH_LIMIT_MM = 50.0
 CUP_ENGAGE_TOL_MM = 15.0        # per-cup lateral slack beyond the ring radius
 FINGER_CAPTURE_TOL_MM = 30.0    # lateral offset the sweeping fingers can funnel in
 LEAF_OCCLUSION_FAIL_PROB = 1.0 / 25.0   # preset for leaf-cluttered scenes
+CAMPAIGN_BLOCK = 1024           # trials run through their rounds together; bounds
+                                # the trials held open at once
 
 
 class PickPhase(enum.Enum):
@@ -107,49 +113,39 @@ def cups_engaged_at(offset: float, azimuth: float) -> tuple[int, ...]:
     return tuple(engaged)
 
 
+def _trial_scenario(mode: ActuationMode, radius: float, angle_deg: float,
+                    cups: tuple[int, ...]) -> GraspScenario:
+    # a dual grasp whose cups all missed holds with the fingers alone
+    return GraspScenario(fruit_radius=radius, pull_angle=angle_deg,
+                         mode=mode if cups else ActuationMode.FINGERS)
+
+
 def _trial_strength(mode: ActuationMode, radius: float, angle_deg: float,
                     cups: tuple[int, ...], model: GraspModelParams) -> float:
-    # a dual grasp whose cups all missed holds with the fingers alone
-    scenario = GraspScenario(fruit_radius=radius, pull_angle=angle_deg,
-                             mode=mode if cups else ActuationMode.FINGERS)
-    return predict_strength(scenario, model, cup_indices=cups)
+    return predict_strength(_trial_scenario(mode, radius, angle_deg, cups), model,
+                            cup_indices=cups)
 
 
-def _attempt(mode: ActuationMode, offset: float, azimuth: float, radius: float,
-             angle_deg: float, model: GraspModelParams, engage_rule: int,
-             detachment_force: float,
-             strengths: dict) -> tuple[tuple[int, ...], PickOutcome, float]:
-    """One attempt: engage the cups, deploy the fingers, pull.
+def _engage(mode: ActuationMode, offset: float, azimuth: float,
+            engage_rule: int) -> tuple[tuple[int, ...], bool]:
+    """Engaged cups and whether the grasp engaged at all.
 
-    Returns the engaged cups, the outcome and the strength (0 when nothing
-    engaged). ``strengths`` maps cup sets already solved for this fruit
-    and pull to their strength.
+    Suction needs ``engage_rule`` cups; with fingers, the sweeping fingers
+    funnel the fruit in only from close enough.
     """
     cups = () if mode is ActuationMode.FINGERS else cups_engaged_at(offset, azimuth)
     if mode is ActuationMode.SUCTION:
-        engaged = len(cups) >= engage_rule
-    else:
-        # the sweeping fingers funnel the fruit in only from close enough
-        engaged = offset <= FINGER_CAPTURE_TOL_MM
-    if not engaged:
-        return cups, PickOutcome.NO_ENGAGE, 0.0
-    if cups not in strengths:
-        strengths[cups] = _trial_strength(mode, radius, angle_deg, cups, model)
-    strength = strengths[cups]
-    if strength >= detachment_force:
-        return cups, PickOutcome.PICKED, strength
-    return cups, PickOutcome.GRASP_SLIP, strength
+        return cups, len(cups) >= engage_rule
+    return cups, offset <= FINGER_CAPTURE_TOL_MM
+
+
+def _pull_outcome(strength: float, detachment_force: float) -> PickOutcome:
+    return PickOutcome.PICKED if strength >= detachment_force else PickOutcome.GRASP_SLIP
 
 
 def _check_engage_rule(engage_rule: int) -> None:
     if engage_rule not in (1, 2, 3):
         raise ValueError("engage_rule must be 1..3")
-
-
-@lru_cache(maxsize=64)
-def _default_tracks_report(radius: float):
-    spec = campath.build_default_tracks(radius, clearance=0.0)
-    return campath.validate_path(spec, samples=64)
 
 
 def run_pick(
@@ -167,22 +163,13 @@ def run_pick(
     _check_engage_rule(engage_rule)
     # approach: advance until the palm meets the fruit (placed 50 mm away)
     mode, offset = scenario.mode, scenario.fruit_offset
-    if mode is not ActuationMode.SUCTION:
-        report = _default_tracks_report(proxy.fruit_diameter / 2.0)
-        if report.interference:
-            # the finger sweep would hit the fruit, so the fingers never deploy
-            cups = () if mode is ActuationMode.FINGERS else cups_engaged_at(
-                offset, misalignment_azimuth)
-            return PickState(PickPhase.DONE, len(cups), APPROACH_LIMIT_MM,
-                             PickOutcome.NO_ENGAGE)
-
-    cups, outcome, strength = _attempt(
-        mode, offset, misalignment_azimuth, scenario.fruit_radius, scenario.pull_angle,
-        model, engage_rule, proxy.detachment_force, {})
-    if outcome is PickOutcome.NO_ENGAGE:
-        return PickState(PickPhase.DONE, len(cups), APPROACH_LIMIT_MM, outcome)
+    cups, engaged = _engage(mode, offset, misalignment_azimuth, engage_rule)
+    if not engaged:
+        return PickState(PickPhase.DONE, len(cups), APPROACH_LIMIT_MM, PickOutcome.NO_ENGAGE)
+    strength = _trial_strength(mode, scenario.fruit_radius, scenario.pull_angle, cups, model)
     pull_travel = proxy.detachment_force / proxy.branch_stiffness * 1000.0
-    return PickState(PickPhase.DONE, len(cups), pull_travel, outcome, strength)
+    return PickState(PickPhase.DONE, len(cups), pull_travel,
+                     _pull_outcome(strength, proxy.detachment_force), strength)
 
 
 @dataclass(frozen=True)
@@ -291,14 +278,17 @@ def trials_to_csv(log: tuple[TrialRecord, ...]) -> str:
 
 def _run_trial(
     stats: TrialStats,
-    model: GraspModelParams,
     mode: ActuationMode,
     seed: int,
     index: int,
     engage_rule: int,
     occlusion_fail_prob: float,
     retries: int,
-) -> TrialRecord:
+) -> Generator[tuple, float, TrialRecord]:
+    """One trial as a generator: it yields a (scenario, cups) strength query
+    whenever an attempt engages a cup set the trial has not solved yet, is
+    sent the strength back, and returns the trial's record.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     u = rng.random(7)
     net = float(stats.net_fdf.sample(u[0]))
@@ -316,8 +306,14 @@ def _run_trial(
     for attempt in range(retries + 1):
         if attempt:
             offset = float(stats.gripper_offset.sample(rng.random()))
-        _, outcome, strength = _attempt(mode, offset, azimuth, diameter / 2.0, angle,
-                                        model, engage_rule, net, strengths)
+        cups, engaged = _engage(mode, offset, azimuth, engage_rule)
+        if engaged:
+            if cups not in strengths:
+                strengths[cups] = yield (_trial_scenario(mode, diameter / 2.0, angle, cups), cups)
+            strength = strengths[cups]
+            outcome = _pull_outcome(strength, net)
+        else:
+            outcome, strength = PickOutcome.NO_ENGAGE, 0.0
         if outcome is PickOutcome.PICKED:
             break
     return TrialRecord(index, net, offset, stiffness, mode, strength, outcome)
@@ -340,21 +336,36 @@ def run_campaign(
     LEAF_OCCLUSION_FAIL_PROB for leaf-cluttered scenes. ``retries``
     re-samples only the lateral offset between attempts and is off by
     default (what changes between physical attempts is not recorded).
+    ``threads`` (>= 1) is accepted for compatibility and affects neither
+    the results nor the run time: the campaign runs in batched rounds on
+    the calling thread.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if retries < 0:
         raise ValueError("retries must be >= 0")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     _check_engage_rule(engage_rule)
-    args = [(stats, model, mode, seed, i, engage_rule, occlusion_fail_prob, retries)
-            for i in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            log = list(pool.map(lambda a: _run_trial(*a), args))
-    else:
-        log = [_run_trial(*a) for a in args]
-    # aggregation in trial order keeps the fold independent of scheduling
-    log.sort(key=lambda r: r.trial)
+    records: dict[int, TrialRecord] = {}
+    for start in range(0, trials, CAMPAIGN_BLOCK):
+        # each round advances every unfinished trial of the block to its next
+        # strength query (or its record), then solves the round's queries
+        # as one batch
+        running = {i: _run_trial(stats, mode, seed, i, engage_rule,
+                                 occlusion_fail_prob, retries)
+                   for i in range(start, min(start + CAMPAIGN_BLOCK, trials))}
+        answers: dict[int, float | None] = dict.fromkeys(running)
+        while running:
+            queries = {}
+            for i, trial in running.items():
+                try:
+                    queries[i] = trial.send(answers[i])
+                except StopIteration as done:
+                    records[i] = done.value
+            running = {i: running[i] for i in queries}
+            answers = dict(zip(queries, predict_strengths(list(queries.values()), model)))
+    log = tuple(records[i] for i in range(trials))
     breakdown = {o: 0 for o in (PickOutcome.PICKED, PickOutcome.GRASP_SLIP,
                                 PickOutcome.NO_ENGAGE)}
     for r in log:
@@ -363,5 +374,5 @@ def run_campaign(
         trials=trials,
         success_rate=breakdown[PickOutcome.PICKED] / trials,
         breakdown=breakdown,
-        log=tuple(log),
+        log=log,
     )

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import CalibrationDiverged, LpNumericalFailure, OffsetExceedsRadius, ParseError
-from .simplexlp import solve_lp
+from .simplexlp import solve_lp, solve_lp_batch
 
 _Z = np.array([0.0, 0.0, 1.0])
 
@@ -46,6 +46,7 @@ CUP_BACKING_N = 60.0        # palm-seat compression bound behind each cup
 PULL_TILT_LONGITUDE_DEG = 60.0
 DEFAULT_CONE_SIDES = 8
 WITNESS_TOL = 1e-6
+LP_BATCH = 64                # pull LPs per solve_lp_batch call
 
 
 class PullType(enum.Enum):
@@ -75,6 +76,8 @@ class GraspScenario:
     mode: ActuationMode = ActuationMode.DUAL
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.fruit_radius, self.fruit_offset, self.pull_angle))):
+            raise ValueError("fruit_radius, fruit_offset and pull_angle must be finite")
         if self.fruit_radius <= 0.0:
             raise ValueError("fruit_radius must be > 0")
         if self.fruit_offset < 0.0:
@@ -166,6 +169,14 @@ class ReferenceMeasurements:
                 raise ValueError("reference strengths must be positive")
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of 3-vectors stacked on the last axis, in its operation
+    order (so bit for bit the same) without its per-call overhead."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
@@ -176,7 +187,7 @@ def _tangent_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.linalg.norm(t1) < 1e-12:
         t1 = np.array([1.0, 0.0, 0.0]) - n[0] * n
     t1 = _unit(t1)
-    return t1, np.cross(n, t1)
+    return t1, _cross(n, t1)
 
 
 def build_contacts(
@@ -240,46 +251,76 @@ class PullSolution:
 
 
 def _lp_columns(contacts: tuple[Contact, ...]):
-    """Wrench columns and capacity rows for the contact variables."""
-    cols: list[np.ndarray] = []
-    caps: list[tuple[list[int], float]] = []
-    owner: list[int] = []   # contact index per variable
-    nv = 0
+    """Wrench columns (one row per contact variable) and capacity rows.
+
+    Returns the nv x 6 columns (force over moment), the capacity row of
+    every variable, the capacities and the contact index of every variable.
+    """
+    gens: list[np.ndarray] = []
+    points: list[np.ndarray] = []
+    cap_row: list[int] = []
+    caps: list[float] = []
+    owner: list[int] = []
     for ci, c in enumerate(contacts):
-        p = c.position
+        k = c.cone_sides
         if c.kind is ContactKind.FINGER_PAD:
             t1, t2 = _tangent_frame(c.normal)
-            idx = []
-            for j in range(c.cone_sides):
-                ph = 2.0 * math.pi * j / c.cone_sides
-                e = c.normal + c.mu * (math.cos(ph) * t1 + math.sin(ph) * t2)
-                cols.append(np.concatenate([e, np.cross(p, e)]))
-                owner.append(ci)
-                idx.append(nv)
-                nv += 1
-            caps.append((idx, c.normal_capacity))
+            ph = [2.0 * math.pi * j / k for j in range(k)]
+            cos = np.array([math.cos(v) for v in ph])[:, None]
+            sin = np.array([math.sin(v) for v in ph])[:, None]
+            g = c.normal + c.mu * (cos * t1 + sin * t2)
+            cap_row += [len(caps)] * k
+            caps.append(c.normal_capacity)
         else:
-            cols.append(np.concatenate([-_Z, np.cross(p, -_Z)]))   # tension
-            owner.append(ci)
-            caps.append(([nv], c.tension_capacity))
-            nv += 1
-            cols.append(np.concatenate([_Z, np.cross(p, _Z)]))     # seat compression
-            owner.append(ci)
-            caps.append(([nv], c.normal_capacity))
-            nv += 1
-            # shear polygon anchored to the cup's own azimuth so the contact
-            # set stays exactly threefold-symmetric after linearization
-            anchor = math.atan2(p[1], p[0])
-            idx = []
-            for j in range(c.cone_sides):
-                ph = anchor + 2.0 * math.pi * j / c.cone_sides
-                e = np.array([math.cos(ph), math.sin(ph), 0.0])
-                cols.append(np.concatenate([e, np.cross(p, e)]))
-                owner.append(ci)
-                idx.append(nv)
-                nv += 1
-            caps.append((idx, c.shear_capacity))
-    return cols, caps, owner, nv
+            # tension, seat compression, then the shear polygon anchored to
+            # the cup's own azimuth so the contact set stays exactly
+            # threefold-symmetric after linearization
+            anchor = math.atan2(c.position[1], c.position[0])
+            ph = [anchor + 2.0 * math.pi * j / k for j in range(k)]
+            shear = np.array([[math.cos(v), math.sin(v), 0.0] for v in ph])
+            g = np.concatenate([[-_Z, _Z], shear])
+            cap_row += [len(caps), len(caps) + 1] + [len(caps) + 2] * k
+            caps += [c.tension_capacity, c.normal_capacity, c.shear_capacity]
+        gens.append(g)
+        points.append(np.broadcast_to(c.position, g.shape))
+        owner += [ci] * len(g)
+    g = np.concatenate(gens)
+    cols = np.concatenate([g, _cross(np.concatenate(points), g)], axis=1)
+    return cols, cap_row, caps, owner
+
+
+def _pull_lp(contacts: tuple[Contact, ...], d: np.ndarray, app: np.ndarray):
+    """The pull LP (c, a_eq, b_eq, a_ub, b_ub) and the contact index of every
+    contact variable. The last variable is alpha; the first three rows of
+    a_eq hold each variable's force direction."""
+    cols, cap_row, caps, owner = _lp_columns(contacts)
+    nv = len(cols) + 1
+    a_eq = np.empty((6, nv))
+    a_eq[:, :-1] = cols.T
+    a_eq[:, -1] = np.concatenate([d, _cross(app, d)])
+    a_ub = np.zeros((len(caps), nv))
+    a_ub[cap_row, np.arange(nv - 1)] = 1.0
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    return (c, a_eq, np.zeros(6), a_ub, np.array(caps, dtype=float)), owner
+
+
+def _pull_solution(contacts: ContactSet, d: np.ndarray, app: np.ndarray, res,
+                   a_eq: np.ndarray, owner: list[int]) -> PullSolution:
+    if res.status != "optimal":
+        raise LpNumericalFailure(f"pull LP ended {res.status}")
+    forces = [np.zeros(3) for _ in contacts.contacts]
+    for j in np.flatnonzero(res.x[:-1] > 0.0):
+        forces[owner[j]] += res.x[j] * a_eq[:3, j]
+    return PullSolution(
+        alpha=float(res.x[-1]), forces=tuple(forces),
+        pull_direction=d, application_point=app,
+    )
+
+
+def _pull_inputs(pull_direction, application_point) -> tuple[np.ndarray, np.ndarray]:
+    return (_unit(np.asarray(pull_direction, dtype=float)),
+            np.asarray(application_point, dtype=float))
 
 
 def solve_pull(
@@ -288,47 +329,48 @@ def solve_pull(
     application_point: np.ndarray,
 ) -> PullSolution:
     """Maximum resistible pull along ``pull_direction`` with a force witness."""
-    d = _unit(np.asarray(pull_direction, dtype=float))
-    app = np.asarray(application_point, dtype=float)
+    d, app = _pull_inputs(pull_direction, application_point)
     if not contacts.contacts:
         return PullSolution(0.0, (), d, app)
+    lp, owner = _pull_lp(contacts.contacts, d, app)
+    return _pull_solution(contacts, d, app, solve_lp(*lp), lp[1], owner)
 
-    cols, caps, owner, nv = _lp_columns(contacts.contacts)
-    pull_wrench = np.concatenate([d, np.cross(app, d)])
-    cols.append(pull_wrench)
-    alpha_index = nv
-    nv += 1
 
-    a_eq = np.array(cols).T           # 6 x nv
-    b_eq = np.zeros(6)
-    a_ub = np.zeros((len(caps), nv))
-    b_ub = np.zeros(len(caps))
-    for r, (idx, ub) in enumerate(caps):
-        a_ub[r, idx] = 1.0
-        b_ub[r] = ub
-    c = np.zeros(nv)
-    c[alpha_index] = 1.0
-
-    res = solve_lp(c, a_eq, b_eq, a_ub, b_ub)
-    if res.status != "optimal":
-        raise LpNumericalFailure(f"pull LP ended {res.status}")
-
-    forces = [np.zeros(3) for _ in contacts.contacts]
-    for j in range(alpha_index):
-        if res.x[j] > 0.0:
-            forces[owner[j]] += res.x[j] * np.asarray(cols[j][:3])
-    return PullSolution(
-        alpha=float(res.x[alpha_index]), forces=tuple(forces),
-        pull_direction=d, application_point=app,
-    )
+def solve_pull_batch(
+    problems: list[tuple[ContactSet, np.ndarray, np.ndarray]],
+) -> list[PullSolution]:
+    """``solve_pull`` for (contacts, pull_direction, application_point)
+    problems whose contact sets share one layout (contact kinds and cone
+    sides in order), solved as one ``solve_lp_batch`` call. Each solution
+    is byte-identical to ``solve_pull`` on that problem alone."""
+    if not problems or not problems[0][0].contacts:
+        return [solve_pull(*p) for p in problems]
+    stacked: list[np.ndarray] = []
+    owners, pulls = [], []
+    for i, (contacts, *pull) in enumerate(problems):
+        d, app = _pull_inputs(*pull)
+        lp, owner = _pull_lp(contacts.contacts, d, app)
+        if not stacked:
+            stacked = [np.empty((len(problems),) + f.shape) for f in lp]
+        for s, f in zip(stacked, lp):
+            s[i] = f
+        owners.append(owner)
+        pulls.append((d, app))
+    results = solve_lp_batch(*stacked)
+    return [_pull_solution(p[0], d, app, res, a_eq, owner)
+            for p, (d, app), res, a_eq, owner in zip(problems, pulls, results, stacked[1], owners)]
 
 
 def verify_witness(contacts: ContactSet, sol: PullSolution, tol: float = WITNESS_TOL) -> list[str]:
     """Re-check the witness against every constraint; return violations.
 
     Scale-aware tolerance: capacities and balance residuals are checked to
-    ``tol`` in absolute N / N*mm terms relative to the problem scale.
+    ``tol`` in absolute N / N*mm terms relative to the problem scale. A
+    non-finite alpha or force is reported on its own, since no comparison
+    with NaN can fail.
     """
+    if not math.isfinite(sol.alpha) or not all(np.isfinite(f).all() for f in sol.forces):
+        return [f"non-finite alpha or contact force (alpha {sol.alpha})"]
     problems: list[str] = []
     scale = max(1.0, sol.alpha)
     f_tot = np.zeros(3)
@@ -400,6 +442,36 @@ def predict_strength(
     contacts = build_contacts(scenario, model, cone_sides, cup_indices)
     d, app = pull_wrench_for(scenario)
     return max_resistible_pull(contacts, d, app)
+
+
+def predict_strengths(
+    queries: list[tuple[GraspScenario, tuple[int, ...]]],
+    model: GraspModelParams,
+) -> list[float]:
+    """``predict_strength`` (default cone sides) for many (scenario,
+    cup_indices) queries.
+
+    Queries whose contact sets share a layout are solved together, at most
+    ``LP_BATCH`` per batch, and each batch's contact sets and LPs are built
+    only when it is solved. Results are byte-identical to
+    ``predict_strength`` one query at a time.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (scenario, cups) in enumerate(queries):
+        uses_cups = scenario.mode is not ActuationMode.FINGERS
+        groups.setdefault((scenario.mode, len(cups) if uses_cups else 0), []).append(i)
+    out = [0.0] * len(queries)
+    for members in groups.values():
+        for start in range(0, len(members), LP_BATCH):
+            chunk = members[start:start + LP_BATCH]
+            problems = []
+            for i in chunk:
+                scenario, cups = queries[i]
+                contacts = build_contacts(scenario, model, DEFAULT_CONE_SIDES, cups)
+                problems.append((contacts, *pull_wrench_for(scenario)))
+            for i, sol in zip(chunk, solve_pull_batch(problems)):
+                out[i] = sol.alpha
+    return out
 
 
 # ---------------------------------------------------------------------------

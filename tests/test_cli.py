@@ -98,6 +98,15 @@ class TestGrasp:
         code, _, err = run(capsys, tmp_path, "grasp", "--offset", "40")
         assert code == 3
 
+    @pytest.mark.parametrize("flag,value", [("--fruit-diameter", "nan"),
+                                            ("--fruit-diameter", "inf"),
+                                            ("--offset", "nan")])
+    def test_nonfinite_input_usage_error(self, capsys, tmp_path, flag, value):
+        code, out, err = run(capsys, tmp_path, "grasp", flag, value)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_config_model_differs_from_calibration(self, capsys, tmp_path):
         # the bundled config's grasp model (pad 18 N) is not the shipped
         # calibration (pad 8.5 N)
@@ -129,6 +138,13 @@ class TestSimulate:
         code, _, err = run(capsys, tmp_path, "simulate", "--trials", "1", "--retries", "-1")
         assert code == 2
         assert "retries must be >= 0" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_usage_error(self, capsys, tmp_path, threads):
+        code, _, err = run(capsys, tmp_path, "simulate", "--trials", "1",
+                           "--threads", threads)
+        assert code == 2
+        assert "threads must be >= 1" in err
 
     def test_csv_log(self, capsys, tmp_path):
         code = main(["--out", str(tmp_path), "--format", "csv", "simulate",

@@ -1,7 +1,9 @@
 """Pick phase machine and Monte-Carlo campaigns."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from tandemgrip import picksim, wrench
@@ -13,6 +15,7 @@ from tandemgrip.picksim import (
     ProxyModel,
     TrialStats,
     TRIALS_CSV_HEADER,
+    TrialRecord,
     cups_engaged_at,
     run_campaign,
     run_pick,
@@ -29,6 +32,45 @@ def model():
 @pytest.fixture(scope="module")
 def proxy():
     return ProxyModel()
+
+
+def reference_trial(stats, model, mode, seed, index, engage_rule, occlusion_fail_prob,
+                    retries, engaged_attempts=None):
+    """One trial on its own, attempt by attempt, with scalar strength solves."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    u = rng.random(7)
+    net = float(stats.net_fdf.sample(u[0]))
+    tan = float(stats.tangential_fdf.sample(u[1]))
+    diameter = float(stats.fruit_diameter.sample(u[2]))
+    offset = float(stats.gripper_offset.sample(u[3]))
+    stiffness = float(stats.branch_stiffness.sample(u[4]))
+    azimuth = 2.0 * math.pi * u[5]
+    if occlusion_fail_prob > 0.0 and u[6] < occlusion_fail_prob:
+        return TrialRecord(index, net, offset, stiffness, mode, 0.0, PickOutcome.NO_ENGAGE)
+    angle = math.degrees(math.asin(min(tan / max(net, 1e-9), 1.0)))
+    strengths = {}
+    for attempt in range(retries + 1):
+        if attempt:
+            offset = float(stats.gripper_offset.sample(rng.random()))
+        cups = () if mode is ActuationMode.FINGERS else cups_engaged_at(offset, azimuth)
+        if mode is ActuationMode.SUCTION:
+            engaged = len(cups) >= engage_rule
+        else:
+            engaged = offset <= picksim.FINGER_CAPTURE_TOL_MM
+        if not engaged:
+            outcome, strength = PickOutcome.NO_ENGAGE, 0.0
+            continue
+        if engaged_attempts is not None:
+            engaged_attempts.append((index, cups))
+        if cups not in strengths:
+            scenario = GraspScenario(diameter / 2.0, pull_angle=angle,
+                                     mode=mode if cups else ActuationMode.FINGERS)
+            strengths[cups] = wrench.predict_strength(scenario, model, cup_indices=cups)
+        strength = strengths[cups]
+        outcome = PickOutcome.PICKED if strength >= net else PickOutcome.GRASP_SLIP
+        if outcome is PickOutcome.PICKED:
+            break
+    return TrialRecord(index, net, offset, stiffness, mode, strength, outcome)
 
 
 class TestRunPick:
@@ -56,6 +98,15 @@ class TestRunPick:
     def test_engage_rule_validation(self, proxy, model):
         with pytest.raises(ValueError):
             run_pick(proxy, GraspScenario(37.5), model, engage_rule=0)
+
+    @pytest.mark.parametrize("diameter", [16.0, 240.0])
+    def test_fruit_without_default_cam_tracks(self, model, diameter):
+        # no default cam tracks can be synthesised for these fruit (sweep
+        # clearance, palm envelope); the pick still ends in an outcome
+        state = run_pick(ProxyModel(fruit_diameter=diameter),
+                         GraspScenario(diameter / 2.0, mode=ActuationMode.DUAL), model)
+        assert state.phase is PickPhase.DONE
+        assert state.outcome is PickOutcome.PICKED
 
     def test_outcome_not_pending_when_done(self, proxy, model):
         state = run_pick(proxy, GraspScenario(37.5, mode=ActuationMode.DUAL), model)
@@ -144,35 +195,59 @@ class TestCampaign:
     @pytest.mark.parametrize("mode", list(ActuationMode))
     def test_one_solve_per_engaged_cup_set_per_trial(self, model, mode, monkeypatch):
         solves = []
-        real_solve = wrench.solve_pull
+        real_solve = wrench.solve_pull_batch
 
-        def solve_pull(*args, **kwargs):
-            solves.append(1)
-            return real_solve(*args, **kwargs)
-
-        trial = []
-        real_trial = picksim._run_trial
-
-        def run_trial(*args):
-            trial.append(args[4])   # the trial index
-            return real_trial(*args)
+        def solve_pull_batch(problems):
+            solves.extend(problems)
+            return real_solve(problems)
 
         engaged_attempts = []
-        real_attempt = picksim._attempt
-
-        def attempt(*args):
-            cups, outcome, strength = real_attempt(*args)
-            if outcome is not PickOutcome.NO_ENGAGE:
-                engaged_attempts.append((trial[-1], cups))
-            return cups, outcome, strength
-
-        monkeypatch.setattr(wrench, "solve_pull", solve_pull)
-        monkeypatch.setattr(picksim, "_run_trial", run_trial)
-        monkeypatch.setattr(picksim, "_attempt", attempt)
-        run_campaign(DEFAULT_FIELD_STATS, model, mode, 30, seed=29, retries=3)
+        monkeypatch.setattr(wrench, "solve_pull_batch", solve_pull_batch)
+        batched = run_campaign(DEFAULT_FIELD_STATS, model, mode, 30, seed=29, retries=3)
+        reference = [reference_trial(DEFAULT_FIELD_STATS, model, mode, 29, i, 2, 0.0, 3,
+                                     engaged_attempts) for i in range(30)]
+        assert batched.log == tuple(reference)
         assert len(solves) == len(set(engaged_attempts)) > 0
         # retries do land on cup sets the trial has already solved
         assert len(engaged_attempts) > len(set(engaged_attempts))
+
+    @pytest.mark.parametrize("occlusion", [0.0, 0.3])
+    @pytest.mark.parametrize("retries", [0, 1, 3])
+    @pytest.mark.parametrize("mode", list(ActuationMode))
+    def test_matches_one_trial_at_a_time(self, model, mode, retries, occlusion):
+        batched = run_campaign(DEFAULT_FIELD_STATS, model, mode, 80, seed=37,
+                               occlusion_fail_prob=occlusion, retries=retries)
+        reference = tuple(reference_trial(DEFAULT_FIELD_STATS, model, mode, 37, i, 2,
+                                          occlusion, retries) for i in range(80))
+        assert batched.log == reference
+
+    def test_block_size_does_not_change_log(self, model, monkeypatch):
+        whole = run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 50, seed=41,
+                             occlusion_fail_prob=0.2, retries=2)
+        monkeypatch.setattr(picksim, "CAMPAIGN_BLOCK", 7)
+        blocks = run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 50, seed=41,
+                              occlusion_fail_prob=0.2, retries=2)
+        assert blocks.log == whole.log
+
+    def test_retry_offsets_drawn_only_when_used(self):
+        # a trial waiting for its first strength has drawn one offset, not one
+        # per allowed retry, so memory does not grow with ``retries``
+        tracemalloc.start()
+        try:
+            trial = picksim._run_trial(DEFAULT_FIELD_STATS, ActuationMode.DUAL, 43, 0,
+                                       engage_rule=2, occlusion_fail_prob=0.0,
+                                       retries=10**6)
+            next(trial)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, model, threads):
+        with pytest.raises(ValueError):
+            run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 1, seed=0,
+                         threads=threads)
 
     def test_trials_csv(self, model):
         r = run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 5, seed=1)

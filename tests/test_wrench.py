@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from tandemgrip import wrench
 from tandemgrip.config import data_text, shipped_calibration
 from tandemgrip.errors import OffsetExceedsRadius
 from tandemgrip.wrench import (
@@ -16,15 +17,19 @@ from tandemgrip.wrench import (
     ContactSet,
     GraspModelParams,
     GraspScenario,
+    PullSolution,
     PullType,
     build_contacts,
     calibrate,
     max_resistible_pull,
     predict_strength,
+    predict_strengths,
     pull_wrench_for,
     reference_from_csv,
     solve_pull,
+    solve_pull_batch,
     verify_witness,
+    _lp_columns,
     _tangent_frame,
 )
 
@@ -305,3 +310,117 @@ class TestCalibration:
         ref = reference_from_csv(data_text("grasp_reference.csv"))
         assert len(ref.rows) == 27
         assert sum(r.authoritative for r in ref.rows) == 13
+
+
+def loop_lp_columns(contacts):
+    """Reference column builder: one generator and one np.cross per column."""
+    cols, caps, owner = [], [], []
+    nv = 0
+    for ci, c in enumerate(contacts):
+        p = c.position
+        if c.kind is ContactKind.FINGER_PAD:
+            t1, t2 = _tangent_frame(c.normal)
+            idx = []
+            for j in range(c.cone_sides):
+                ph = 2.0 * math.pi * j / c.cone_sides
+                e = c.normal + c.mu * (math.cos(ph) * t1 + math.sin(ph) * t2)
+                cols.append(np.concatenate([e, np.cross(p, e)]))
+                owner.append(ci)
+                idx.append(nv)
+                nv += 1
+            caps.append((idx, c.normal_capacity))
+        else:
+            cols.append(np.concatenate([-Z, np.cross(p, -Z)]))
+            owner.append(ci)
+            caps.append(([nv], c.tension_capacity))
+            nv += 1
+            cols.append(np.concatenate([Z, np.cross(p, Z)]))
+            owner.append(ci)
+            caps.append(([nv], c.normal_capacity))
+            nv += 1
+            anchor = math.atan2(p[1], p[0])
+            idx = []
+            for j in range(c.cone_sides):
+                ph = anchor + 2.0 * math.pi * j / c.cone_sides
+                e = np.array([math.cos(ph), math.sin(ph), 0.0])
+                cols.append(np.concatenate([e, np.cross(p, e)]))
+                owner.append(ci)
+                idx.append(nv)
+                nv += 1
+            caps.append((idx, c.shear_capacity))
+    return np.array(cols), caps, owner
+
+
+def random_queries(seed, count):
+    """(scenario, cup_indices) queries over every mode, cup subset and pull."""
+    rng = np.random.default_rng(seed)
+    queries = []
+    for i in range(count):
+        scenario = GraspScenario(
+            fruit_radius=float(rng.uniform(20, 50)),
+            fruit_offset=float(rng.uniform(0, 12)),
+            pull_angle=float(rng.uniform(0, 90)),
+            pull_type=PullType.AXIAL if rng.random() < 0.7 else PullType.ROTATIONAL,
+            mode=list(ActuationMode)[i % 3],
+        )
+        cups = tuple(int(k) for k in sorted(rng.choice(3, int(rng.integers(0, 4)),
+                                                       replace=False)))
+        queries.append((scenario, cups))
+    return queries
+
+
+class TestBatchedPull:
+    def test_columns_match_loop_builder(self):
+        rng = np.random.default_rng(41)
+        model = shipped_calibration()
+        for scenario, cups in random_queries(41, 150):
+            contacts = build_contacts(scenario, model, int(rng.integers(3, 12)), cups).contacts
+            if not contacts:
+                continue
+            ref_cols, ref_caps, ref_owner = loop_lp_columns(contacts)
+            cols, cap_row, caps, owner = _lp_columns(contacts)
+            assert cols.tobytes() == ref_cols.tobytes()
+            assert owner == ref_owner
+            assert [([j for j, r in enumerate(cap_row) if r == k], cap)
+                    for k, cap in enumerate(caps)] == ref_caps
+
+    def test_batch_matches_scalar_and_verifies(self):
+        model = shipped_calibration()
+        for mode in ActuationMode:
+            problems = []
+            for scenario, _ in random_queries(43, 60):
+                scenario = GraspScenario(scenario.fruit_radius, scenario.fruit_offset,
+                                         scenario.pull_angle, scenario.pull_type, mode)
+                problems.append((build_contacts(scenario, model), *pull_wrench_for(scenario)))
+            for (contacts, d, app), sol in zip(problems, solve_pull_batch(problems)):
+                ref = solve_pull(contacts, d, app)
+                assert np.float64(sol.alpha).tobytes() == np.float64(ref.alpha).tobytes()
+                assert [f.tobytes() for f in sol.forces] == [f.tobytes() for f in ref.forces]
+                assert verify_witness(contacts, sol) == []
+
+    def test_predict_strengths_match_one_at_a_time(self, monkeypatch):
+        model = shipped_calibration()
+        queries = random_queries(47, 240)
+        monkeypatch.setattr(wrench, "LP_BATCH", 7)   # several batches per layout
+        got = predict_strengths(queries, model)
+        ref = [predict_strength(s, model, cup_indices=cups) for s, cups in queries]
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("field", ["fruit_radius", "fruit_offset", "pull_angle"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_scenario_rejects(self, field, value):
+        kwargs = {"fruit_radius": 37.5, "fruit_offset": 0.0, "pull_angle": 0.0, field: value}
+        with pytest.raises(ValueError):
+            GraspScenario(**kwargs)
+
+    def test_witness_reports_nonfinite_alpha(self):
+        cs = ContactSet(37.5, (pad([0.0, 0.0, -37.5], 10.0, 0.5),))
+        sol = PullSolution(math.nan, (np.zeros(3),), Z, np.zeros(3))
+        assert verify_witness(cs, sol)
+
+    def test_witness_reports_nonfinite_force(self):
+        cs = ContactSet(37.5, (pad([0.0, 0.0, -37.5], 10.0, 0.5),))
+        sol = PullSolution(0.0, (np.array([math.nan, 0.0, 0.0]),), Z, np.zeros(3))
+        assert verify_witness(cs, sol)
