@@ -316,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit on approximate (plot-read) rows too")
     k.set_defaults(func=cmd_calibrate)
 
-    s = sub.add_parser("simulate", help="Monte-Carlo pick campaign")
+    s = sub.add_parser("simulate", help="Monte-Carlo pick campaign",
+                       description="Monte-Carlo pick campaign. Campaigns use the shipped "
+                                   "calibration: simulate does not read --config, so "
+                                   "its grasp_model is ignored.")
     s.add_argument("--trials", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--mode", choices=("suction", "fingers", "dual"), default="dual")

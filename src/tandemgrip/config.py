@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .campath import CamTrackSpec
-from .errors import ParseError
+from .errors import ParseError, require_finite
 from .leadscrew import ScrewParams
 from .linkage import LinkageParams, TravelRange
 from .wrench import GraspModelParams
@@ -66,6 +66,7 @@ class GripperConfig:
                     raise ParseError(f"cam track file not found: {cam_path}")
                 cam = CamTrackSpec.from_json(cam_path.read_text())
             bruise = float(d.get("bruise_threshold_N", 30.0))
+            require_finite(bruise_threshold_N=bruise)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ParseError):
                 raise

@@ -1,8 +1,23 @@
-"""Exception hierarchy for the gripper toolkit.
+"""Exception hierarchy for the gripper toolkit, and its finite-value guard.
 
 Every domain failure raises a subclass of ToolkitError so callers (and the
 CLI) can separate usage problems from geometry/numerical ones.
 """
+
+import math
+
+
+def require_finite(**values: float) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is NaN or
+    infinite.
+
+    Shared by the parameter dataclasses and the config loader: Python's
+    ``json`` reads ``NaN`` and ``Infinity``, which pass every ``<=``/``<``
+    range check and fail later as a division by zero or an unbounded LP.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class ToolkitError(Exception):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DenominatorNonpositive
+from .errors import DenominatorNonpositive, require_finite
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ class ScrewParams:
     mu: float             # thread friction coefficient
 
     def __post_init__(self):
+        require_finite(pitch=self.pitch, thread_angle=self.thread_angle,
+                       d_outer=self.d_outer, mu=self.mu)
         if self.pitch <= 0.0:
             raise ValueError("pitch must be > 0")
         if self.n_starts < 1:

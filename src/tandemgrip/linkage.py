@@ -22,11 +22,13 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import GeometryInfeasible, NegativeY
+from .errors import GeometryInfeasible, NegativeY, require_finite
 from .leadscrew import ScrewParams, torque_for_thrust
 
 # acos/asin arguments within this slack of +-1 are clamped instead of rejected
 TRIG_SLACK = 1e-9
+# most nut positions one travel_grid may hold; the default 0.1 mm grid has 91
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,7 @@ class LinkageParams:
     l_n: float   # nut length
 
     def __post_init__(self):
+        require_finite(**vars(self))
         for name in ("p_x", "l_b", "l_k", "l_f", "p_y", "l_n"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -58,6 +61,7 @@ class TravelRange:
     x_max: float
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be < x_max")
 
@@ -228,11 +232,15 @@ SWEEP_CSV_HEADER = (
 def travel_grid(travel: TravelRange, step: float) -> Iterator[float]:
     """Nut positions x_min, x_min + step, ... that do not pass x_max.
 
-    The step is checked at the call; the positions are generated lazily.
+    The step is checked at the call, against zero and against a grid of more
+    than ``MAX_GRID_POINTS`` points; the positions are generated lazily.
     """
     if not step > 0.0:
         raise ValueError("step must be > 0")
-    n = int(math.floor((travel.x_max - travel.x_min) / step + 1e-9)) + 1
+    spans = (travel.x_max - travel.x_min) / step + 1e-9
+    if not spans < MAX_GRID_POINTS:
+        raise ValueError(f"step {step!r} gives more than {MAX_GRID_POINTS} grid points")
+    n = int(math.floor(spans)) + 1
     return (travel.x_min + i * step for i in range(n))
 
 

@@ -32,9 +32,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import CalibrationDiverged, LpNumericalFailure, OffsetExceedsRadius, ParseError
+from .errors import (
+    CalibrationDiverged,
+    LpNumericalFailure,
+    OffsetExceedsRadius,
+    ParseError,
+    require_finite,
+)
 from .simplexlp import solve_lp, solve_lp_batch
 
 _Z = np.array([0.0, 0.0, 1.0])
@@ -76,8 +81,8 @@ class GraspScenario:
     mode: ActuationMode = ActuationMode.DUAL
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.fruit_radius, self.fruit_offset, self.pull_angle))):
-            raise ValueError("fruit_radius, fruit_offset and pull_angle must be finite")
+        require_finite(fruit_radius=self.fruit_radius, fruit_offset=self.fruit_offset,
+                       pull_angle=self.pull_angle)
         if self.fruit_radius <= 0.0:
             raise ValueError("fruit_radius must be > 0")
         if self.fruit_offset < 0.0:
@@ -128,6 +133,7 @@ class GraspModelParams:
     shear_fraction: float = 0.5   # kappa, shear cap fraction of tension capacity
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if min(self.pad_force, self.mu_pad, self.suction_axial) < 0.0:
             raise ValueError("capacities must be >= 0")
         if not 0.0 < self.shear_fraction <= 1.0:
@@ -528,6 +534,75 @@ class CalibrationResult:
         return float(np.mean([abs(r.rel_error) for r in self.residuals]))
 
 
+@dataclass(frozen=True)
+class SearchResult:
+    x: np.ndarray   # best vertex of the final simplex
+    fun: float      # smallest objective value in the final simplex
+    nit: int        # iterations, counted as scipy counts them
+
+
+def minimize(fun, x0, max_iter: int, xatol: float, fatol: float) -> SearchResult:
+    """Nelder-Mead simplex search (Nelder & Mead, Comput. J. 7(4), 1965).
+
+    The same search, step for step and operation for operation, as scipy's
+    ``minimize(fun, x0, method="Nelder-Mead", options={"maxiter": max_iter,
+    "xatol": xatol, "fatol": fatol})`` (checked against scipy 1.17.1), so
+    results match it byte for byte: initial steps of 5% (0.00025 for a zero
+    coordinate), reflection 1, expansion 2, contractions and shrink 1/2, and
+    no cap on evaluations. ``fun`` takes a copy of a float64 point and returns
+    a float. It stops when every vertex is within ``xatol`` of the best one
+    and every value within ``fatol`` of the best value, or after ``max_iter``
+    iterations.
+    """
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([fun(np.copy(v)) for v in sim], dtype=float)
+    # scipy sorts the first simplex twice; np.argsort is not a stable sort,
+    # so the second pass can still reorder vertices with equal values
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    nit = 1
+    while nit < max_iter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(np.copy(xr))
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = fun(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = fun(np.copy(xc))
+                keep = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = fun(np.copy(xc))
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = fun(np.copy(sim[j]))
+        nit += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return SearchResult(x=sim[0], fun=np.min(fsim), nit=nit)
+
+
 def calibrate(
     reference: ReferenceMeasurements,
     initial: GraspModelParams = GraspModelParams(),
@@ -565,8 +640,7 @@ def calibrate(
 
     x0 = np.array([initial.pad_force, initial.mu_pad, initial.suction_axial,
                    initial.shear_fraction])
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": max_iter, "xatol": 1e-5, "fatol": 1e-8})
+    res = minimize(objective, x0, max_iter=max_iter, xatol=1e-5, fatol=1e-8)
     fitted = unpack(res.x)
     if fitted is None:
         raise CalibrationDiverged("search left the admissible parameter region")

@@ -1,10 +1,16 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tandemgrip
 from tandemgrip.cli import main
+from tandemgrip.config import data_text
 
 
 def run(capsys, tmp_path, *argv):
@@ -193,6 +199,46 @@ class TestCalibrateCommand:
 class TestUsage:
     def test_unknown_command(self, capsys, tmp_path):
         assert main(["bogus"]) == 2
+
+
+class TestNonFiniteConfig:
+    """``json`` reads NaN and Infinity; such a config is a usage error."""
+
+    @pytest.mark.parametrize("section,field,value,argv", [
+        ("linkage", "l_b_mm", float("nan"), ["transmission"]),
+        ("linkage", "l_b_mm", float("nan"), ["bruise"]),
+        ("grasp_model", "pad_force_N", float("nan"), ["grasp", "--config-model"]),
+        ("screw", "mu", float("inf"), ["transmission"]),
+        (None, "bruise_threshold_N", float("nan"), ["bruise"]),
+    ])
+    def test_exit_2(self, capsys, tmp_path, section, field, value, argv):
+        doc = json.loads(data_text("default_config.json"))
+        (doc[section] if section else doc)[field] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, tmp_path, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
+class TestColdStart:
+    def test_no_command_imports_scipy(self, tmp_path):
+        # calibration has its own Nelder-Mead, so scipy stays out of every command
+        script = (
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "from tandemgrip import cli\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            f"assert cli.main(['--out', {str(tmp_path)!r}, 'grasp', '--angle', '30']) == 0\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+        )
+        src = str(Path(tandemgrip.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSimulateStats:

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tandemgrip.errors import GeometryInfeasible, NegativeY
-from tandemgrip.leadscrew import DEFAULT_SCREW
+from tandemgrip.leadscrew import DEFAULT_SCREW, ScrewParams
 from tandemgrip.linkage import (
     DEFAULT_LINKAGE,
     DEFAULT_TRAVEL,
+    MAX_GRID_POINTS,
     LinkageParams,
     SWEEP_CSV_HEADER,
     TravelRange,
@@ -207,6 +208,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_transmission(DEFAULT_LINKAGE, DEFAULT_TRAVEL, step, 30.0, DEFAULT_SCREW)
 
+    @pytest.mark.parametrize("step", [1e-12, 1e-320])
+    def test_oversized_grid_rejected_at_the_call(self, step):
+        # raises before any position is generated: the grid is lazy
+        with pytest.raises(ValueError, match="grid points"):
+            travel_grid(DEFAULT_TRAVEL, step)
+
+    def test_grid_size_limit(self):
+        span = DEFAULT_TRAVEL.x_max - DEFAULT_TRAVEL.x_min
+        assert len(list(travel_grid(DEFAULT_TRAVEL, span / (MAX_GRID_POINTS - 1)))) \
+            == MAX_GRID_POINTS
+        with pytest.raises(ValueError):
+            travel_grid(DEFAULT_TRAVEL, span / MAX_GRID_POINTS)
+
     def test_csv_header_and_stability(self):
         rows = sweep_transmission(DEFAULT_LINKAGE, DEFAULT_TRAVEL, 0.5, 30.0, DEFAULT_SCREW)
         text1 = sweep_rows_to_csv(rows)
@@ -225,3 +239,14 @@ class TestParamValidation:
     def test_travel_range_order(self):
         with pytest.raises(ValueError):
             TravelRange(59.0, 50.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_rejected(self, value):
+        lengths = dict(p_x=12.0, l_b=18.5, l_k=17.5, l_f=48.0, p_y=90.0, l_n=7.0)
+        for name in lengths:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                LinkageParams(**{**lengths, name: value})
+        with pytest.raises(ValueError, match="x_max must be finite"):
+            TravelRange(50.0, value)
+        with pytest.raises(ValueError, match="mu must be finite"):
+            ScrewParams(pitch=2.0, n_starts=4, thread_angle=0.25, d_outer=8.0, mu=value)

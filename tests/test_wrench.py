@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 from scipy.spatial import ConvexHull
 
 from tandemgrip import wrench
@@ -312,6 +313,72 @@ class TestCalibration:
         assert sum(r.authoritative for r in ref.rows) == 13
 
 
+def search_objectives():
+    """Objectives for the search: smooth, tied, plateaued, kinked, stepped."""
+    def rosenbrock(x):
+        if len(x) == 1:
+            return float((x[0] - 1.0) ** 2)
+        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+    def plateau(x):   # the 1e9 wall calibrate returns outside its region
+        return 1e9 if np.any(x < 0.0) or x[0] > 2.0 else float(np.sum((x - 0.7) ** 2))
+
+    def kinked(x):
+        return float(np.sum(np.abs(x - 0.3)))
+
+    def stepped(x):   # flat steps: many equal values, so argsort ties
+        return float(np.sum(np.floor(4.0 * x)))
+
+    return (rosenbrock, plateau, kinked, stepped)
+
+
+class TestNelderMead:
+    """``wrench.minimize`` is scipy's Nelder-Mead, byte for byte."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("max_iter,xatol,fatol", [(400, 1e-5, 1e-8), (7, 1e-4, 1e-4),
+                                                      (40, 1e-3, 1e-6)])
+    def test_matches_scipy(self, dim, max_iter, xatol, fatol):
+        rng = np.random.default_rng(dim)
+        for fun in search_objectives():
+            for _ in range(4):
+                x0 = rng.normal(size=dim)
+                x0[rng.random(dim) < 0.3] = 0.0   # zero coordinates step by 0.00025
+                want = scipy_minimize(fun, x0, method="Nelder-Mead",
+                                      options={"maxiter": max_iter, "xatol": xatol,
+                                               "fatol": fatol})
+                got = wrench.minimize(fun, x0, max_iter=max_iter, xatol=xatol, fatol=fatol)
+                assert got.x.tobytes() == want.x.tobytes()
+                assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+                assert got.nit == want.nit
+
+    def test_all_zero_start_and_tied_simplex(self):
+        for x0 in (np.zeros(3), np.zeros(1), np.array([0.0, 1.0, 0.0, 2.0])):
+            for fun in (lambda x: 1e9, lambda x: float(np.floor(np.sum(x)))):
+                want = scipy_minimize(fun, x0, method="Nelder-Mead",
+                                      options={"maxiter": 30, "xatol": 1e-5, "fatol": 1e-8})
+                got = wrench.minimize(fun, x0, max_iter=30, xatol=1e-5, fatol=1e-8)
+                assert got.x.tobytes() == want.x.tobytes()
+                assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+                assert got.nit == want.nit
+
+    def test_calibrate_searches_through_module_name(self, monkeypatch):
+        # calibrate looks the search up as wrench.minimize at call time, so
+        # a caller can wrap it (the benchmark does, to cut the fit into pieces)
+        calls = []
+
+        def wrapped(fun, x0, *args, **kwargs):
+            calls.append(kwargs)
+            return real(fun, x0, *args, **kwargs)
+        real = wrench.minimize
+        monkeypatch.setattr(wrench, "minimize", wrapped)
+        sc = GraspScenario(37.5, mode=ActuationMode.SUCTION)
+        start = GraspModelParams(8.0, 0.9, 4.0, 0.6)
+        rows = (wrench.ReferenceRow(sc, predict_strength(sc, start), 0.5),)
+        calibrate(wrench.ReferenceMeasurements(rows), initial=start, max_iter=3)
+        assert calls == [{"max_iter": 3, "xatol": 1e-5, "fatol": 1e-8}]
+
+
 def loop_lp_columns(contacts):
     """Reference column builder: one generator and one np.cross per column."""
     cols, caps, owner = [], [], []
@@ -414,6 +481,13 @@ class TestNonFinite:
         kwargs = {"fruit_radius": 37.5, "fruit_offset": 0.0, "pull_angle": 0.0, field: value}
         with pytest.raises(ValueError):
             GraspScenario(**kwargs)
+
+    @pytest.mark.parametrize("field", ["pad_force", "mu_pad", "suction_axial",
+                                       "shear_fraction"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_model_params_reject(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GraspModelParams(**{field: value})
 
     def test_witness_reports_nonfinite_alpha(self):
         cs = ContactSet(37.5, (pad([0.0, 0.0, -37.5], 10.0, 0.5),))
