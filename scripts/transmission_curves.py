@@ -2,56 +2,39 @@
 """Regenerate the power-transmission study: force ratio, bar angle, and motor
 torque over the clamp region, plus the anchored clamp-force (bruising) curve.
 
-Writes CSV + SVG into results/transmission/.
+Runs ``tandemgrip --format svg transmission`` and ``tandemgrip --format svg
+bruise`` with their defaults (bundled config, 0.1 mm step, 30 N pad force,
+18 N anchored at x = 58 mm), which write transmission.csv/.svg and
+bruise.csv/.svg into results/transmission/, then prints a summary.
 """
 
-import math
+import contextlib
+import io
 from pathlib import Path
 
-from tandemgrip import svgplot
+from tandemgrip import cli
 from tandemgrip.leadscrew import DEFAULT_SCREW, back_drive_torque, is_self_locking
-from tandemgrip.linkage import (
-    DEFAULT_LINKAGE,
-    DEFAULT_TRAVEL,
-    solve_geometry,
-    sweep_rows_to_csv,
-    sweep_transmission,
-)
 
 OUT = Path(__file__).resolve().parent.parent / "results" / "transmission"
 
 
-def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
-    rows = sweep_transmission(DEFAULT_LINKAGE, DEFAULT_TRAVEL, 0.1, 30.0, DEFAULT_SCREW)
-    (OUT / "transmission.csv").write_text(sweep_rows_to_csv(rows))
-    xs = [r.x for r in rows]
-    svg = svgplot.line_chart(
-        xs,
-        {
-            "ratio": [r.ratio for r in rows],
-            "alpha+theta [deg]": [math.degrees(r.alpha + r.theta) for r in rows],
-            "torque [N*m]": [r.t_motor for r in rows],
-        },
-        "nut travel x [mm]", "see series", "power transmission",
-    )
-    (OUT / "transmission.svg").write_text(svg)
-    peak = max(rows, key=lambda r: r.t_motor)
-    print(f"peak motor torque {peak.t_motor:.4f} N*m at x = {peak.x} mm")
-    print(f"force ratio at stop: {rows[-1].ratio:.4f}")
+def _run(command: str) -> list[list[str]]:
+    """Run one command into OUT, its CSV echo silenced; return its CSV rows."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["--out", str(OUT), "--format", "svg", command])
+    if code != 0:
+        raise SystemExit(f"tandemgrip {command} exited with {code}")
+    lines = (OUT / f"{command}.csv").read_text().splitlines()
+    return [line.split(",") for line in lines[1:]]
 
-    # clamp-force curve anchored to the measured 18 N at x = 58 mm
-    f_nut = 18.0 / solve_geometry(DEFAULT_LINKAGE, 58.0).ratio
-    forces = [solve_geometry(DEFAULT_LINKAGE, x).ratio * f_nut for x in xs]
-    (OUT / "clamp_force.csv").write_text(
-        "x_mm,f_out_N\n" + "\n".join(f"{x:.9g},{f:.9g}" for x, f in zip(xs, forces)) + "\n"
-    )
-    svg = svgplot.line_chart(
-        xs, {"pad force [N]": forces, "bruise threshold": [30.0] * len(xs)},
-        "nut travel x [mm]", "force [N]", "clamp force, anchored 18 N @ 58 mm",
-    )
-    (OUT / "clamp_force.svg").write_text(svg)
-    print(f"clamp force at stop: {forces[-1]:.2f} N (threshold 30 N)")
+
+def main() -> None:
+    rows = _run("transmission")
+    peak = max(rows, key=lambda r: float(r[8]))
+    print(f"peak motor torque {float(peak[8]):.4f} N*m at x = {float(peak[0])} mm")
+    print(f"force ratio at stop: {float(rows[-1][6]):.4f}")
+    clamp = _run("bruise")
+    print(f"clamp force at stop: {float(clamp[-1][1]):.2f} N (threshold 30 N)")
     print(f"screw self-locking: {is_self_locking(DEFAULT_SCREW)} "
           f"(lowering torque at 100 N: {back_drive_torque(DEFAULT_SCREW, 100.0):+.4f} N*m)")
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import PoseUnsolvable, SynthesisFailed
+from .errors import PoseUnsolvable, SynthesisFailed, require_finite
 
 Point = tuple[float, float]
 
@@ -38,6 +38,7 @@ EPS = 1e-9
 MAX_REACH_MM = 120.0      # radial envelope of the palm/track housing
 ARC_SAMPLES = 2048        # arc-length table resolution
 SCAN_SAMPLES = 129        # coarse scan of the inner parameter
+MAX_SAMPLES = 100_000     # most poses one validate_path pass may solve
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,18 @@ class CamTrackSpec:
     contact_latitude_max_deg: float = 6.0   # final pad contact at or above this
 
     def __post_init__(self):
+        segments = {f"outer_path[{k}]": seg for k, seg in enumerate(self.outer_path)}
+        segments["inner_path"] = self.inner_path
+        for name, seg in segments.items():
+            for j, point in enumerate(seg.as_list()):
+                require_finite(**{f"{name}.p{j}[{i}]": v for i, v in enumerate(point)})
+        require_finite(
+            pin_separation=self.pin_separation, inner_hard_stop=self.inner_hard_stop,
+            fruit_radius=self.fruit_radius, fruit_center_x=self.fruit_center[0],
+            fruit_center_z=self.fruit_center[1], palm_plane_z=self.palm_plane_z,
+            tip_extension=self.tip_extension, pad_halfwidth=self.pad_halfwidth,
+            contact_latitude_max_deg=self.contact_latitude_max_deg,
+        )
         if self.pin_separation <= 0.0:
             raise ValueError("pin_separation must be > 0")
         if not 0.0 < self.inner_hard_stop <= 1.0:
@@ -140,6 +153,7 @@ class PathReport:
     max_sweep_radius: float         # mm
     clamp_contact_latitude: float   # rad, positive below the fruit equator
     interference: bool
+    poses: tuple[tuple[float, FingerPose], ...] = field(compare=False, repr=False)  # (u, pose)
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +217,20 @@ def build_default_tracks(
     fruit_radius: float,
     clearance: float,
     samples: int = 500,
-) -> CamTrackSpec:
+) -> tuple[CamTrackSpec, PathReport]:
     """Synthesize the default track pair for a fruit sphere.
 
     The sweeping region keeps the (pad-widened) finger at least ``clearance``
     from the fruit; the clamping region ends with the pad tip on the fruit
     at the equator. The rail start is deepened adaptively when the requested
-    clearance is not met on the first try.
+    clearance is not met on the first try. Returns the spec and its report.
     """
+    require_finite(fruit_radius=fruit_radius, clearance=clearance)
     if fruit_radius <= 0.0:
         raise ValueError("fruit_radius must be > 0")
     if clearance < 0.0:
         raise ValueError("clearance must be >= 0")
-    candidate = _build_candidate(fruit_radius, 0.0)
-    reach = fruit_radius + clearance + candidate.pad_halfwidth
+    reach = fruit_radius + clearance + CamTrackSpec.pad_halfwidth
     if reach > MAX_REACH_MM:
         raise SynthesisFailed(
             "palm envelope",
@@ -231,7 +245,7 @@ def build_default_tracks(
             report = validate_path(spec, samples)
         except PoseUnsolvable as exc:
             raise SynthesisFailed("pose solvability", str(exc)) from exc
-        pose0 = solve_finger_pose(spec, 0.0)
+        _, pose0 = report.poses[0]
         if pose0.pad_tip[1] >= spec.palm_plane_z:
             raise SynthesisFailed("retracted start", "tip not behind the palm plane")
         lat_max = math.radians(spec.contact_latitude_max_deg)
@@ -241,7 +255,7 @@ def build_default_tracks(
                 f"{math.degrees(report.clamp_contact_latitude):.2f} deg below equator",
             )
         if report.min_clearance >= clearance:
-            return spec
+            return spec, report
         last_reason = (
             f"min clearance {report.min_clearance:.2f} mm < {clearance:.2f} mm"
         )
@@ -361,16 +375,17 @@ def _segment_clearance(a: np.ndarray, b: np.ndarray, center: np.ndarray,
 
 
 def validate_path(spec: CamTrackSpec, samples: int) -> PathReport:
-    """Sample poses uniformly in u and report clearance and contact geometry."""
+    """Solve poses uniformly in u, once each; report them with clearance and contact."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}")
     center = np.array(spec.fruit_center)
     min_clear = math.inf
     max_radius = 0.0
-    poses = []
-    for u in np.linspace(0.0, 1.0, samples):
-        pose = solve_finger_pose(spec, float(u))
-        poses.append((float(u), pose))
+    poses = tuple((float(u), solve_finger_pose(spec, float(u)))
+                  for u in np.linspace(0.0, 1.0, samples))
+    for _, pose in poses:
         if pose.region is Region.SWEEPING:
             clear = _segment_clearance(pose.inner_pin, pose.pad_tip, center,
                                        spec.fruit_radius, spec.pad_halfwidth)
@@ -386,22 +401,22 @@ def validate_path(spec: CamTrackSpec, samples: int) -> PathReport:
         max_sweep_radius=max_radius,
         clamp_contact_latitude=latitude,
         interference=min_clear < 0.0,
+        poses=poses,
     )
 
 
 POSES_CSV_HEADER = "u,inner_x,inner_z,outer_x,outer_z,tip_x,tip_z,region"
 
 
-def poses_to_csv(spec: CamTrackSpec, samples: int) -> str:
-    """Sampled pose table as CSV (9 significant digits)."""
+def poses_to_csv(report: PathReport) -> str:
+    """The pose table of a validation pass as CSV (9 significant digits)."""
     def fmt(v: float) -> str:
         return f"{v:.9g}"
 
     lines = [POSES_CSV_HEADER]
-    for u in np.linspace(0.0, 1.0, samples):
-        p = solve_finger_pose(spec, float(u))
+    for u, p in report.poses:
         lines.append(",".join([
-            fmt(float(u)), fmt(p.inner_pin[0]), fmt(p.inner_pin[1]),
+            fmt(u), fmt(p.inner_pin[0]), fmt(p.inner_pin[1]),
             fmt(p.outer_pin[0]), fmt(p.outer_pin[1]),
             fmt(p.pad_tip[0]), fmt(p.pad_tip[1]), p.region.value,
         ]))

@@ -25,6 +25,7 @@ from .errors import (
     PoseUnsolvable,
     SynthesisFailed,
     ToolkitError,
+    require_finite,
 )
 from .linkage import (
     TravelRange,
@@ -83,7 +84,7 @@ def cmd_transmission(args) -> int:
     lo, hi, step = (cfg.travel.x_min, cfg.travel.x_max, None)
     if args.range is not None:
         lo, hi, step = _parse_range(args.range)
-    step = args.step if args.step is not None else (step or 0.1)
+    step = args.step if args.step is not None else (0.1 if step is None else step)
     if hi < lo:
         print("empty range", file=sys.stderr)
         return USAGE_ERROR
@@ -125,6 +126,9 @@ def cmd_bruise(args) -> int:
         f_anchor, x_anchor = float(f_txt), float(x_txt)
     else:
         f_anchor, x_anchor = float(anchor), 58.0
+    require_finite(anchor_force=f_anchor)
+    if f_anchor < 0.0:
+        raise ValueError("anchor force must be >= 0")
     if not cfg.travel.x_min <= x_anchor <= cfg.travel.x_max:
         print(f"anchor x={x_anchor} outside travel range", file=sys.stderr)
         return USAGE_ERROR
@@ -139,6 +143,8 @@ def cmd_bruise(args) -> int:
         xs.append(x)
         fs.append(f_out)
         lines.append(f"{x:.9g},{f_out:.9g},{str(flag).lower()}")
+    if not math.isfinite(max(fs)):
+        raise ValueError(f"anchor force {f_anchor!r} N overflows the clamp-force curve")
     out = _out_dir(args)
     csv_text = "\n".join(lines) + "\n"
     (out / "bruise.csv").write_text(csv_text)
@@ -159,16 +165,16 @@ def cmd_bruise(args) -> int:
 def cmd_campath(args) -> int:
     cfg = _load_config(args)
     if cfg.cam is not None and args.fruit_diameter is None:
-        spec = cfg.cam
+        spec, report = cfg.cam, None
     else:
         diameter = args.fruit_diameter if args.fruit_diameter is not None else 75.0
-        spec = campath.build_default_tracks(diameter / 2.0, args.clearance)
-    report = campath.validate_path(spec, args.samples)
+        spec, report = campath.build_default_tracks(diameter / 2.0, args.clearance)
+    if report is None or len(report.poses) != args.samples:
+        report = campath.validate_path(spec, args.samples)
     out = _out_dir(args)
     (out / "campath_spec.json").write_text(spec.to_json())
     (out / "campath_report.json").write_text(campath.report_to_json(report))
-    csv_text = campath.poses_to_csv(spec, args.samples)
-    (out / "campath_poses.csv").write_text(csv_text)
+    (out / "campath_poses.csv").write_text(campath.poses_to_csv(report))
     if args.format == "svg":
         ts = [i / 127 for i in range(128)]
         curves = {}
@@ -345,6 +351,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    if [] in vars(args).values():   # argparse before 3.13 parses "--opt=--" as []
+        print("error: '--' is not an option value", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.func(args)
     except (ParseError, FileNotFoundError, ValueError) as exc:

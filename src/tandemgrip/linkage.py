@@ -237,6 +237,7 @@ def travel_grid(travel: TravelRange, step: float) -> Iterator[float]:
     """
     if not step > 0.0:
         raise ValueError("step must be > 0")
+    require_finite(step=step)
     spans = (travel.x_max - travel.x_min) / step + 1e-9
     if not spans < MAX_GRID_POINTS:
         raise ValueError(f"step {step!r} gives more than {MAX_GRID_POINTS} grid points")
@@ -257,6 +258,7 @@ def sweep_transmission(
     ``f_out_target`` and the matching motor torque. Rows where the geometry
     fails are kept and marked infeasible rather than dropped.
     """
+    require_finite(f_out_target=f_out_target)
     rows = []
     for x in travel_grid(travel, step):
         try:
@@ -266,6 +268,8 @@ def sweep_transmission(
             continue
         f_nut = f_out_target / st.ratio
         t_motor = torque_for_thrust(screw, f_nut)
+        if not math.isfinite(t_motor):
+            raise ValueError(f"f_out_target {f_out_target!r} N overflows the motor torque")
         rows.append(
             SweepRow(
                 x=x, feasible=True, y=st.y, gamma=st.gamma, alpha=st.alpha,

@@ -52,6 +52,9 @@ PULL_TILT_LONGITUDE_DEG = 60.0
 DEFAULT_CONE_SIDES = 8
 WITNESS_TOL = 1e-6
 LP_BATCH = 64                # pull LPs per solve_lp_batch call
+# fruit radii the pull LP answers soundly; far outside, its moments overflow
+# or its answer is lost to rounding
+FRUIT_RADIUS_RANGE_MM = (1.0, 1000.0)
 
 
 class PullType(enum.Enum):
@@ -83,8 +86,9 @@ class GraspScenario:
     def __post_init__(self):
         require_finite(fruit_radius=self.fruit_radius, fruit_offset=self.fruit_offset,
                        pull_angle=self.pull_angle)
-        if self.fruit_radius <= 0.0:
-            raise ValueError("fruit_radius must be > 0")
+        lo, hi = FRUIT_RADIUS_RANGE_MM
+        if not lo <= self.fruit_radius <= hi:
+            raise ValueError(f"fruit_radius must be in [{lo:g}, {hi:g}] mm")
         if self.fruit_offset < 0.0:
             raise ValueError("fruit_offset must be >= 0")
         if not 0.0 <= self.pull_angle <= 90.0:

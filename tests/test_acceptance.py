@@ -251,7 +251,7 @@ def test_criterion_7_campaign_reproduction():
 def test_criterion_8_cam_path():
     """Default tracks for a 75 mm fruit: zero interference over 500 samples,
     one region transition, pin separation to 1e-9 mm; validation < 1 s."""
-    spec = build_default_tracks(37.5, 3.0)
+    spec, _ = build_default_tracks(37.5, 3.0)
     t0 = time.perf_counter()
     report = validate_path(spec, 500)
     elapsed = time.perf_counter() - t0

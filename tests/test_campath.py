@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from tandemgrip import campath
 from tandemgrip.campath import (
+    MAX_SAMPLES,
     CamTrackSpec,
     CubicBezier,
     Region,
@@ -21,7 +23,8 @@ from tandemgrip.errors import PoseUnsolvable, SynthesisFailed
 
 @pytest.fixture(scope="module")
 def spec75():
-    return build_default_tracks(37.5, 3.0)
+    spec, _ = build_default_tracks(37.5, 3.0)
+    return spec
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +40,7 @@ class TestSynthesis:
         assert not report.interference
 
     def test_zero_clearance_valid(self):
-        spec = build_default_tracks(37.5, 0.0)
+        spec, _ = build_default_tracks(37.5, 0.0)
         report = validate_path(spec, 200)
         assert report.min_clearance >= 0.0
 
@@ -46,11 +49,24 @@ class TestSynthesis:
             build_default_tracks(500.0, 50.0)
         assert "envelope" in str(err.value)
 
+    def test_huge_fruit_fails_before_any_track_is_built(self):
+        # a 1e300 mm candidate would overflow (a RuntimeWarning, an error here)
+        with pytest.raises(SynthesisFailed, match="envelope"):
+            build_default_tracks(1e300, 3.0)
+
     def test_other_fruit_sizes(self):
         for radius in (30.0, 42.5):
-            spec = build_default_tracks(radius, 2.0)
+            spec, _ = build_default_tracks(radius, 2.0)
             report = validate_path(spec, 200)
             assert report.min_clearance >= 2.0
+
+    def test_returns_the_report_of_its_pass(self):
+        spec, report = build_default_tracks(37.5, 3.0, samples=50)
+        again = validate_path(spec, 50)
+        assert report == again
+        assert [u for u, _ in report.poses] == [u for u, _ in again.poses]
+        assert report.poses[0][0] == 0.0
+        assert report.poses[0][1].pad_tip[1] < spec.palm_plane_z
 
     def test_json_round_trip(self, spec75):
         clone = CamTrackSpec.from_json(spec75.to_json())
@@ -146,13 +162,52 @@ class TestValidateReport:
         with pytest.raises(ValueError):
             validate_path(spec75, 1)
 
+    def test_sample_bound_checked_before_solving(self, spec75, monkeypatch):
+        calls = []
+
+        def counting(spec, u):
+            calls.append(u)
+            return solve_finger_pose(spec, u)
+        monkeypatch.setattr(campath, "solve_finger_pose", counting)
+        with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
+            validate_path(spec75, MAX_SAMPLES + 1)
+        assert calls == []
+        validate_path(spec75, 3)
+        assert len(calls) == 3
+
+    def test_report_keeps_poses_out_of_eq_and_repr(self, spec75):
+        a, b = validate_path(spec75, 5), validate_path(spec75, 5)
+        assert len(a.poses) == 5
+        assert a == b and a.poses is not b.poses
+        assert "poses" not in repr(a)
+
+    def test_poses_csv_matches_independent_solves(self, spec75):
+        lines = [POSES_CSV_HEADER]
+        for u in np.linspace(0.0, 1.0, 37):
+            p = solve_finger_pose(spec75, float(u))
+            values = [float(u), *p.inner_pin, *p.outer_pin, *p.pad_tip]
+            lines.append(",".join(f"{v:.9g}" for v in values) + "," + p.region.value)
+        assert poses_to_csv(validate_path(spec75, 37)) == "\n".join(lines) + "\n"
+
     def test_poses_csv(self, spec75):
-        text = poses_to_csv(spec75, 16)
+        text = poses_to_csv(validate_path(spec75, 16))
         lines = text.strip().splitlines()
         assert lines[0] == POSES_CSV_HEADER
         assert len(lines) == 17
         assert lines[1].endswith("sweeping")
         assert lines[-1].endswith("clamping")
+
+
+class TestSpecValidation:
+    # the scalar fields are covered through a config file in test_cli.py
+    def test_non_finite_control_points_named(self, spec75):
+        inner = CubicBezier((0, 0), (1, math.nan), (3, 2), (4, 0))
+        with pytest.raises(ValueError, match=r"inner_path\.p1\[1\] must be finite"):
+            dataclasses.replace(spec75, inner_path=inner)
+        sweep, clamp = spec75.outer_path
+        bad = dataclasses.replace(clamp, p2=(math.inf, clamp.p2[1]))
+        with pytest.raises(ValueError, match=r"outer_path\[1\]\.p2\[0\] must be finite"):
+            dataclasses.replace(spec75, outer_path=(sweep, bad))
 
 
 class TestBezier:

@@ -1,14 +1,22 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tandemgrip
+from tandemgrip import campath
 from tandemgrip.cli import main
 from tandemgrip.config import data_text
 
@@ -17,6 +25,22 @@ def run(capsys, tmp_path, *argv):
     code = main(["--out", str(tmp_path), *argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture(scope="module")
+def cam_doc():
+    spec, _ = campath.build_default_tracks(37.5, 3.0, samples=100)
+    return json.loads(spec.to_json())
+
+
+def cam_config(tmp_path, cam_doc):
+    """A config file that names ``cam_doc`` as its cam track file."""
+    (tmp_path / "tracks.json").write_text(json.dumps(cam_doc))
+    doc = json.loads(data_text("default_config.json"))
+    doc["cam"] = "tracks.json"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestTransmission:
@@ -52,6 +76,30 @@ class TestTransmission:
         svg = (tmp_path / "transmission.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    @pytest.mark.parametrize("f_out", ["nan", "inf", "-inf"])
+    def test_non_finite_f_out_usage_error(self, capsys, tmp_path, f_out):
+        code, out, err = run(capsys, tmp_path, "transmission", f"--f-out={f_out}")
+        assert code == 2
+        assert out == ""
+        assert "f_out_target must be finite" in err
+
+    def test_overflowing_f_out_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, tmp_path, "transmission", "--f-out", "1e308")
+        assert code == 2
+        assert out == ""
+        assert "overflows the motor torque" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--range", "50:59:0"], "step must be > 0"),
+        (["--step", "inf"], "step must be finite"),
+        (["--range", "50", "--step", "1e308"], "step must be finite"),
+    ])
+    def test_bad_step_usage_error(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, tmp_path, "transmission", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestBruise:
     def test_anchor_curve(self, capsys, tmp_path):
@@ -83,6 +131,19 @@ class TestBruise:
         assert out == ""
         assert "step must be > 0" in err
 
+    @pytest.mark.parametrize("anchor,message", [
+        ("nan@58", "anchor_force must be finite"),
+        ("inf@58", "anchor_force must be finite"),
+        ("nan", "anchor_force must be finite"),
+        ("-5@58", "anchor force must be >= 0"),
+        ("1e308@50", "overflows the clamp-force curve"),
+    ])
+    def test_bad_anchor_force_usage_error(self, capsys, tmp_path, anchor, message):
+        code, out, err = run(capsys, tmp_path, "bruise", f"--anchor={anchor}")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestGrasp:
     def test_dual_axial(self, capsys, tmp_path):
@@ -113,6 +174,13 @@ class TestGrasp:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("diameter", ["1", "2001", "1e308", "1e-300"])
+    def test_fruit_outside_supported_range_usage_error(self, capsys, tmp_path, diameter):
+        code, out, err = run(capsys, tmp_path, "grasp", "--fruit-diameter", diameter)
+        assert code == 2
+        assert out == ""
+        assert "fruit_radius must be in [1, 1000] mm" in err
+
     def test_config_model_differs_from_calibration(self, capsys, tmp_path):
         # the bundled config's grasp model (pad 18 N) is not the shipped
         # calibration (pad 8.5 N)
@@ -131,6 +199,96 @@ class TestCampath:
         assert doc["interference"] is False
         assert (tmp_path / "campath_poses.csv").exists()
         assert (tmp_path / "campath_report.json").exists()
+
+    def test_sample_bound_usage_error(self, capsys, tmp_path, cam_doc):
+        code, out, err = run(capsys, tmp_path, "--config", str(cam_config(tmp_path, cam_doc)),
+                             "campath", "--samples", str(campath.MAX_SAMPLES + 1))
+        assert code == 2
+        assert out == ""
+        assert f"samples must be <= {campath.MAX_SAMPLES}" in err
+
+
+class TestCampathPoseSolves:
+    """Each sampled pose is solved once: synthesis samples 500 poses, and a
+    run at another ``--samples`` count adds exactly one pass."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        solve = campath.solve_finger_pose
+
+        def counting(spec, u):
+            calls.append(u)
+            return solve(spec, u)
+        monkeypatch.setattr(campath, "solve_finger_pose", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["campath"], 500),
+        (["campath", "--samples", "200"], 700),
+        (["--format", "svg", "campath"], 500 + 96),
+    ])
+    def test_synthesised_tracks(self, capsys, tmp_path, calls, argv, expected):
+        code, _, _ = run(capsys, tmp_path, *argv)
+        assert code == 0
+        assert len(calls) == expected
+
+    def test_config_cam_one_pass(self, capsys, tmp_path, calls, cam_doc):
+        code, _, _ = run(capsys, tmp_path, "--config", str(cam_config(tmp_path, cam_doc)),
+                         "campath", "--samples", "300")
+        assert code == 0
+        assert len(calls) == 300
+
+    def test_poses_csv_is_the_reported_pass(self, capsys, tmp_path):
+        code, _, _ = run(capsys, tmp_path, "campath", "--samples", "200")
+        assert code == 0
+        spec = campath.CamTrackSpec.from_json((tmp_path / "campath_spec.json").read_text())
+        report = campath.validate_path(spec, 200)
+        assert (tmp_path / "campath_poses.csv").read_text() == campath.poses_to_csv(report)
+        assert (tmp_path / "campath_report.json").read_text() == campath.report_to_json(report)
+
+
+class TestCampathNonFinite:
+    """``json`` reads NaN and Infinity; a cam file or flag carrying one is a
+    usage error that names the field."""
+
+    @pytest.mark.parametrize("key,value,name", [
+        ("tip_extension_mm", float("nan"), "tip_extension"),
+        ("pad_halfwidth_mm", float("nan"), "pad_halfwidth"),
+        ("fruit_radius_mm", float("inf"), "fruit_radius"),
+        ("pin_separation_mm", float("nan"), "pin_separation"),
+        ("inner_hard_stop", float("nan"), "inner_hard_stop"),
+        ("palm_plane_z_mm", float("-inf"), "palm_plane_z"),
+        ("fruit_center_mm", [0.0, float("nan")], "fruit_center_z"),
+        ("contact_latitude_max_deg", float("nan"), "contact_latitude_max_deg"),
+    ])
+    def test_cam_field(self, capsys, tmp_path, cam_doc, key, value, name):
+        config = cam_config(tmp_path, {**cam_doc, key: value})
+        code, out, err = run(capsys, tmp_path, "--config", str(config), "campath")
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be finite" in err
+
+    def test_cam_control_point(self, capsys, tmp_path, cam_doc):
+        outer = json.loads(json.dumps(cam_doc["outer_path"]))
+        outer[0][1][0] = float("nan")
+        config = cam_config(tmp_path, {**cam_doc, "outer_path": outer})
+        code, out, err = run(capsys, tmp_path, "--config", str(config), "campath")
+        assert code == 2
+        assert out == ""
+        assert "outer_path[0].p1[0] must be finite" in err
+
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--clearance", "nan", "clearance"),
+        ("--clearance", "inf", "clearance"),
+        ("--fruit-diameter", "nan", "fruit_radius"),
+        ("--fruit-diameter", "inf", "fruit_radius"),
+    ])
+    def test_flag(self, capsys, tmp_path, flag, value, name):
+        code, out, err = run(capsys, tmp_path, "campath", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be finite" in err
 
 
 class TestSimulate:
@@ -200,6 +358,16 @@ class TestUsage:
     def test_unknown_command(self, capsys, tmp_path):
         assert main(["bogus"]) == 2
 
+    @pytest.mark.parametrize("argv", [["transmission", "--range=--"],
+                                      ["transmission", "--f-out=--"],
+                                      ["bruise", "--anchor=--"],
+                                      ["grasp", "--offset=--"]])
+    def test_double_dash_option_value_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, tmp_path, *argv)
+        assert code == 2
+        assert out == ""
+        assert "'--' is not an option value" in err
+
 
 class TestNonFiniteConfig:
     """``json`` reads NaN and Infinity; such a config is a usage error."""
@@ -252,3 +420,87 @@ class TestSimulateStats:
                              "--seed", "3")
         assert code1 == code2 == 0
         assert out1 == out2  # same statistics, same seed, same result
+
+
+class TestTransmissionScript:
+    def test_main_writes_the_cli_outputs(self, capsys, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "transmission_curves.py"
+        spec = importlib.util.spec_from_file_location("transmission_curves", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "OUT", tmp_path)
+        script.main()
+        assert capsys.readouterr().out.splitlines() == [
+            "peak motor torque 0.3487 N*m at x = 50.0 mm",
+            "force ratio at stop: 0.9263",
+            "clamp force at stop: 20.43 N (threshold 30 N)",
+            "screw self-locking: False (lowering torque at 100 N: -0.0512 N*m)",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bruise.csv", "bruise.svg", "transmission.csv", "transmission.svg"]
+
+
+# Fuzzing: every generated argv ends in exit 0, 2, 3 or 4, and a run that exits
+# 0 prints no NaN or infinity. Range ends stay within [-100, 200] mm and finite
+# steps at or above 0.1 mm, so no example builds more than 3,000 rows.
+SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308",
+                           "1e-320", "", "x"])
+ANY_FLOAT = st.floats().map(repr)
+NON_FINITE = re.compile(r"(?i)\bnan\b|\binf(inity)?\b")
+
+
+def numbers(lo, hi):
+    """Text of a float: a special value, any float, or one from [lo, hi]."""
+    return SPECIAL | ANY_FLOAT | st.floats(lo, hi).map(repr)
+
+
+STEP = SPECIAL | st.floats(0.1, 1e3).map(repr) | st.floats(-1e3, 0.0).map(repr)
+RANGE = st.lists(SPECIAL | st.floats(-100.0, 200.0).map(repr), min_size=1, max_size=2)
+RANGE_TEXT = st.one_of(
+    RANGE.map(":".join),
+    st.tuples(RANGE, STEP).map(lambda t: ":".join([*t[0], t[1]])),
+    st.text(":-.0123456789e", max_size=8),
+)
+
+
+def options(**choices):
+    """Generated ``--name=value`` options; each is present or absent."""
+    parts = [st.one_of(st.just([]), value.map(lambda v, n=name: [f"--{n}={v}"]))
+             for name, value in choices.items()]
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+TRANSMISSION = options(range=RANGE_TEXT, step=STEP, **{"f-out": numbers(-100.0, 1e3)})
+BRUISE = options(
+    anchor=st.one_of(
+        numbers(-10.0, 100.0),
+        st.tuples(numbers(-10.0, 100.0), numbers(45.0, 65.0)).map("@".join),
+        st.text("@-.0123456789en", max_size=8)),
+    step=STEP,
+)
+GRASP = options(
+    offset=numbers(-5.0, 60.0), angle=numbers(-10.0, 100.0),
+    **{"fruit-diameter": numbers(0.0, 2100.0)},
+    mode=st.sampled_from(["suction", "fingers", "dual", "both"]),
+    pull=st.sampled_from(["axial", "rotational", ""]),
+)
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--out", d, *argv])
+    return code, out.getvalue()
+
+
+class TestCliFuzz:
+    @settings(max_examples=150)
+    @given(argv=st.one_of(TRANSMISSION.map(lambda a: ["transmission", *a]),
+                          BRUISE.map(lambda a: ["bruise", *a]),
+                          GRASP.map(lambda a: ["grasp", *a])))
+    def test_exit_codes_and_finite_output(self, argv):
+        code, out = run_quietly(argv)
+        assert code in (0, 2, 3, 4), (argv, code)
+        if code == 0:
+            assert not NON_FINITE.search(out), (argv, out[:400])

@@ -208,6 +208,20 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_transmission(DEFAULT_LINKAGE, DEFAULT_TRAVEL, step, 30.0, DEFAULT_SCREW)
 
+    def test_infinite_step_rejected(self):
+        # x_min + 0 * inf would be NaN
+        with pytest.raises(ValueError, match="step must be finite"):
+            travel_grid(DEFAULT_TRAVEL, math.inf)
+
+    @pytest.mark.parametrize("f_out,message", [
+        (math.nan, "f_out_target must be finite"),
+        (math.inf, "f_out_target must be finite"),
+        (1e308, "overflows the motor torque"),
+    ])
+    def test_unusable_force_target_rejected(self, f_out, message):
+        with pytest.raises(ValueError, match=message):
+            sweep_transmission(DEFAULT_LINKAGE, DEFAULT_TRAVEL, 0.1, f_out, DEFAULT_SCREW)
+
     @pytest.mark.parametrize("step", [1e-12, 1e-320])
     def test_oversized_grid_rejected_at_the_call(self, step):
         # raises before any position is generated: the grid is lazy

@@ -482,6 +482,11 @@ class TestNonFinite:
         with pytest.raises(ValueError):
             GraspScenario(**kwargs)
 
+    @pytest.mark.parametrize("radius", [0.5, 1000.5, 1e-300, 1e300])
+    def test_scenario_rejects_radius_outside_range(self, radius):
+        with pytest.raises(ValueError, match=r"fruit_radius must be in \[1, 1000\] mm"):
+            GraspScenario(fruit_radius=radius)
+
     @pytest.mark.parametrize("field", ["pad_force", "mu_pad", "suction_axial",
                                        "shear_fraction"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
