@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PoseUnsolvable, SynthesisFailed, require_finite
+from .wrench import FRUIT_RADIUS_RANGE_MM
 
 Point = tuple[float, float]
 
@@ -226,8 +227,10 @@ def build_default_tracks(
     clearance is not met on the first try. Returns the spec and its report.
     """
     require_finite(fruit_radius=fruit_radius, clearance=clearance)
-    if fruit_radius <= 0.0:
-        raise ValueError("fruit_radius must be > 0")
+    # the smallest fruit the grasp model takes; the palm envelope below
+    # bounds the largest
+    if fruit_radius < FRUIT_RADIUS_RANGE_MM[0]:
+        raise ValueError(f"fruit_radius must be >= {FRUIT_RADIUS_RANGE_MM[0]:g} mm")
     if clearance < 0.0:
         raise ValueError("clearance must be >= 0")
     reach = fruit_radius + clearance + CamTrackSpec.pad_halfwidth

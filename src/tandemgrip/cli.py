@@ -29,9 +29,11 @@ from .errors import (
 )
 from .linkage import (
     TravelRange,
+    check_step,
     solve_geometry,
     sweep_rows_to_csv,
     sweep_transmission,
+    transmission_row,
     travel_grid,
 )
 from .picksim import ActuationMode, DEFAULT_FIELD_STATS
@@ -89,9 +91,8 @@ def cmd_transmission(args) -> int:
         print("empty range", file=sys.stderr)
         return USAGE_ERROR
     if hi == lo:
-        travel = TravelRange(lo, lo + step)
-        rows = sweep_transmission(cfg.linkage, travel, 2 * step, args.f_out, cfg.screw)
-        rows = rows[:1]
+        check_step(step)   # one point needs no grid, but a step given must be valid
+        rows = [transmission_row(cfg.linkage, lo, args.f_out, cfg.screw)]
     else:
         rows = sweep_transmission(cfg.linkage, TravelRange(lo, hi), step,
                                   args.f_out, cfg.screw)
@@ -356,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (GeometryInfeasible, OffsetExceedsRadius, PoseUnsolvable,

@@ -229,15 +229,20 @@ SWEEP_CSV_HEADER = (
 )
 
 
+def check_step(step: float) -> None:
+    """Reject a grid step that is not a positive finite number."""
+    if not step > 0.0:
+        raise ValueError("step must be > 0")
+    require_finite(step=step)
+
+
 def travel_grid(travel: TravelRange, step: float) -> Iterator[float]:
     """Nut positions x_min, x_min + step, ... that do not pass x_max.
 
     The step is checked at the call, against zero and against a grid of more
     than ``MAX_GRID_POINTS`` points; the positions are generated lazily.
     """
-    if not step > 0.0:
-        raise ValueError("step must be > 0")
-    require_finite(step=step)
+    check_step(step)
     spans = (travel.x_max - travel.x_min) / step + 1e-9
     if not spans < MAX_GRID_POINTS:
         raise ValueError(f"step {step!r} gives more than {MAX_GRID_POINTS} grid points")
@@ -258,25 +263,30 @@ def sweep_transmission(
     ``f_out_target`` and the matching motor torque. Rows where the geometry
     fails are kept and marked infeasible rather than dropped.
     """
+    return [transmission_row(params, x, f_out_target, screw)
+            for x in travel_grid(travel, step)]
+
+
+def transmission_row(
+    params: LinkageParams,
+    x: float,
+    f_out_target: float,
+    screw: ScrewParams,
+) -> SweepRow:
+    """One ``sweep_transmission`` row, at nut position ``x``."""
     require_finite(f_out_target=f_out_target)
-    rows = []
-    for x in travel_grid(travel, step):
-        try:
-            st = solve_geometry(params, x)
-        except GeometryInfeasible:
-            rows.append(SweepRow(x=x, feasible=False))
-            continue
-        f_nut = f_out_target / st.ratio
-        t_motor = torque_for_thrust(screw, f_nut)
-        if not math.isfinite(t_motor):
-            raise ValueError(f"f_out_target {f_out_target!r} N overflows the motor torque")
-        rows.append(
-            SweepRow(
-                x=x, feasible=True, y=st.y, gamma=st.gamma, alpha=st.alpha,
-                theta=st.theta, ratio=st.ratio, f_nut=f_nut, t_motor=t_motor,
-            )
-        )
-    return rows
+    try:
+        st = solve_geometry(params, x)
+    except GeometryInfeasible:
+        return SweepRow(x=x, feasible=False)
+    f_nut = f_out_target / st.ratio
+    t_motor = torque_for_thrust(screw, f_nut)
+    if not math.isfinite(t_motor):
+        raise ValueError(f"f_out_target {f_out_target!r} N overflows the motor torque")
+    return SweepRow(
+        x=x, feasible=True, y=st.y, gamma=st.gamma, alpha=st.alpha,
+        theta=st.theta, ratio=st.ratio, f_nut=f_nut, t_motor=t_motor,
+    )
 
 
 def sweep_rows_to_csv(rows: list[SweepRow]) -> str:

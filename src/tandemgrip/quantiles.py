@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,12 @@ def summarize(values) -> QuantileModel:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
-    q = np.quantile(arr, _PROBS, method="linear")
+    # interpolating between values of opposite sign near the float limit
+    # overflows; say so instead of warning and returning inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.quantile(arr, _PROBS, method="linear")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("values span more than the float range; cannot summarize")
     return QuantileModel(*[float(v) for v in q])
 
 
@@ -64,9 +70,12 @@ def summarize_csv_text(text: str) -> dict[str, QuantileModel]:
             if raw == "":
                 continue
             try:
-                columns[name].append(float(raw))
+                value = float(raw)
             except ValueError as exc:
                 raise ParseError(f"non-numeric value {raw!r}", row=i, column=name) from exc
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {raw!r}", row=i, column=name)
+            columns[name].append(value)
     out = {}
     for name, vals in columns.items():
         if vals:

@@ -9,6 +9,11 @@ over sparse machinery.
 problems at once: every entering choice, ratio test and row update is the
 scalar one applied per problem, so each result is byte-identical to
 ``solve_lp`` on that problem alone.
+
+``solve_from_basis`` re-solves a problem from a basis that was optimal for
+a nearby one (LP sensitivity analysis; Chvatal, *Linear Programming*, 1983,
+ch. 10): one factorisation of the basis matrix gives the primal and dual
+values, and the basis is accepted only if both are feasible.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ class LpResult:
     status: str           # "optimal" | "unbounded" | "infeasible"
     objective: float
     x: np.ndarray         # original variables only
+    # final basic variable of each constraint row (equality rows first):
+    # j < n is x[j], n + i is the slack of inequality row i, and a larger
+    # index is an artificial, numbered in row order among the rows that
+    # needed one
+    basis: tuple[int, ...]
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -102,8 +112,8 @@ def solve_lp(
     if m == 0:
         # unconstrained beyond x >= 0: bounded only if no positive cost
         if np.any(c > _TOL):
-            return LpResult("unbounded", np.inf, np.zeros(n))
-        return LpResult("optimal", 0.0, np.zeros(n))
+            return LpResult("unbounded", np.inf, np.zeros(n), ())
+        return LpResult("optimal", 0.0, np.zeros(n), ())
 
     ncols = n + n_slack
     tab = np.zeros((m, ncols + m + 1))
@@ -147,7 +157,7 @@ def solve_lp(
                 cost1 += work[r]   # price out the basic artificials
         status = _bland_iterate(work, basis, cost1, ncols, maxiter)
         if status != "optimal" or cost1[-1] > 1e-7:
-            return LpResult("infeasible", np.nan, np.full(n, np.nan))
+            return LpResult("infeasible", np.nan, np.full(n, np.nan), tuple(basis))
         # drive leftover zero-value artificials out of the basis
         for r in range(m):
             if basis[r] >= ncols:
@@ -165,13 +175,68 @@ def solve_lp(
         cost2 -= cost2[basis[r]] * work[r]
     status = _bland_iterate(work, basis, cost2, ncols, maxiter)
     if status == "unbounded":
-        return LpResult("unbounded", np.inf, np.full(n, np.nan))
+        return LpResult("unbounded", np.inf, np.full(n, np.nan), tuple(basis))
 
     x = np.zeros(total_cols)
     for r in range(m):
         if basis[r] < total_cols:
             x[basis[r]] = work[r, -1]
-    return LpResult("optimal", float(c @ x[:n]), x[:n])
+    return LpResult("optimal", float(c @ x[:n]), x[:n], tuple(basis))
+
+
+def solve_from_basis(
+    c: np.ndarray,
+    a_eq: np.ndarray | None,
+    b_eq: np.ndarray | None,
+    a_ub: np.ndarray | None,
+    b_ub: np.ndarray | None,
+    basis: tuple[int, ...],
+) -> LpResult | None:
+    """``solve_lp``'s optimum from a given basis, or None if it is not one.
+
+    ``basis`` is an ``LpResult.basis``, usually of a problem with the same
+    shape and different data. In the standard form [A_eq 0; A_ub I] of this
+    problem, one inverse of the basis matrix B gives x_B = B^-1 b and the
+    duals y = c_B B^-1. The basis is accepted only if it is primal feasible
+    (x_B >= -tol) and dual feasible (every reduced cost c - y A <= tol),
+    which makes it optimal. None means the caller must solve cold: also for
+    a basis of another shape, one that still holds an artificial, or a
+    singular B.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size
+
+    def block(a_, b_):
+        if a_ is None or b_ is None:
+            return np.zeros((0, n)), np.zeros(0)
+        return np.asarray(a_, dtype=float).reshape(-1, n), np.asarray(b_, dtype=float).reshape(-1)
+
+    a_eq, b_eq = block(a_eq, b_eq)
+    a_ub, b_ub = block(a_ub, b_ub)
+    m_eq, n_slack = b_eq.size, b_ub.size
+    ncols = n + n_slack
+    a = np.zeros((m_eq + n_slack, ncols))
+    a[:m_eq, :n] = a_eq
+    a[m_eq:, :n] = a_ub
+    a[m_eq:, n:] = np.eye(n_slack)
+    b = np.concatenate([b_eq, b_ub])
+    basis = np.asarray(basis, dtype=int)
+    if basis.size != b.size or b.size == 0 or basis.max() >= ncols:
+        return None
+    try:
+        b_inv = np.linalg.inv(a[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    x_b = b_inv @ b
+    cost = np.zeros(ncols)
+    cost[:n] = c
+    reduced = cost - (cost[basis] @ b_inv) @ a
+    # (NaN fails both tests)
+    if not (np.all(x_b >= -_TOL) and np.all(reduced <= _TOL)):
+        return None
+    x = np.zeros(ncols)
+    x[basis] = x_b
+    return LpResult("optimal", float(c @ x[:n]), x[:n], tuple(basis.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +400,17 @@ def solve_lp_batch(
     x = np.zeros((p2.size, t.shape[2] - 1))
     x[k[:, None], bs] = t[:, :, -1]
 
-    results = [LpResult("infeasible", np.nan, np.full(n, np.nan)) for _ in range(nb)]
+    # number each problem's artificial columns among its own, as solve_lp does
+    basis[p2] = bs
+    own = ncols + np.cumsum(need_art, axis=1) - 1
+    art = basis >= ncols
+    basis[art] = own[np.nonzero(art)[0], art_rows[basis[art] - ncols]]
+    results = [LpResult("infeasible", np.nan, np.full(n, np.nan), tuple(b.tolist()))
+               for b in basis]
     for i, j in enumerate(p2):
         if optimal[i]:
             xi = x[i, :n].copy()
-            results[j] = LpResult("optimal", float(c[j] @ xi), xi)
+            results[j] = LpResult("optimal", float(c[j] @ xi), xi, results[j].basis)
         else:
-            results[j] = LpResult("unbounded", np.inf, np.full(n, np.nan))
+            results[j] = LpResult("unbounded", np.inf, np.full(n, np.nan), results[j].basis)
     return results

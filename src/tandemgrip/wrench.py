@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     require_finite,
 )
-from .simplexlp import solve_lp, solve_lp_batch
+from .simplexlp import solve_from_basis, solve_lp, solve_lp_batch
 
 _Z = np.array([0.0, 0.0, 1.0])
 
@@ -619,6 +619,12 @@ def calibrate(
     predict_strength across all reference rows; deterministic for a given
     initial point. Pass ``authoritative_only=True`` to drop plot-read rows
     (marked approximate in the dataset) from the loss.
+
+    Between two evaluations only the capacities and ``mu_pad`` move, so each
+    row's pull LP first tries the optimal basis of that row's previous
+    solve (``solve_from_basis``) and solves cold only when it no longer
+    holds. The reported error and residuals are cold ``predict_strength``
+    values at the fitted point.
     """
     if not reference.rows:
         raise ValueError("reference measurements must be nonempty")
@@ -632,13 +638,30 @@ def calibrate(
             return None
         return GraspModelParams(pad, mu, suc, kap)
 
-    def objective(x) -> float:
+    bases: dict[int, tuple[int, ...]] = {}   # row index -> basis of its last cold solve
+
+    def warm_strength(i: int, params: GraspModelParams) -> float:
+        scenario = rows[i].scenario
+        contacts = build_contacts(scenario, params)
+        lp, _ = _pull_lp(contacts.contacts, *_pull_inputs(*pull_wrench_for(scenario)))
+        res = solve_from_basis(*lp, bases[i]) if i in bases else None
+        if res is None:
+            res = solve_lp(*lp)
+            if res.status != "optimal":
+                raise LpNumericalFailure(f"pull LP ended {res.status}")
+            bases[i] = res.basis
+        return float(res.x[-1])
+
+    def cold_strength(i: int, params: GraspModelParams) -> float:
+        return predict_strength(rows[i].scenario, params)
+
+    def objective(x, strength=warm_strength) -> float:
         params = unpack(x)
         if params is None:
             return 1e9
         err = 0.0
-        for row in rows:
-            pred = predict_strength(row.scenario, params)
+        for i, row in enumerate(rows):
+            pred = strength(i, params)
             err += ((pred - row.strength) / row.strength) ** 2
         return err / len(rows)
 
@@ -666,7 +689,8 @@ def calibrate(
             f"mean relative error {mean_abs:.1%} >= 50% after {max_iter} iterations"
         )
     return CalibrationResult(
-        params=fitted, residuals=tuple(residuals), mean_sq_rel_error=float(res.fun)
+        params=fitted, residuals=tuple(residuals),
+        mean_sq_rel_error=float(objective(res.x, cold_strength)),
     )
 
 

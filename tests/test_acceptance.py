@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from tandemgrip.config import data_text, shipped_calibration
+from tandemgrip.config import shipped_calibration
 from tandemgrip.campath import Region, build_default_tracks, solve_finger_pose, validate_path
 from tandemgrip.leadscrew import (
     DEFAULT_SCREW,
@@ -36,11 +36,9 @@ from tandemgrip.wrench import (
     GraspScenario,
     PullType,
     build_contacts,
-    calibrate,
     max_resistible_pull,
     predict_strength,
     pull_wrench_for,
-    reference_from_csv,
     solve_pull,
     verify_witness,
 )
@@ -171,12 +169,6 @@ def test_criterion_5_lp_soundness():
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     ok("5 LP soundness", f"({elapsed:.1f} s)")
-
-
-@pytest.fixture(scope="module")
-def fresh_calibration():
-    reference = reference_from_csv(data_text("grasp_reference.csv"))
-    return calibrate(reference)
 
 
 def test_criterion_6_strength_reproduction(fresh_calibration):

@@ -92,13 +92,23 @@ class TestTransmission:
     @pytest.mark.parametrize("argv,message", [
         (["--range", "50:59:0"], "step must be > 0"),
         (["--step", "inf"], "step must be finite"),
-        (["--range", "50", "--step", "1e308"], "step must be finite"),
+        (["--range", "50", "--step", "inf"], "step must be finite"),
     ])
     def test_bad_step_usage_error(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, tmp_path, "transmission", *argv)
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_one_point_range_needs_no_grid(self, capsys, tmp_path):
+        # the point is solved alone, as the first row of the default sweep
+        _, full, _ = run(capsys, tmp_path, "transmission")
+        header, first = full.splitlines()[:2]
+        for argv in (["--range", "50"], ["--range", "50:50"],
+                     ["--range", "50", "--step", "1e308"]):
+            code, out, _ = run(capsys, tmp_path, "transmission", *argv)
+            assert code == 0
+            assert out == f"{header}\n{first}\n"
 
 
 class TestBruise:
@@ -206,6 +216,14 @@ class TestCampath:
         assert code == 2
         assert out == ""
         assert f"samples must be <= {campath.MAX_SAMPLES}" in err
+
+    @pytest.mark.parametrize("diameter", ["1e-300", "1.99"])
+    def test_tiny_fruit_usage_error(self, capsys, tmp_path, diameter):
+        # 1e-300 mm once underflowed to a zero-length rail and NaN control points
+        code, out, err = run(capsys, tmp_path, "campath", "--fruit-diameter", diameter)
+        assert code == 2
+        assert out == ""
+        assert "fruit_radius must be >= 1 mm" in err
 
 
 class TestCampathPoseSolves:
@@ -335,6 +353,19 @@ class TestStats:
         assert code == 0
         doc = json.loads("{" + out.split("{", 1)[1])
         assert doc["v"] == [1, 1.5, 2, 2.5, 3]
+
+    def test_non_finite_cell_usage_error(self, capsys, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text("v\n1\nnan\n")
+        code, out, err = run(capsys, tmp_path, "stats", "--csv", str(p))
+        assert code == 2
+        assert out == ""
+        assert "non-finite value 'nan'" in err
+
+    def test_directory_as_csv_usage_error(self, capsys, tmp_path):
+        code, out, _ = run(capsys, tmp_path, "stats", "--csv", str(tmp_path))
+        assert code == 2
+        assert out == ""
 
 
 class TestCalibrateCommand:
@@ -485,6 +516,27 @@ GRASP = options(
     pull=st.sampled_from(["axial", "rotational", ""]),
 )
 
+# --trials and --samples stay small and --threads tiny: a run never asks for
+# much work or many workers
+SMALL_INT = SPECIAL | st.integers(-2, 4).map(str)
+CAMPATH = options(**{"fruit-diameter": numbers(0.0, 300.0)}, clearance=numbers(-5.0, 50.0),
+                  samples=SPECIAL | st.integers(-2, 50).map(str))
+SIMULATE = st.tuples(
+    options(trials=SPECIAL | st.integers(-2, 20).map(str),
+            seed=SPECIAL | st.integers(-10, 2**70).map(str),
+            mode=st.sampled_from(["suction", "fingers", "dual", "both"]),
+            threads=SMALL_INT, retries=SMALL_INT,
+            stats=st.sampled_from(["missing.json", ""])),
+    st.sampled_from([[], ["--occlusion"]]),
+).map(lambda t: t[0] + t[1])
+# the generated CSV is written to a file, and "LOG" in an option names it
+STATS = options(csv=st.sampled_from(["LOG", "missing.csv", ""]))
+CSV_TEXT = st.tuples(
+    st.lists(st.sampled_from(["fruit_diameter_mm", "net_fdf_N", "x", ""]), max_size=3),
+    st.lists(st.lists(SPECIAL | ANY_FLOAT | st.floats(-1e3, 1e3).map(repr), max_size=3),
+             max_size=4),
+).map(lambda t: "\n".join(",".join(r) for r in [t[0], *t[1]]))
+
 
 def run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -501,6 +553,20 @@ class TestCliFuzz:
                           GRASP.map(lambda a: ["grasp", *a])))
     def test_exit_codes_and_finite_output(self, argv):
         code, out = run_quietly(argv)
+        assert code in (0, 2, 3, 4), (argv, code)
+        if code == 0:
+            assert not NON_FINITE.search(out), (argv, out[:400])
+
+    @settings(max_examples=60)
+    @given(argv=st.one_of(CAMPATH.map(lambda a: ["campath", *a]),
+                          SIMULATE.map(lambda a: ["simulate", *a]),
+                          STATS.map(lambda a: ["stats", *a])),
+           csv_text=CSV_TEXT)
+    def test_campath_simulate_stats(self, argv, csv_text):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "log.csv"
+            path.write_text(csv_text)
+            code, out = run_quietly([a.replace("LOG", str(path)) for a in argv])
         assert code in (0, 2, 3, 4), (argv, code)
         if code == 0:
             assert not NON_FINITE.search(out), (argv, out[:400])

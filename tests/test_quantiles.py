@@ -24,6 +24,16 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    def test_overflowing_spread_rejected(self):
+        # the median of +-1.7e308 interpolates across 3.4e308, past the float range
+        with pytest.raises(ValueError, match="float range"):
+            summarize([-1.7e308, 1.7e308])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_rejected(self, cell):
+        with pytest.raises(ParseError, match="non-finite value"):
+            summarize_csv_text(f"a,b\n1,2\n3,{cell}\n")
+
 
 class TestSampling:
     @given(st.floats(min_value=0.0, max_value=1.0))

@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 from tandemgrip import wrench
 from tandemgrip.config import shipped_calibration
 from tandemgrip.picksim import DEFAULT_FIELD_STATS, run_campaign
-from tandemgrip.simplexlp import solve_lp, solve_lp_batch
+from tandemgrip.simplexlp import solve_from_basis, solve_lp, solve_lp_batch
 from tandemgrip.wrench import ActuationMode
 
 
@@ -83,6 +83,7 @@ def assert_identical(batched, scalar):
     assert (np.float64(batched.objective).tobytes()
             == np.float64(scalar.objective).tobytes())
     assert batched.x.tobytes() == scalar.x.tobytes()
+    assert batched.basis == scalar.basis
 
 
 def random_problem(rng, kind, n, m_eq, m_ub):
@@ -156,3 +157,54 @@ class TestBatch:
                 assert_identical(got, solve_lp(*(a[i] for a in args)))
                 count += 1
         assert count > 0 and len(solved) > 1
+
+
+class TestSolveFromBasis:
+    def test_own_optimal_basis(self):
+        rng = np.random.default_rng(11)
+        warm_optima = 0
+        for kind in ("feasible", "degenerate", "integer", "signed"):
+            for _ in range(80):
+                n = int(rng.integers(1, 8))
+                m_eq, m_ub = int(rng.integers(0, 4)), int(rng.integers(1, 6))
+                c, a_eq, b_eq, a_ub, b_ub = random_problem(rng, kind, n, m_eq, m_ub)
+                args = (c, *((a_eq, b_eq) if m_eq else (None, None)), a_ub, b_ub)
+                cold = solve_lp(*args)
+                warm = solve_from_basis(*args, cold.basis)
+                if cold.status != "optimal" or max(cold.basis) >= n + m_ub:
+                    # unbounded, infeasible, or an artificial left in the basis
+                    assert warm is None
+                    continue
+                assert warm.status == "optimal"
+                assert abs(warm.objective - cold.objective) <= 1e-12 * max(1.0, abs(cold.objective))
+                assert warm.basis == cold.basis
+                warm_optima += 1
+        assert warm_optima > 100
+
+    # max x + y  st  x + 2y <= 4,  3x + y <= 6: optimum (1.6, 1.2), basis {x, y};
+    # columns 2 and 3 are the slacks
+    LP = (np.array([1.0, 1.0]), None, None,
+          np.array([[1.0, 2.0], [3.0, 1.0]]), np.array([4.0, 6.0]))
+
+    def test_optimal_basis_accepted(self):
+        res = solve_from_basis(*self.LP, (1, 0))
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(2.8, abs=1e-12)
+        assert res.x == pytest.approx([1.6, 1.2], abs=1e-12)
+
+    @pytest.mark.parametrize("basis,why", [
+        ((0, 3), "primal infeasible: x = 4 leaves slack 2 at -6"),
+        ((2, 3), "dual infeasible: the origin, where x and y still pay"),
+        ((0, 0), "singular: one column twice"),
+        ((0, 4), "holds an artificial"),
+        ((0,), "another shape"),
+    ])
+    def test_non_optimal_basis_rejected(self, basis, why):
+        assert solve_from_basis(*self.LP, basis) is None, why
+
+    def test_singular_columns_rejected(self):
+        # x and y have parallel columns, so no basis holds both
+        res = solve_from_basis(np.array([1.0, 1.0]), None, None,
+                               np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([4.0, 8.0]),
+                               (0, 1))
+        assert res is None

@@ -11,6 +11,7 @@ from scipy.spatial import ConvexHull
 from tandemgrip import wrench
 from tandemgrip.config import data_text, shipped_calibration
 from tandemgrip.errors import OffsetExceedsRadius
+from tandemgrip.simplexlp import solve_lp
 from tandemgrip.wrench import (
     ActuationMode,
     Contact,
@@ -377,6 +378,69 @@ class TestNelderMead:
         rows = (wrench.ReferenceRow(sc, predict_strength(sc, start), 0.5),)
         calibrate(wrench.ReferenceMeasurements(rows), initial=start, max_iter=3)
         assert calls == [{"max_iter": 3, "xatol": 1e-5, "fatol": 1e-8}]
+
+
+def cold_fit(rows, start=GraspModelParams()):
+    """The search ``calibrate`` makes, from the same start with the same
+    options and loss, but with every strength a cold ``predict_strength``."""
+    def objective(x):
+        pad, mu, suc, kap = (float(v) for v in x)
+        if pad <= 0 or mu <= 0 or suc <= 0 or not 0.0 < kap <= 1.0:
+            return 1e9
+        params = GraspModelParams(pad, mu, suc, kap)
+        err = 0.0
+        for row in rows:
+            pred = predict_strength(row.scenario, params)
+            err += ((pred - row.strength) / row.strength) ** 2
+        return err / len(rows)
+
+    x0 = np.array([start.pad_force, start.mu_pad, start.suction_axial, start.shear_fraction])
+    return wrench.minimize(objective, x0, max_iter=400, xatol=1e-5, fatol=1e-8)
+
+
+def assert_same_fit(result, cold):
+    p = result.params
+    assert (np.array([p.pad_force, p.mu_pad, p.suction_axial, p.shear_fraction]).tobytes()
+            == cold.x.tobytes())
+    assert np.float64(result.mean_sq_rel_error).tobytes() == np.float64(cold.fun).tobytes()
+
+
+class TestWarmCalibration:
+    """``calibrate`` restarts each row's LP from its previous optimal basis;
+    its fit is still the cold fit, byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def authoritative_fit(self):
+        """The 13-row fit, with every warm-started LP also solved cold."""
+        calls, gaps = [], []
+        real = wrench.solve_from_basis
+
+        def checked(*args):
+            warm = real(*args)
+            calls.append(warm is not None)
+            if warm is not None:
+                alpha = solve_lp(*args[:5]).x[-1]
+                gaps.append(abs(warm.x[-1] - alpha) / max(1.0, alpha))
+            return warm
+
+        reference = reference_from_csv(data_text("grasp_reference.csv"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wrench, "solve_from_basis", checked)
+            result = calibrate(reference, authoritative_only=True)
+        return reference, result, calls, gaps
+
+    def test_warm_alphas_match_cold(self, authoritative_fit):
+        _, _, calls, gaps = authoritative_fit
+        assert sum(calls) >= 0.9 * len(calls) > 0
+        assert max(gaps) <= 1e-10
+
+    def test_authoritative_rows_fit_as_cold(self, authoritative_fit):
+        reference, result, _, _ = authoritative_fit
+        assert_same_fit(result, cold_fit([r for r in reference.rows if r.authoritative]))
+
+    def test_all_rows_fit_as_cold(self, fresh_calibration):
+        reference = reference_from_csv(data_text("grasp_reference.csv"))
+        assert_same_fit(fresh_calibration, cold_fit(reference.rows))
 
 
 def loop_lp_columns(contacts):
