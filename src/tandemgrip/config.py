@@ -67,7 +67,7 @@ class GripperConfig:
                 cam = CamTrackSpec.from_json(cam_path.read_text())
             bruise = float(d.get("bruise_threshold_N", 30.0))
             require_finite(bruise_threshold_N=bruise)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ParseError):
                 raise
             raise ParseError(f"bad config field: {exc}") from exc

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParseError
 from .quantiles import QuantileModel
 from .wrench import (
     ActuationMode,
@@ -56,6 +57,8 @@ FINGER_CAPTURE_TOL_MM = 30.0    # lateral offset the sweeping fingers can funnel
 LEAF_OCCLUSION_FAIL_PROB = 1.0 / 25.0   # preset for leaf-cluttered scenes
 CAMPAIGN_BLOCK = 1024           # trials run through their rounds together; bounds
                                 # the trials held open at once
+MAX_TRIALS = 100_000            # most trials one campaign may run
+MAX_RETRIES = 100               # most retries one trial may make
 
 
 class PickPhase(enum.Enum):
@@ -193,8 +196,21 @@ class TrialStats:
 
     @classmethod
     def from_json(cls, text: str) -> "TrialStats":
-        d = json.loads(text)
-        return cls(**{name: QuantileModel(*d[name]) for name in cls.__dataclass_fields__})
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"TrialStats is not valid JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ParseError("TrialStats JSON must be an object of five-number lists")
+        fields = {}
+        for name in cls.__dataclass_fields__:
+            try:
+                fields[name] = QuantileModel(*d[name])
+            except KeyError as exc:
+                raise ParseError(f"TrialStats field {name!r} is missing") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"bad TrialStats field {name!r}: {exc}") from exc
+        return cls(**fields)
 
 
 # trial-log CSV columns (units in the names) -> TrialStats fields
@@ -214,7 +230,6 @@ def summarize_csv(trial_log_path) -> TrialStats:
     """Five-number summaries of a trial-log CSV as a TrialStats bundle."""
     from pathlib import Path
 
-    from .errors import ParseError
     from .quantiles import summarize_csv_text
 
     columns = summarize_csv_text(Path(trial_log_path).read_text())
@@ -338,12 +353,17 @@ def run_campaign(
     default (what changes between physical attempts is not recorded).
     ``threads`` (>= 1) is accepted for compatibility and affects neither
     the results nor the run time: the campaign runs in batched rounds on
-    the calling thread.
+    the calling thread. ``trials`` is at most ``MAX_TRIALS`` and
+    ``retries`` at most ``MAX_RETRIES``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= {MAX_TRIALS}")
     if retries < 0:
         raise ValueError("retries must be >= 0")
+    if retries > MAX_RETRIES:
+        raise ValueError(f"retries must be <= {MAX_RETRIES}")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     _check_engage_rule(engage_rule)

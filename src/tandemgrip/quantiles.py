@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, require_finite
 
 _PROBS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -32,9 +32,14 @@ class QuantileModel:
     q_max: float
 
     def __post_init__(self):
+        require_finite(**vars(self))
         vals = self.as_tuple()
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValueError("quantiles must be nondecreasing")
+        # sample() interpolates across quarter-wide steps of probability; a
+        # step whose slope passes the float range would sample inf
+        if not all(math.isfinite((b - a) / 0.25) for a, b in zip(vals, vals[1:])):
+            raise ValueError("quantiles span more than the float range; cannot sample")
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.q_min, self.q1, self.median, self.q3, self.q_max)

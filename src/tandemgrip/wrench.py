@@ -30,6 +30,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -167,6 +168,9 @@ class ReferenceRow:
     strength: float   # N
     stdev: float      # N
     authoritative: bool = True
+
+    def __post_init__(self):
+        require_finite(strength=self.strength, stdev=self.stdev)
 
 
 @dataclass(frozen=True)
@@ -315,15 +319,21 @@ def _pull_lp(contacts: tuple[Contact, ...], d: np.ndarray, app: np.ndarray):
     return (c, a_eq, np.zeros(6), a_ub, np.array(caps, dtype=float)), owner
 
 
-def _pull_solution(contacts: ContactSet, d: np.ndarray, app: np.ndarray, res,
-                   a_eq: np.ndarray, owner: list[int]) -> PullSolution:
+def _alpha(res) -> float:
+    """The maximum resistible pull of a solved pull LP."""
     if res.status != "optimal":
         raise LpNumericalFailure(f"pull LP ended {res.status}")
+    return float(res.x[-1])
+
+
+def _pull_solution(contacts: ContactSet, d: np.ndarray, app: np.ndarray, res,
+                   a_eq: np.ndarray, owner: list[int]) -> PullSolution:
+    alpha = _alpha(res)
     forces = [np.zeros(3) for _ in contacts.contacts]
     for j in np.flatnonzero(res.x[:-1] > 0.0):
         forces[owner[j]] += res.x[j] * a_eq[:3, j]
     return PullSolution(
-        alpha=float(res.x[-1]), forces=tuple(forces),
+        alpha=alpha, forces=tuple(forces),
         pull_direction=d, application_point=app,
     )
 
@@ -344,31 +354,6 @@ def solve_pull(
         return PullSolution(0.0, (), d, app)
     lp, owner = _pull_lp(contacts.contacts, d, app)
     return _pull_solution(contacts, d, app, solve_lp(*lp), lp[1], owner)
-
-
-def solve_pull_batch(
-    problems: list[tuple[ContactSet, np.ndarray, np.ndarray]],
-) -> list[PullSolution]:
-    """``solve_pull`` for (contacts, pull_direction, application_point)
-    problems whose contact sets share one layout (contact kinds and cone
-    sides in order), solved as one ``solve_lp_batch`` call. Each solution
-    is byte-identical to ``solve_pull`` on that problem alone."""
-    if not problems or not problems[0][0].contacts:
-        return [solve_pull(*p) for p in problems]
-    stacked: list[np.ndarray] = []
-    owners, pulls = [], []
-    for i, (contacts, *pull) in enumerate(problems):
-        d, app = _pull_inputs(*pull)
-        lp, owner = _pull_lp(contacts.contacts, d, app)
-        if not stacked:
-            stacked = [np.empty((len(problems),) + f.shape) for f in lp]
-        for s, f in zip(stacked, lp):
-            s[i] = f
-        owners.append(owner)
-        pulls.append((d, app))
-    results = solve_lp_batch(*stacked)
-    return [_pull_solution(p[0], d, app, res, a_eq, owner)
-            for p, (d, app), res, a_eq, owner in zip(problems, pulls, results, stacked[1], owners)]
 
 
 def verify_witness(contacts: ContactSet, sol: PullSolution, tol: float = WITNESS_TOL) -> list[str]:
@@ -442,14 +427,23 @@ def pull_wrench_for(scenario: GraspScenario) -> tuple[np.ndarray, np.ndarray]:
     return d, np.zeros(3)
 
 
+def _strength_lp(scenario: GraspScenario, model: GraspModelParams,
+                 cup_indices: tuple[int, ...] = (0, 1, 2)):
+    """The pull LP (c, a_eq, b_eq, a_ub, b_ub) of a strength query, or None
+    when no contact is present (strength 0)."""
+    contacts = build_contacts(scenario, model, DEFAULT_CONE_SIDES, cup_indices)
+    if not contacts.contacts:
+        return None
+    return _pull_lp(contacts.contacts, *_pull_inputs(*pull_wrench_for(scenario)))[0]
+
+
 def predict_strength(
     scenario: GraspScenario,
     model: GraspModelParams,
-    cone_sides: int = DEFAULT_CONE_SIDES,
     cup_indices: tuple[int, ...] = (0, 1, 2),
 ) -> float:
     """Predicted grasp strength (N) for a scenario."""
-    contacts = build_contacts(scenario, model, cone_sides, cup_indices)
+    contacts = build_contacts(scenario, model, DEFAULT_CONE_SIDES, cup_indices)
     d, app = pull_wrench_for(scenario)
     return max_resistible_pull(contacts, d, app)
 
@@ -458,8 +452,7 @@ def predict_strengths(
     queries: list[tuple[GraspScenario, tuple[int, ...]]],
     model: GraspModelParams,
 ) -> list[float]:
-    """``predict_strength`` (default cone sides) for many (scenario,
-    cup_indices) queries.
+    """``predict_strength`` for many (scenario, cup_indices) queries.
 
     Queries whose contact sets share a layout are solved together, at most
     ``LP_BATCH`` per batch, and each batch's contact sets and LPs are built
@@ -474,13 +467,11 @@ def predict_strengths(
     for members in groups.values():
         for start in range(0, len(members), LP_BATCH):
             chunk = members[start:start + LP_BATCH]
-            problems = []
-            for i in chunk:
-                scenario, cups = queries[i]
-                contacts = build_contacts(scenario, model, DEFAULT_CONE_SIDES, cups)
-                problems.append((contacts, *pull_wrench_for(scenario)))
-            for i, sol in zip(chunk, solve_pull_batch(problems)):
-                out[i] = sol.alpha
+            lps = [_strength_lp(queries[i][0], model, queries[i][1]) for i in chunk]
+            if lps[0] is None:   # a layout with no contact holds nothing
+                continue
+            for i, res in zip(chunk, solve_lp_batch(*map(np.stack, zip(*lps)))):
+                out[i] = _alpha(res)
     return out
 
 
@@ -623,12 +614,13 @@ def calibrate(
     Between two evaluations only the capacities and ``mu_pad`` move, so each
     row's pull LP first tries the optimal basis of that row's previous
     solve (``solve_from_basis``) and solves cold only when it no longer
-    holds. The reported error and residuals are cold ``predict_strength``
-    values at the fitted point.
+    holds. The residuals are cold ``predict_strength`` values at the fitted
+    point, and the reported error is the loss over the fitted rows' residuals.
     """
     if not reference.rows:
         raise ValueError("reference measurements must be nonempty")
-    rows = [r for r in reference.rows if r.authoritative or not authoritative_only]
+    fit = [r.authoritative or not authoritative_only for r in reference.rows]
+    rows = list(compress(reference.rows, fit))
     if not rows:
         raise ValueError("no rows left to calibrate against")
 
@@ -641,29 +633,24 @@ def calibrate(
     bases: dict[int, tuple[int, ...]] = {}   # row index -> basis of its last cold solve
 
     def warm_strength(i: int, params: GraspModelParams) -> float:
-        scenario = rows[i].scenario
-        contacts = build_contacts(scenario, params)
-        lp, _ = _pull_lp(contacts.contacts, *_pull_inputs(*pull_wrench_for(scenario)))
+        lp = _strength_lp(rows[i].scenario, params)
         res = solve_from_basis(*lp, bases[i]) if i in bases else None
         if res is None:
             res = solve_lp(*lp)
-            if res.status != "optimal":
-                raise LpNumericalFailure(f"pull LP ended {res.status}")
             bases[i] = res.basis
-        return float(res.x[-1])
+        return _alpha(res)
 
-    def cold_strength(i: int, params: GraspModelParams) -> float:
-        return predict_strength(rows[i].scenario, params)
+    def loss(preds) -> float:
+        err = 0.0
+        for pred, row in zip(preds, rows):
+            err += ((pred - row.strength) / row.strength) ** 2
+        return err / len(rows)
 
-    def objective(x, strength=warm_strength) -> float:
+    def objective(x) -> float:
         params = unpack(x)
         if params is None:
             return 1e9
-        err = 0.0
-        for i, row in enumerate(rows):
-            pred = strength(i, params)
-            err += ((pred - row.strength) / row.strength) ** 2
-        return err / len(rows)
+        return loss([warm_strength(i, params) for i in range(len(rows))])
 
     x0 = np.array([initial.pad_force, initial.mu_pad, initial.suction_axial,
                    initial.shear_fraction])
@@ -675,14 +662,10 @@ def calibrate(
     residuals = []
     for row in reference.rows:
         pred = predict_strength(row.scenario, fitted)
-        residuals.append(
-            ResidualRow(
-                scenario=row.scenario, measured=row.strength, predicted=pred,
-                rel_error=(pred - row.strength) / row.strength,
-            )
-        )
-    fitted_rows = [r for r in residuals
-                   if any(r.scenario == row.scenario for row in rows)]
+        residuals.append(ResidualRow(scenario=row.scenario, measured=row.strength,
+                                     predicted=pred,
+                                     rel_error=(pred - row.strength) / row.strength))
+    fitted_rows = list(compress(residuals, fit))
     mean_abs = float(np.mean([abs(r.rel_error) for r in fitted_rows]))
     if mean_abs >= 0.5:
         raise CalibrationDiverged(
@@ -690,7 +673,7 @@ def calibrate(
         )
     return CalibrationResult(
         params=fitted, residuals=tuple(residuals),
-        mean_sq_rel_error=float(objective(res.x, cold_strength)),
+        mean_sq_rel_error=loss([r.predicted for r in fitted_rows]),
     )
 
 

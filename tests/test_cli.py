@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tandemgrip
-from tandemgrip import campath
+from tandemgrip import campath, picksim
 from tandemgrip.cli import main
 from tandemgrip.config import data_text
 
@@ -328,6 +328,18 @@ class TestSimulate:
         assert code == 2
         assert "threads must be >= 1" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--trials", "6"], "trials must be <= 5"),
+        (["--trials", "1", "--retries", "3"], "retries must be <= 2"),
+    ])
+    def test_campaign_caps_usage_error(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.setattr(picksim, "MAX_TRIALS", 5)
+        monkeypatch.setattr(picksim, "MAX_RETRIES", 2)
+        code, out, err = run(capsys, tmp_path, "simulate", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_csv_log(self, capsys, tmp_path):
         code = main(["--out", str(tmp_path), "--format", "csv", "simulate",
                      "--trials", "3", "--seed", "1"])
@@ -384,6 +396,35 @@ class TestCalibrateCommand:
         assert len(doc["residuals"]) == 3
         assert (tmp_path / "calibrated_params.json").exists()
 
+    @pytest.mark.parametrize("strength,stdev,name", [
+        ("nan", "0.3", "strength"), ("inf", "0.3", "strength"),
+        ("12.0", "nan", "stdev"), ("12.0", "inf", "stdev")])
+    def test_non_finite_reference_usage_error(self, capsys, tmp_path, strength, stdev, name):
+        data = tmp_path / "ref.csv"
+        data.write_text(
+            "mode,offset_mm,angle_deg,pull_type,strength_N,stdev_N,source\n"
+            f"suction,0,0,axial,{strength},{stdev},authoritative\n"
+            "dual,0,0,axial,34.3,1.6,authoritative\n"
+        )
+        code, out, err = run(capsys, tmp_path, "calibrate", "--data", str(data))
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be finite" in err and "row 2" in err
+
+    def test_unfitted_row_sharing_a_scenario_is_not_fitted(self, capsys, tmp_path):
+        # an approximate row that repeats an authoritative row's scenario is
+        # left out of the fit and of its error check
+        code, bundled, _ = run(capsys, tmp_path, "calibrate")
+        data = tmp_path / "ref.csv"
+        data.write_text(data_text("grasp_reference.csv")
+                        + "suction,0,0,axial,1.0,0.3,approximate\n")
+        code2, out, err = run(capsys, tmp_path, "calibrate", "--data", str(data))
+        assert code == code2 == 0, err
+        doc, want = json.loads(out), json.loads(bundled)
+        assert json.dumps(doc["params"]) == json.dumps(want["params"])
+        assert doc["mean_sq_rel_error"] == want["mean_sq_rel_error"]
+        assert doc["residuals"][:-1] == want["residuals"]
+
 
 class TestUsage:
     def test_unknown_command(self, capsys, tmp_path):
@@ -420,6 +461,16 @@ class TestNonFiniteConfig:
         assert out == ""
         assert "finite" in err
 
+    def test_integer_past_float_range_usage_error(self, capsys, tmp_path):
+        doc = json.loads(data_text("default_config.json"))
+        doc["linkage"]["p_x_mm"] = 10 ** 400
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, tmp_path, "--config", str(cfg), "transmission")
+        assert code == 2
+        assert out == ""
+        assert "too large" in err
+
 
 class TestColdStart:
     def test_no_command_imports_scipy(self, tmp_path):
@@ -452,6 +503,25 @@ class TestSimulateStats:
         assert code1 == code2 == 0
         assert out1 == out2  # same statistics, same seed, same result
 
+    @pytest.mark.parametrize("edit,argv,message", [
+        (lambda d: {}, [], "field 'fruit_diameter' is missing"),
+        (lambda d: [1, 2], [], "must be an object"),
+        (lambda d: {**d, "net_fdf": [7, 15, 38]}, [], "field 'net_fdf'"),
+        (lambda d: {**d, "gripper_offset": [float("nan")] * 5}, ["--mode", "fingers"],
+         "field 'gripper_offset': q_min must be finite"),
+        (lambda d: {**d, "net_fdf": [0, 0, 0, 0, 1e308]}, [], "field 'net_fdf'"),
+    ])
+    def test_bad_trial_stats_usage_error(self, capsys, tmp_path, edit, argv, message):
+        from tandemgrip.picksim import DEFAULT_FIELD_STATS
+        p = tmp_path / "stats.json"
+        p.write_text(json.dumps(edit(json.loads(DEFAULT_FIELD_STATS.to_json()))))
+        code, out, err = run(capsys, tmp_path, "simulate", "--trials", "2",
+                             "--stats", str(p), *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert not (tmp_path / "campaign_trials.csv").exists()
+
 
 class TestTransmissionScript:
     def test_main_writes_the_cli_outputs(self, capsys, tmp_path, monkeypatch):
@@ -471,9 +541,41 @@ class TestTransmissionScript:
             "bruise.csv", "bruise.svg", "transmission.csv", "transmission.svg"]
 
 
+class TestFieldCampaignScript:
+    def test_main_writes_one_directory_per_run(self, capsys, tmp_path, monkeypatch):
+        from tandemgrip.config import shipped_calibration
+        from tandemgrip.picksim import (DEFAULT_FIELD_STATS, LEAF_OCCLUSION_FAIL_PROB,
+                                        run_campaign, trials_to_csv)
+        from tandemgrip.wrench import ActuationMode
+        path = Path(__file__).resolve().parents[1] / "scripts" / "field_campaign.py"
+        spec = importlib.util.spec_from_file_location("field_campaign", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "OUT", tmp_path)
+        monkeypatch.setattr(script, "TRIALS", 12)
+        script.main()
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "suction", "fingers", "dual", "dual_leaf_occlusion"]
+        model = shipped_calibration()
+        for name, mode, occlusion in [
+                ("suction", ActuationMode.SUCTION, 0.0),
+                ("fingers", ActuationMode.FINGERS, 0.0),
+                ("dual", ActuationMode.DUAL, 0.0),
+                ("dual_leaf_occlusion", ActuationMode.DUAL, LEAF_OCCLUSION_FAIL_PROB)]:
+            want = run_campaign(DEFAULT_FIELD_STATS, model, mode, 12, 0,
+                                occlusion_fail_prob=occlusion)
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == [
+                "campaign.json", "campaign_trials.csv"]
+            assert (tmp_path / name / "campaign.json").read_text() == want.to_json()
+            assert (tmp_path / name / "campaign_trials.csv").read_text() == \
+                trials_to_csv(want.log)
+
+
 # Fuzzing: every generated argv ends in exit 0, 2, 3 or 4, and a run that exits
-# 0 prints no NaN or infinity. Range ends stay within [-100, 200] mm and finite
-# steps at or above 0.1 mm, so no example builds more than 3,000 rows.
+# 0 prints, and writes in its CSVs, no NaN or infinity. Range ends stay within
+# [-100, 200] mm and finite steps at or above 0.1 mm, so no example builds more
+# than 3,000 rows.
 SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308",
                            "1e-320", "", "x"])
 ANY_FLOAT = st.floats().map(repr)
@@ -529,6 +631,32 @@ SIMULATE = st.tuples(
             stats=st.sampled_from(["missing.json", ""])),
     st.sampled_from([[], ["--occlusion"]]),
 ).map(lambda t: t[0] + t[1])
+# generated TrialStats JSON for simulate --stats: five sorted positive numbers
+# per field, or the same with one field spoilt (missing, negative, too short or
+# too long, non-finite, past the float range, not a list), or a document of
+# another shape
+STATS_FIELDS = ["fruit_diameter", "fruit_height", "fruit_weight", "net_fdf",
+                "tangential_fdf", "normal_fdf", "branch_stiffness", "gripper_offset"]
+FIVE = st.lists(st.floats(2.0, 200.0), min_size=5, max_size=5).map(sorted)
+SPOILT = st.one_of(
+    st.just("MISSING"),
+    st.lists(st.floats(-100.0, 100.0), min_size=5, max_size=5).map(sorted),
+    st.lists(st.floats(0.0, 100.0), max_size=7).map(sorted),
+    st.lists(st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, 10 ** 400]),
+             min_size=1, max_size=5).map(lambda v: [0.0] * (5 - len(v)) + v),
+    st.sampled_from([None, "x", 3.0, [[1.0]] * 5]),
+)
+TRIAL_STATS = st.fixed_dictionaries({name: FIVE for name in STATS_FIELDS})
+STATS_JSON = st.one_of(
+    TRIAL_STATS,
+    st.tuples(TRIAL_STATS, st.sampled_from(STATS_FIELDS), SPOILT).map(
+        lambda t: {k: v for k, v in {**t[0], t[1]: t[2]}.items() if v != "MISSING"}),
+    st.sampled_from([[1, 2], None, "x", 3.0]),
+).map(json.dumps) | st.sampled_from(["", "{", "not json"])
+# simulate options the parser and the campaign accept, so the statistics decide
+CAMPAIGN = options(trials=st.integers(1, 20).map(str), seed=st.integers(0, 2**40).map(str),
+                   mode=st.sampled_from(["suction", "fingers", "dual"]),
+                   retries=st.integers(0, 4).map(str))
 # the generated CSV is written to a file, and "LOG" in an option names it
 STATS = options(csv=st.sampled_from(["LOG", "missing.csv", ""]))
 CSV_TEXT = st.tuples(
@@ -539,11 +667,13 @@ CSV_TEXT = st.tuples(
 
 
 def run_quietly(argv):
+    """Exit code, and stdout followed by every CSV the command wrote."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as d, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["--out", d, *argv])
-    return code, out.getvalue()
+        written = "".join(p.read_text() for p in sorted(Path(d).glob("*.csv")))
+    return code, out.getvalue() + written
 
 
 class TestCliFuzz:
@@ -570,3 +700,15 @@ class TestCliFuzz:
         assert code in (0, 2, 3, 4), (argv, code)
         if code == 0:
             assert not NON_FINITE.search(out), (argv, out[:400])
+
+    @settings(max_examples=60)
+    @given(argv=CAMPAIGN, occlusion=st.booleans(), stats_json=STATS_JSON)
+    def test_simulate_trial_stats(self, argv, occlusion, stats_json):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "stats.json"
+            path.write_text(stats_json)
+            code, out = run_quietly(["simulate", *argv, *["--occlusion"] * occlusion,
+                                     f"--stats={path}"])
+        assert code in (0, 2, 3, 4), (argv, stats_json, code)
+        if code == 0:
+            assert not NON_FINITE.search(out), (argv, stats_json, out[:400])

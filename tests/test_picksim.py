@@ -1,5 +1,6 @@
 """Pick phase machine and Monte-Carlo campaigns."""
 
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 
 from tandemgrip import picksim, wrench
 from tandemgrip.config import shipped_calibration
+from tandemgrip.errors import ParseError
 from tandemgrip.picksim import (
     DEFAULT_FIELD_STATS,
     PickOutcome,
@@ -195,19 +197,19 @@ class TestCampaign:
     @pytest.mark.parametrize("mode", list(ActuationMode))
     def test_one_solve_per_engaged_cup_set_per_trial(self, model, mode, monkeypatch):
         solves = []
-        real_solve = wrench.solve_pull_batch
+        real_solve = wrench.solve_lp_batch
 
-        def solve_pull_batch(problems):
-            solves.extend(problems)
-            return real_solve(problems)
+        def solve_lp_batch(c, *args):
+            solves.append(len(c))
+            return real_solve(c, *args)
 
         engaged_attempts = []
-        monkeypatch.setattr(wrench, "solve_pull_batch", solve_pull_batch)
+        monkeypatch.setattr(wrench, "solve_lp_batch", solve_lp_batch)
         batched = run_campaign(DEFAULT_FIELD_STATS, model, mode, 30, seed=29, retries=3)
         reference = [reference_trial(DEFAULT_FIELD_STATS, model, mode, 29, i, 2, 0.0, 3,
                                      engaged_attempts) for i in range(30)]
         assert batched.log == tuple(reference)
-        assert len(solves) == len(set(engaged_attempts)) > 0
+        assert sum(solves) == len(set(engaged_attempts)) > 0
         # retries do land on cup sets the trial has already solved
         assert len(engaged_attempts) > len(set(engaged_attempts))
 
@@ -256,6 +258,25 @@ class TestCampaign:
         assert lines[0] == TRIALS_CSV_HEADER
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"trials": 5, "retries": 2}, None),
+        ({"trials": 6, "retries": 0}, "trials must be <= 5"),
+        ({"trials": 1, "retries": 3}, "retries must be <= 2"),
+    ])
+    def test_trial_and_retry_caps(self, model, monkeypatch, kwargs, message):
+        # the caps are checked before any trial runs
+        monkeypatch.setattr(picksim, "MAX_TRIALS", 5)
+        monkeypatch.setattr(picksim, "MAX_RETRIES", 2)
+        if message is None:
+            assert run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, seed=0,
+                                **kwargs).trials == 5
+            return
+        started = []
+        monkeypatch.setattr(picksim, "_run_trial", lambda *a: started.append(a))
+        with pytest.raises(ValueError, match=message):
+            run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, seed=0, **kwargs)
+        assert started == []
+
 
 class TestTrialStats:
     def test_json_round_trip(self):
@@ -265,6 +286,23 @@ class TestTrialStats:
     def test_proxy_validation(self):
         with pytest.raises(ValueError):
             ProxyModel(detachment_force=-1.0)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: {}, "field 'fruit_diameter' is missing"),
+        (lambda d: [1, 2], "must be an object"),
+        (lambda d: {**d, "net_fdf": [1, 2, 3]}, "bad TrialStats field 'net_fdf'"),
+        (lambda d: {**d, "gripper_offset": [math.nan] * 5},
+         "field 'gripper_offset': q_min must be finite"),
+        (lambda d: {**d, "fruit_weight": [10 ** 400] * 5}, "field 'fruit_weight'"),
+    ])
+    def test_bad_json_names_the_field(self, edit, message):
+        doc = edit(json.loads(DEFAULT_FIELD_STATS.to_json()))
+        with pytest.raises(ParseError, match=message):
+            TrialStats.from_json(json.dumps(doc))
+
+    def test_invalid_json(self):
+        with pytest.raises(ParseError, match="not valid JSON"):
+            TrialStats.from_json("{")
 
 
 class TestSummarizeCsv:

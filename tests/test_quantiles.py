@@ -42,6 +42,18 @@ class TestSampling:
         v = float(q.sample(u))
         assert 1.0 <= v <= 30.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="q3 must be finite"):
+            QuantileModel(1.0, 2.0, 3.0, value, 5.0)
+
+    @pytest.mark.parametrize("vals", [(0, 0, 0, 0, 1e308), (-1e308, -1e308, 0, 0, 0),
+                                      (-1e308, 0, 1e308, 1e308, 1e308)])
+    def test_span_past_float_range_rejected(self, vals):
+        # a quarter-wide step of 1e308 has slope 4e308: sample() would give inf
+        with pytest.raises(ValueError, match="float range"):
+            QuantileModel(*vals)
+
     def test_quantile_anchors(self):
         q = QuantileModel(7, 11, 15, 28, 38)
         assert [float(q.sample(p)) for p in (0, 0.25, 0.5, 0.75, 1)] == [7, 11, 15, 28, 38]

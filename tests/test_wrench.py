@@ -10,7 +10,7 @@ from scipy.spatial import ConvexHull
 
 from tandemgrip import wrench
 from tandemgrip.config import data_text, shipped_calibration
-from tandemgrip.errors import OffsetExceedsRadius
+from tandemgrip.errors import OffsetExceedsRadius, ParseError
 from tandemgrip.simplexlp import solve_lp
 from tandemgrip.wrench import (
     ActuationMode,
@@ -29,7 +29,6 @@ from tandemgrip.wrench import (
     pull_wrench_for,
     reference_from_csv,
     solve_pull,
-    solve_pull_batch,
     verify_witness,
     _lp_columns,
     _tangent_frame,
@@ -313,6 +312,30 @@ class TestCalibration:
         assert len(ref.rows) == 27
         assert sum(r.authoritative for r in ref.rows) == 13
 
+    @pytest.mark.parametrize("strength,stdev,name", [
+        ("nan", "0.3", "strength"), ("inf", "0.3", "strength"),
+        ("12.0", "nan", "stdev"), ("12.0", "inf", "stdev")])
+    def test_non_finite_reference_value_rejected(self, strength, stdev, name):
+        text = "\n".join([wrench.REFERENCE_CSV_HEADER,
+                          "dual,0,0,axial,20.0,1.0,authoritative",
+                          f"suction,0,0,axial,{strength},{stdev},authoritative"])
+        with pytest.raises(ParseError, match=f"{name} must be finite, got .* row 3"):
+            reference_from_csv(text)
+
+    def test_one_cold_strength_per_reference_row(self, monkeypatch):
+        # the search runs warm; only the residual pass solves cold, once per
+        # row of the dataset, fitted or not
+        calls = []
+        real = wrench.predict_strength
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(wrench, "predict_strength", counted)
+        reference = reference_from_csv(data_text("grasp_reference.csv"))
+        calibrate(reference, authoritative_only=True)
+        assert calls == [r.scenario for r in reference.rows]
+
 
 def search_objectives():
     """Objectives for the search: smooth, tied, plateaued, kinked, stepped."""
@@ -514,20 +537,6 @@ class TestBatchedPull:
             assert owner == ref_owner
             assert [([j for j, r in enumerate(cap_row) if r == k], cap)
                     for k, cap in enumerate(caps)] == ref_caps
-
-    def test_batch_matches_scalar_and_verifies(self):
-        model = shipped_calibration()
-        for mode in ActuationMode:
-            problems = []
-            for scenario, _ in random_queries(43, 60):
-                scenario = GraspScenario(scenario.fruit_radius, scenario.fruit_offset,
-                                         scenario.pull_angle, scenario.pull_type, mode)
-                problems.append((build_contacts(scenario, model), *pull_wrench_for(scenario)))
-            for (contacts, d, app), sol in zip(problems, solve_pull_batch(problems)):
-                ref = solve_pull(contacts, d, app)
-                assert np.float64(sol.alpha).tobytes() == np.float64(ref.alpha).tobytes()
-                assert [f.tobytes() for f in sol.forces] == [f.tobytes() for f in ref.forces]
-                assert verify_witness(contacts, sol) == []
 
     def test_predict_strengths_match_one_at_a_time(self, monkeypatch):
         model = shipped_calibration()
