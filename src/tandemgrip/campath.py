@@ -40,6 +40,9 @@ MAX_REACH_MM = 120.0      # radial envelope of the palm/track housing
 ARC_SAMPLES = 2048        # arc-length table resolution
 SCAN_SAMPLES = 129        # coarse scan of the inner parameter
 MAX_SAMPLES = 100_000     # most poses one validate_path pass may solve
+# largest cam-spec coordinate or length: far past any gripper, and far
+# below where the pose solver's squared distances overflow
+MAX_TRACK_MM = 1e6
 
 
 @dataclass(frozen=True)
@@ -85,18 +88,23 @@ class CamTrackSpec:
     contact_latitude_max_deg: float = 6.0   # final pad contact at or above this
 
     def __post_init__(self):
+        if not self.outer_path:
+            raise ValueError("outer_path must have at least one segment")
         segments = {f"outer_path[{k}]": seg for k, seg in enumerate(self.outer_path)}
         segments["inner_path"] = self.inner_path
-        for name, seg in segments.items():
-            for j, point in enumerate(seg.as_list()):
-                require_finite(**{f"{name}.p{j}[{i}]": v for i, v in enumerate(point)})
-        require_finite(
-            pin_separation=self.pin_separation, inner_hard_stop=self.inner_hard_stop,
-            fruit_radius=self.fruit_radius, fruit_center_x=self.fruit_center[0],
-            fruit_center_z=self.fruit_center[1], palm_plane_z=self.palm_plane_z,
-            tip_extension=self.tip_extension, pad_halfwidth=self.pad_halfwidth,
-            contact_latitude_max_deg=self.contact_latitude_max_deg,
+        lengths = {f"{name}.p{j}[{i}]": v for name, seg in segments.items()
+                   for j, point in enumerate(seg.as_list()) for i, v in enumerate(point)}
+        lengths.update(
+            pin_separation=self.pin_separation, fruit_radius=self.fruit_radius,
+            fruit_center_x=self.fruit_center[0], fruit_center_z=self.fruit_center[1],
+            palm_plane_z=self.palm_plane_z, tip_extension=self.tip_extension,
+            pad_halfwidth=self.pad_halfwidth,
         )
+        require_finite(**lengths, inner_hard_stop=self.inner_hard_stop,
+                       contact_latitude_max_deg=self.contact_latitude_max_deg)
+        for name, v in lengths.items():
+            if abs(v) > MAX_TRACK_MM:
+                raise ValueError(f"{name} must be within +-{MAX_TRACK_MM:g} mm, got {v!r}")
         if self.pin_separation <= 0.0:
             raise ValueError("pin_separation must be > 0")
         if not 0.0 < self.inner_hard_stop <= 1.0:
@@ -123,19 +131,46 @@ class CamTrackSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CamTrackSpec":
+        """Parse ``to_json``'s document. A document of another shape raises
+        ``ValueError`` (or ``KeyError`` for a missing field) naming the
+        field."""
         d = json.loads(text)
-        def seg(lst): return CubicBezier(*(tuple(p) for p in lst))
+        if not isinstance(d, dict):
+            raise ValueError("cam track JSON must be an object")
+
+        def items(value, n, name, what):
+            if not isinstance(value, list) or len(value) != n:
+                raise ValueError(f"{name} must be a list of {n} {what}")
+            return value
+
+        def number(value, name) -> float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            return float(value)
+
+        def point(p, name) -> Point:
+            x, z = items(p, 2, name, "coordinates")
+            return number(x, f"{name}[0]"), number(z, f"{name}[1]")
+
+        def seg(s, name) -> CubicBezier:
+            return CubicBezier(*(point(p, f"{name}[{j}]")
+                                 for j, p in enumerate(items(s, 4, name, "control points"))))
+
+        outer = d["outer_path"]
+        if not isinstance(outer, list):
+            raise ValueError("outer_path must be a list of segments")
         return cls(
-            outer_path=tuple(seg(s) for s in d["outer_path"]),
-            inner_path=seg(d["inner_path"]),
-            pin_separation=d["pin_separation_mm"],
-            inner_hard_stop=d["inner_hard_stop"],
-            fruit_radius=d["fruit_radius_mm"],
-            fruit_center=tuple(d["fruit_center_mm"]),
-            palm_plane_z=d["palm_plane_z_mm"],
-            tip_extension=d["tip_extension_mm"],
-            pad_halfwidth=d["pad_halfwidth_mm"],
-            contact_latitude_max_deg=d.get("contact_latitude_max_deg", 6.0),
+            outer_path=tuple(seg(s, f"outer_path[{k}]") for k, s in enumerate(outer)),
+            inner_path=seg(d["inner_path"], "inner_path"),
+            pin_separation=number(d["pin_separation_mm"], "pin_separation_mm"),
+            inner_hard_stop=number(d["inner_hard_stop"], "inner_hard_stop"),
+            fruit_radius=number(d["fruit_radius_mm"], "fruit_radius_mm"),
+            fruit_center=point(d["fruit_center_mm"], "fruit_center_mm"),
+            palm_plane_z=number(d["palm_plane_z_mm"], "palm_plane_z_mm"),
+            tip_extension=number(d["tip_extension_mm"], "tip_extension_mm"),
+            pad_halfwidth=number(d["pad_halfwidth_mm"], "pad_halfwidth_mm"),
+            contact_latitude_max_deg=number(d.get("contact_latitude_max_deg", 6.0),
+                                            "contact_latitude_max_deg"),
         )
 
 

@@ -188,6 +188,16 @@ class TrialStats:
     branch_stiffness: QuantileModel
     gripper_offset: QuantileModel
 
+    def __post_init__(self):
+        # sizes, a weight, force magnitudes (a trial's pull angle is
+        # asin(tangential / net)) and a stiffness; normal_fdf is a signed
+        # component (the field data's minimum is -2 N)
+        for name in ("fruit_diameter", "fruit_height", "fruit_weight", "net_fdf",
+                     "tangential_fdf", "branch_stiffness"):
+            lowest = getattr(self, name).q_min
+            if lowest < 0.0:
+                raise ParseError(f"TrialStats field {name!r} must be >= 0, got {lowest!r}")
+
     def to_json(self) -> str:
         return json.dumps(
             {name: list(getattr(self, name).as_tuple()) for name in self.__dataclass_fields__},

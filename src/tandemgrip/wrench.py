@@ -264,59 +264,115 @@ class PullSolution:
     application_point: np.ndarray
 
 
+class _PullLp:
+    """The pull LP (c, a_eq, b_eq, a_ub, b_ub) of one contact layout and
+    pull, built in two steps. The last variable is alpha; the first three
+    rows of a_eq hold each variable's force direction.
+
+    The geometry step (the constructor) takes only the contact positions,
+    normals, kinds and cone sides and the pull: every suction-cup column,
+    each pad generator's tangent pattern T = cos * t1 + sin * t2, the
+    capacity rows (a_ub), c, b_eq and the pull column. The parameter step
+    (``fill``) writes the rest in place: the pad generators normal + mu * T
+    with their moments, and the capacities b_ub. Both steps use the same
+    elementwise operations, in the same order, as one build from scratch, so
+    a refilled LP is byte-identical to a new one.
+    """
+
+    def __init__(self, contacts: tuple[Contact, ...], d: np.ndarray, app: np.ndarray):
+        self.kinds = tuple(c.kind for c in contacts)
+        self.cap_row: list[int] = []   # capacity row of every contact variable
+        self.owner: list[int] = []     # contact index of every contact variable
+        pattern, cup_gens = [], []
+        n_caps = 0
+        for ci, c in enumerate(contacts):
+            k = c.cone_sides
+            if c.kind is ContactKind.FINGER_PAD:
+                t1, t2 = _tangent_frame(c.normal)
+                ph = [2.0 * math.pi * j / k for j in range(k)]
+                cos = np.array([math.cos(v) for v in ph])[:, None]
+                sin = np.array([math.sin(v) for v in ph])[:, None]
+                pattern.append(cos * t1 + sin * t2)
+                self.cap_row += [n_caps] * k
+                n_caps += 1
+            else:
+                # tension, seat compression, then the shear polygon anchored to
+                # the cup's own azimuth so the contact set stays exactly
+                # threefold-symmetric after linearization
+                anchor = math.atan2(c.position[1], c.position[0])
+                ph = [anchor + 2.0 * math.pi * j / k for j in range(k)]
+                shear = np.array([[math.cos(v), math.sin(v), 0.0] for v in ph])
+                cup_gens.append(np.concatenate([[-_Z, _Z], shear]))
+                self.cap_row += [n_caps, n_caps + 1] + [n_caps + 2] * k
+                n_caps += 3
+            self.owner += [ci] * (len(self.cap_row) - len(self.owner))
+        owner = np.array(self.owner)
+        is_pad = np.array([kind is ContactKind.FINGER_PAD for kind in self.kinds])[owner]
+        self.pads = np.flatnonzero(is_pad)     # variables of the pad generators
+        self.pad_owner = owner[self.pads]      # contact index of each of them
+        positions = np.array([c.position for c in contacts])
+        nv = len(self.owner) + 1
+        a_eq = np.empty((6, nv))
+        if pattern:
+            self._pattern = np.concatenate(pattern)
+            self._normals = np.array([c.normal for c in contacts])[self.pad_owner]
+            self._pad_points = positions[self.pad_owner]
+        # the cup generators and the pull, with their moments in one step
+        cups = np.flatnonzero(~is_pad)
+        g = np.concatenate([*cup_gens, d[None]])
+        a_eq[:3, cups] = g[:-1].T
+        a_eq[:3, -1] = d
+        a_eq[3:, np.append(cups, nv - 1)] = _cross(
+            np.concatenate([positions[owner[cups]], app[None]]), g).T
+        a_ub = np.zeros((n_caps, nv))
+        a_ub[self.cap_row, np.arange(nv - 1)] = 1.0
+        c = np.zeros(nv)
+        c[-1] = 1.0
+        self.lp = (c, a_eq, np.zeros(6), a_ub, np.empty(n_caps))
+
+    def fill(self, mu, caps) -> tuple:
+        """The parameter step: pad friction ``mu`` (one value, or a column of
+        one per pad generator) and the capacities, in capacity-row order.
+        Returns the LP, whose arrays the next fill reuses."""
+        a_eq = self.lp[1]
+        if len(self.pads):
+            g = self._normals + mu * self._pattern
+            a_eq[:3, self.pads] = g.T
+            a_eq[3:, self.pads] = _cross(self._pad_points, g).T
+        self.lp[4][:] = caps
+        return self.lp
+
+    def refresh(self, model: GraspModelParams) -> tuple:
+        """``fill`` from grasp-model parameters, with the capacities
+        ``build_contacts`` gives each contact kind."""
+        pad = (model.pad_force,)
+        cup = (model.suction_axial, CUP_BACKING_N, model.shear_fraction * model.suction_axial)
+        return self.fill(model.mu_pad, [cap for kind in self.kinds
+                                        for cap in (pad if kind is ContactKind.FINGER_PAD
+                                                    else cup)])
+
+
+def _pull_lp(contacts: tuple[Contact, ...], d: np.ndarray, app: np.ndarray) -> _PullLp:
+    """The pull LP of a contact set, with each contact's own friction and
+    capacities."""
+    lp = _PullLp(contacts, d, app)
+    caps = []
+    for c in contacts:
+        caps += ([c.normal_capacity] if c.kind is ContactKind.FINGER_PAD
+                 else [c.tension_capacity, c.normal_capacity, c.shear_capacity])
+    lp.fill(np.array([c.mu for c in contacts], dtype=float)[lp.pad_owner, None], caps)
+    return lp
+
+
 def _lp_columns(contacts: tuple[Contact, ...]):
     """Wrench columns (one row per contact variable) and capacity rows.
 
     Returns the nv x 6 columns (force over moment), the capacity row of
-    every variable, the capacities and the contact index of every variable.
+    every variable, the capacities and the contact index of every variable,
+    as ``_pull_lp`` builds them.
     """
-    gens: list[np.ndarray] = []
-    points: list[np.ndarray] = []
-    cap_row: list[int] = []
-    caps: list[float] = []
-    owner: list[int] = []
-    for ci, c in enumerate(contacts):
-        k = c.cone_sides
-        if c.kind is ContactKind.FINGER_PAD:
-            t1, t2 = _tangent_frame(c.normal)
-            ph = [2.0 * math.pi * j / k for j in range(k)]
-            cos = np.array([math.cos(v) for v in ph])[:, None]
-            sin = np.array([math.sin(v) for v in ph])[:, None]
-            g = c.normal + c.mu * (cos * t1 + sin * t2)
-            cap_row += [len(caps)] * k
-            caps.append(c.normal_capacity)
-        else:
-            # tension, seat compression, then the shear polygon anchored to
-            # the cup's own azimuth so the contact set stays exactly
-            # threefold-symmetric after linearization
-            anchor = math.atan2(c.position[1], c.position[0])
-            ph = [anchor + 2.0 * math.pi * j / k for j in range(k)]
-            shear = np.array([[math.cos(v), math.sin(v), 0.0] for v in ph])
-            g = np.concatenate([[-_Z, _Z], shear])
-            cap_row += [len(caps), len(caps) + 1] + [len(caps) + 2] * k
-            caps += [c.tension_capacity, c.normal_capacity, c.shear_capacity]
-        gens.append(g)
-        points.append(np.broadcast_to(c.position, g.shape))
-        owner += [ci] * len(g)
-    g = np.concatenate(gens)
-    cols = np.concatenate([g, _cross(np.concatenate(points), g)], axis=1)
-    return cols, cap_row, caps, owner
-
-
-def _pull_lp(contacts: tuple[Contact, ...], d: np.ndarray, app: np.ndarray):
-    """The pull LP (c, a_eq, b_eq, a_ub, b_ub) and the contact index of every
-    contact variable. The last variable is alpha; the first three rows of
-    a_eq hold each variable's force direction."""
-    cols, cap_row, caps, owner = _lp_columns(contacts)
-    nv = len(cols) + 1
-    a_eq = np.empty((6, nv))
-    a_eq[:, :-1] = cols.T
-    a_eq[:, -1] = np.concatenate([d, _cross(app, d)])
-    a_ub = np.zeros((len(caps), nv))
-    a_ub[cap_row, np.arange(nv - 1)] = 1.0
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    return (c, a_eq, np.zeros(6), a_ub, np.array(caps, dtype=float)), owner
+    lp = _pull_lp(contacts, _Z, np.zeros(3))
+    return lp.lp[1][:, :-1].T, lp.cap_row, lp.lp[4].tolist(), lp.owner
 
 
 def _alpha(res) -> float:
@@ -352,8 +408,8 @@ def solve_pull(
     d, app = _pull_inputs(pull_direction, application_point)
     if not contacts.contacts:
         return PullSolution(0.0, (), d, app)
-    lp, owner = _pull_lp(contacts.contacts, d, app)
-    return _pull_solution(contacts, d, app, solve_lp(*lp), lp[1], owner)
+    lp = _pull_lp(contacts.contacts, d, app)
+    return _pull_solution(contacts, d, app, solve_lp(*lp.lp), lp.lp[1], lp.owner)
 
 
 def verify_witness(contacts: ContactSet, sol: PullSolution, tol: float = WITNESS_TOL) -> list[str]:
@@ -427,14 +483,23 @@ def pull_wrench_for(scenario: GraspScenario) -> tuple[np.ndarray, np.ndarray]:
     return d, np.zeros(3)
 
 
+def _strength_geometry(scenario: GraspScenario, model: GraspModelParams,
+                       cup_indices: tuple[int, ...] = (0, 1, 2)) -> _PullLp | None:
+    """The geometry step of a strength query's pull LP, or None when no
+    contact is present (strength 0). ``model`` only has to be one that
+    ``build_contacts`` accepts; ``refresh`` sets the parameters."""
+    contacts = build_contacts(scenario, model, DEFAULT_CONE_SIDES, cup_indices)
+    if not contacts.contacts:
+        return None
+    return _PullLp(contacts.contacts, *_pull_inputs(*pull_wrench_for(scenario)))
+
+
 def _strength_lp(scenario: GraspScenario, model: GraspModelParams,
                  cup_indices: tuple[int, ...] = (0, 1, 2)):
     """The pull LP (c, a_eq, b_eq, a_ub, b_ub) of a strength query, or None
     when no contact is present (strength 0)."""
-    contacts = build_contacts(scenario, model, DEFAULT_CONE_SIDES, cup_indices)
-    if not contacts.contacts:
-        return None
-    return _pull_lp(contacts.contacts, *_pull_inputs(*pull_wrench_for(scenario)))[0]
+    lp = _strength_geometry(scenario, model, cup_indices)
+    return None if lp is None else lp.refresh(model)
 
 
 def predict_strength(
@@ -611,11 +676,14 @@ def calibrate(
     initial point. Pass ``authoritative_only=True`` to drop plot-read rows
     (marked approximate in the dataset) from the loss.
 
-    Between two evaluations only the capacities and ``mu_pad`` move, so each
-    row's pull LP first tries the optimal basis of that row's previous
-    solve (``solve_from_basis``) and solves cold only when it no longer
-    holds. The residuals are cold ``predict_strength`` values at the fitted
-    point, and the reported error is the loss over the fitted rows' residuals.
+    A row's geometry is fixed; between two evaluations only ``mu_pad`` and
+    the capacities move. So each fitted row's contact set and pull LP are
+    built once, at the row's first evaluation, and every later evaluation
+    rewrites only the pad columns and the capacities of that LP in place.
+    The LP first tries the optimal basis of the row's previous solve
+    (``solve_from_basis``) and solves cold only when it no longer holds. The
+    residuals are cold ``predict_strength`` values at the fitted point, and
+    the reported error is the loss over the fitted rows' residuals.
     """
     if not reference.rows:
         raise ValueError("reference measurements must be nonempty")
@@ -630,14 +698,18 @@ def calibrate(
             return None
         return GraspModelParams(pad, mu, suc, kap)
 
-    bases: dict[int, tuple[int, ...]] = {}   # row index -> basis of its last cold solve
+    # row index -> the row's pull LP and the basis of its last cold solve
+    row_lps: dict[int, tuple[_PullLp, tuple[int, ...] | None]] = {}
 
     def warm_strength(i: int, params: GraspModelParams) -> float:
-        lp = _strength_lp(rows[i].scenario, params)
-        res = solve_from_basis(*lp, bases[i]) if i in bases else None
+        if i not in row_lps:
+            row_lps[i] = _strength_geometry(rows[i].scenario, params), None
+        pull_lp, basis = row_lps[i]
+        lp = pull_lp.refresh(params)
+        res = None if basis is None else solve_from_basis(*lp, basis)
         if res is None:
             res = solve_lp(*lp)
-            bases[i] = res.basis
+            row_lps[i] = pull_lp, res.basis
         return _alpha(res)
 
     def loss(preds) -> float:

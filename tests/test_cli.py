@@ -296,6 +296,27 @@ class TestCampathNonFinite:
         assert out == ""
         assert "outer_path[0].p1[0] must be finite" in err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: {**d, "fruit_center_mm": "x"}, "fruit_center_mm must be a list of 2 coordinates"),
+        (lambda d: {**d, "outer_path": []}, "outer_path must have at least one segment"),
+        (lambda d: {**d, "inner_path": d["inner_path"][:3]},
+         "inner_path must be a list of 4 control points"),
+        (lambda d: {**d, "outer_path": [d["outer_path"][0][:2] + [[9.0, 1e300]]
+                                        + d["outer_path"][0][3:]]},
+         "outer_path[0].p2[1] must be within +-1e+06 mm"),
+        (lambda d: {**d, "pin_separation_mm": -1e300}, "pin_separation must be within"),
+        (lambda d: [d], "cam track JSON must be an object"),
+        (lambda d: {**d, "tip_extension_mm": "37.5"}, "tip_extension_mm must be a number"),
+    ])
+    def test_cam_shape(self, capsys, tmp_path, cam_doc, edit, message):
+        # found by fuzzing campath with generated cam files: a traceback
+        # (IndexError), a message naming no field, or overflow warnings
+        config = cam_config(tmp_path, edit(cam_doc))
+        code, out, err = run(capsys, tmp_path, "--config", str(config), "campath")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("flag,value,name", [
         ("--clearance", "nan", "clearance"),
         ("--clearance", "inf", "clearance"),
@@ -510,6 +531,11 @@ class TestSimulateStats:
         (lambda d: {**d, "gripper_offset": [float("nan")] * 5}, ["--mode", "fingers"],
          "field 'gripper_offset': q_min must be finite"),
         (lambda d: {**d, "net_fdf": [0, 0, 0, 0, 1e308]}, [], "field 'net_fdf'"),
+        (lambda d: {**d, "tangential_fdf": [-40, -30, -20, -10, -5]}, [],
+         "field 'tangential_fdf' must be >= 0"),
+        (lambda d: {**d, "net_fdf": [-40, -30, -20, -10, -5]}, [], "field 'net_fdf' must be >= 0"),
+        (lambda d: {**d, "branch_stiffness": [-400, -300, -200, -100, -50]}, [],
+         "field 'branch_stiffness' must be >= 0"),
     ])
     def test_bad_trial_stats_usage_error(self, capsys, tmp_path, edit, argv, message):
         from tandemgrip.picksim import DEFAULT_FIELD_STATS
@@ -666,14 +692,55 @@ CSV_TEXT = st.tuples(
 ).map(lambda t: "\n".join(",".join(r) for r in [t[0], *t[1]]))
 
 
-def run_quietly(argv):
-    """Exit code, and stdout followed by every CSV the command wrote."""
+# generated cam track files for campath --config: the synthesized tracks
+# with up to three numbers nudged or replaced, then perhaps one field, or the
+# whole document, of another shape
+CAM_SCALARS = ["pin_separation_mm", "inner_hard_stop", "fruit_radius_mm", "palm_plane_z_mm",
+               "tip_extension_mm", "pad_halfwidth_mm", "contact_latitude_max_deg"]
+CAM_NUMBER = st.one_of(
+    st.floats(-2.0, 2.0).map(lambda e: lambda v: v + e),
+    st.floats(-40.0, 40.0).map(lambda e: lambda v: v + e),
+    st.sampled_from([float("nan"), float("inf"), 0.0, -1.0, 1e-300, 1e300, -1e300, 1e6])
+    .map(lambda x: lambda v: x),
+)
+
+
+def _nudge_cam(pick, change):
+    """Apply ``change`` to the number of a cam document that ``pick`` selects."""
+    def nudge(doc):
+        paths = ([(k,) for k in CAM_SCALARS] + [("fruit_center_mm", i) for i in range(2)]
+                 + [("inner_path", j, i) for j in range(4) for i in range(2)]
+                 + [("outer_path", k, j, i) for k in range(len(doc["outer_path"]))
+                    for j in range(4) for i in range(2)])
+        *parents, last = paths[pick % len(paths)]
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = change(node[last])
+    return nudge
+
+
+CAM_NUDGE = st.builds(_nudge_cam, st.integers(0, 10 ** 6), CAM_NUMBER)
+CAM_SPOIL = st.one_of(
+    st.integers(0, 3).map(lambda n: lambda doc: {**doc, "outer_path": doc["outer_path"][:n]}),
+    st.tuples(st.sampled_from(CAM_SCALARS + ["fruit_center_mm", "inner_path", "outer_path"]),
+              st.sampled_from([None, "x", [], [1.0], [[1.0, 2.0]] * 4, {}])).map(
+        lambda t: lambda doc: {**doc, t[0]: t[1]}),
+    st.sampled_from(CAM_SCALARS).map(
+        lambda k: lambda doc: {n: v for n, v in doc.items() if n != k}),
+    st.sampled_from([[], None, "x", 3.0, {}]).map(lambda other: lambda doc: other),
+)
+
+
+def run_quietly(argv, written="*.csv"):
+    """Exit code, and stdout followed by every file matching ``written``
+    that the command wrote."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as d, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["--out", d, *argv])
-        written = "".join(p.read_text() for p in sorted(Path(d).glob("*.csv")))
-    return code, out.getvalue() + written
+        files = "".join(p.read_text() for p in sorted(Path(d).glob(written)))
+    return code, out.getvalue() + files
 
 
 class TestCliFuzz:
@@ -700,6 +767,23 @@ class TestCliFuzz:
         assert code in (0, 2, 3, 4), (argv, code)
         if code == 0:
             assert not NON_FINITE.search(out), (argv, out[:400])
+
+    @settings(max_examples=60)
+    @given(data=st.data(), samples=st.integers(2, 30), svg=st.booleans())
+    def test_campath_cam_config(self, cam_doc, data, samples, svg):
+        doc = json.loads(json.dumps(cam_doc))
+        for nudge in data.draw(st.lists(CAM_NUDGE, max_size=3)):
+            nudge(doc)
+        spoil = data.draw(st.none() | CAM_SPOIL)
+        if spoil is not None:
+            doc = spoil(doc)
+        with tempfile.TemporaryDirectory() as d:
+            config = cam_config(Path(d), doc)
+            code, out = run_quietly(["--config", str(config), *["--format=svg"] * svg,
+                                     "campath", f"--samples={samples}"], written="*")
+        assert code in (0, 2, 3, 4), (doc, code)
+        if code == 0:
+            assert not NON_FINITE.search(out), (doc, out[:400])
 
     @settings(max_examples=60)
     @given(argv=CAMPAIGN, occlusion=st.booleans(), stats_json=STATS_JSON)

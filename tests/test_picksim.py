@@ -161,6 +161,17 @@ class TestCampaign:
                           threads=4)
         assert r1.log == r4.log
 
+    def test_log_independent_of_block_size(self, model, monkeypatch):
+        # trials run in blocks of CAMPAIGN_BLOCK, each block in rounds of
+        # batched solves: the log must not depend on that execution order
+        def campaign():
+            return run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 150, seed=29,
+                                occlusion_fail_prob=0.1, retries=2)
+
+        whole = campaign()
+        monkeypatch.setattr(picksim, "CAMPAIGN_BLOCK", 7)
+        assert campaign() == whole
+
     def test_occlusion_probability_lowers_success(self, model):
         base = run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 200, seed=13)
         occl = run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 200, seed=13,
@@ -303,6 +314,19 @@ class TestTrialStats:
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="not valid JSON"):
             TrialStats.from_json("{")
+
+    @pytest.mark.parametrize("field", ["fruit_diameter", "fruit_height", "fruit_weight",
+                                       "net_fdf", "tangential_fdf", "branch_stiffness"])
+    def test_negative_quantile_names_the_field(self, field):
+        doc = {**json.loads(DEFAULT_FIELD_STATS.to_json()), field: [-40, -30, -20, -10, -5]}
+        with pytest.raises(ParseError, match=f"TrialStats field '{field}' must be >= 0, got -40"):
+            TrialStats.from_json(json.dumps(doc))
+
+    def test_normal_fdf_is_signed(self):
+        # the field data's own normal component dips below zero
+        assert DEFAULT_FIELD_STATS.normal_fdf.q_min < 0.0
+        doc = {**json.loads(DEFAULT_FIELD_STATS.to_json()), "normal_fdf": [-40, -30, -20, -10, -5]}
+        assert TrialStats.from_json(json.dumps(doc)).normal_fdf.q_min == -40
 
 
 class TestSummarizeCsv:

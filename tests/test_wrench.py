@@ -466,6 +466,79 @@ class TestWarmCalibration:
         assert_same_fit(fresh_calibration, cold_fit(reference.rows))
 
 
+class TestRowLps:
+    """``calibrate`` builds each fitted row's pull LP once and then rewrites
+    only its pad columns and capacities."""
+
+    def test_refreshed_lps_equal_fresh_builds(self, monkeypatch):
+        reference = reference_from_csv(data_text("grasp_reference.csv"))
+        rng = np.random.default_rng(89)
+        points = [np.array([rng.uniform(2.0, 30.0), rng.uniform(0.05, 2.0),
+                            rng.uniform(0.5, 10.0), rng.uniform(0.05, 1.0)])
+                  for _ in range(6)]
+        point = [None]   # index of the point under evaluation
+        solved = []      # (point, how, the LP's bytes) of every solve
+
+        def record(real, warm):
+            def solve(*args):
+                res = real(*args)
+                if warm:
+                    how = "warm" if res is not None else "warm failed"
+                else:   # a cold solve after a failed warm one solves the same LP
+                    how = "again" if solved and solved[-1][1] == "warm failed" else "cold"
+                solved.append((point[0], how, tuple(a.tobytes() for a in args[:5])))
+                return res
+            return solve
+
+        def visit(fun, x0, **options):
+            # the search visits the points in turn; the fit ends at the
+            # shipped parameters, so the residual pass after it succeeds
+            for k, x in enumerate(points):
+                point[0] = k
+                fun(np.copy(x))
+            point[0] = None
+            p = shipped_calibration()
+            return wrench.SearchResult(
+                x=np.array([p.pad_force, p.mu_pad, p.suction_axial, p.shear_fraction]),
+                fun=0.0, nit=1)
+
+        monkeypatch.setattr(wrench, "solve_from_basis", record(wrench.solve_from_basis, True))
+        monkeypatch.setattr(wrench, "solve_lp", record(wrench.solve_lp, False))
+        monkeypatch.setattr(wrench, "minimize", visit)
+        calibrate(reference)
+        assert {how for _, how, _ in solved} >= {"warm", "cold"}
+        for k, x in enumerate(points):
+            got = [lp for p, how, lp in solved if p == k and how != "again"]
+            params = GraspModelParams(*(float(v) for v in x))
+            want = [tuple(a.tobytes() for a in wrench._strength_lp(row.scenario, params))
+                    for row in reference.rows]
+            assert got == want, k
+
+    def test_one_contact_build_per_row_in_the_search(self, monkeypatch):
+        reference = reference_from_csv(data_text("grasp_reference.csv"))
+        searching, built = [False], []
+
+        def counted(*args, **kwargs):
+            if searching[0]:
+                built.append(args[0])
+            return real_build(*args, **kwargs)
+
+        def search(*args, **kwargs):
+            searching[0] = True
+            try:
+                return real_minimize(*args, **kwargs)
+            finally:
+                searching[0] = False
+
+        real_build, real_minimize = wrench.build_contacts, wrench.minimize
+        monkeypatch.setattr(wrench, "build_contacts", counted)
+        monkeypatch.setattr(wrench, "minimize", search)
+        calibrate(reference, authoritative_only=True)
+        rows = [r.scenario for r in reference.rows if r.authoritative]
+        assert len(rows) == 13
+        assert built == rows
+
+
 def loop_lp_columns(contacts):
     """Reference column builder: one generator and one np.cross per column."""
     cols, caps, owner = [], [], []
