@@ -116,16 +116,8 @@ class ContactSet:
     contacts: tuple[Contact, ...]
 
     def __post_init__(self):
-        for c in self.contacts:
-            r = float(np.linalg.norm(c.position))
-            if abs(r - self.fruit_radius) > 1e-6:
-                raise ValueError("contact position not on the sphere surface")
-            if abs(float(np.linalg.norm(c.normal)) - 1.0) > 1e-9:
-                raise ValueError("contact normal not unit length")
-            if c.kind is ContactKind.FINGER_PAD and c.tension_capacity != 0.0:
-                raise ValueError("finger pads cannot carry tension")
-            if c.kind is ContactKind.SUCTION_CUP and c.tension_capacity <= 0.0:
-                raise ValueError("suction cups need positive tension capacity")
+        _check_contacts(np.array([self.fruit_radius]), *_contact_arrays(self.contacts)[:3],
+                        [c.tension_capacity for c in self.contacts])
 
 
 @dataclass(frozen=True)
@@ -191,17 +183,86 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot`` of 3-vectors stacked on the last axis, bit for bit: the stacked
+    matmul makes the same BLAS dot call per pair (an einsum or a sum does not)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` (sqrt of the dot) of 3-vectors stacked on the last axis."""
+    return np.sqrt(_dot(v, v))
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    return v / _norm(v)[..., None]
 
 
 def _tangent_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent basis with t1 along the steepest descent (-z projected)."""
-    t1 = -_Z + float(np.dot(_Z, n)) * n
-    if np.linalg.norm(t1) < 1e-12:
-        t1 = np.array([1.0, 0.0, 0.0]) - n[0] * n
-    t1 = _unit(t1)
+    """Tangent basis, t1 along the steepest descent (-z projected), of unit normals
+    stacked on the last axis; n's z is a dot with +z, which reads -0.0 as +0.0."""
+    t1 = -_Z + _dot(_Z, n)[..., None] * n
+    flat = _norm(t1)[..., None] < 1e-12   # a normal along the axis: project +x
+    t1 = _unit(np.where(flat, np.array([1.0, 0.0, 0.0]) - n[..., :1] * n, t1))
     return t1, _cross(n, t1)
+
+
+def _place(scenarios: list[GraspScenario], cup_indices: list[tuple[int, ...]]):
+    """Contact positions and inward unit normals (B x nc x 3 each) of B scenarios
+    of one mode whose cup sets have one size, and the kind of each contact.
+
+    Fingers contact at 120-deg longitudes, a latitude asin(offset/radius)
+    below the equator. Cups sit in a ring around the axis on the palm side;
+    ``cup_indices`` restricts which cups are present (partial engagement).
+    """
+    for s in scenarios:
+        if s.fruit_offset > s.fruit_radius:
+            raise OffsetExceedsRadius(
+                f"fruit_offset {s.fruit_offset} mm exceeds radius {s.fruit_radius} mm")
+    mode, nb = scenarios[0].mode, len(scenarios)
+    radii = [s.fruit_radius for s in scenarios]
+
+    def ring(coefs, longitudes, index):
+        # a * rhat - b * z for each scenario's (a, b); rhat by longitude index
+        rhat = np.array([[math.cos(v), math.sin(v), 0.0] for v in map(math.radians, longitudes)])
+        coefs = np.array(coefs)[:, :, None, None]
+        return coefs[:, 0] * rhat[index] - coefs[:, 1] * _Z
+
+    parts, kinds = [], []
+    if mode in (ActuationMode.FINGERS, ActuationMode.DUAL):
+        psi = [math.asin(s.fruit_offset / s.fruit_radius) for s in scenarios]
+        parts.append(ring([(math.cos(v), math.sin(v)) for v in psi],
+                          FINGER_LONGITUDES_DEG, slice(None)))
+        kinds += [ContactKind.FINGER_PAD] * len(FINGER_LONGITUDES_DEG)
+    if mode in (ActuationMode.SUCTION, ActuationMode.DUAL):
+        beta = [math.asin(min(CUP_RING_MM, 0.95 * r) / r) for r in radii]
+        cups = np.array(cup_indices, dtype=int).reshape(nb, -1)
+        parts.append(ring([(math.sin(v), math.cos(v)) for v in beta], CUP_LONGITUDES_DEG, cups))
+        kinds += [ContactKind.SUCTION_CUP] * cups.shape[1]
+    positions = np.array(radii)[:, None, None] * np.concatenate(parts, axis=1)
+    return positions, -_unit(positions), tuple(kinds)
+
+
+def _check_contacts(radii: np.ndarray, positions: np.ndarray, normals: np.ndarray,
+                    kinds: tuple[ContactKind, ...], tension) -> None:
+    """``ContactSet``'s checks on B contact sets of one layout, stacked on
+    the first axis; ``tension`` is each contact's tension capacity."""
+    if np.any(np.abs(_norm(positions) - radii[:, None]) > 1e-6):
+        raise ValueError("contact position not on the sphere surface")
+    if np.any(np.abs(_norm(normals) - 1.0) > 1e-9):
+        raise ValueError("contact normal not unit length")
+    for kind, t in zip(kinds, tension):
+        if kind is ContactKind.FINGER_PAD and t != 0.0:
+            raise ValueError("finger pads cannot carry tension")
+        if kind is ContactKind.SUCTION_CUP and t <= 0.0:
+            raise ValueError("suction cups need positive tension capacity")
+
+
+def _contact_arrays(contacts: tuple[Contact, ...]):
+    """Positions, normals (1 x nc x 3 each), kinds and sides of a contact set."""
+    return (np.array([c.position for c in contacts], dtype=float).reshape(1, -1, 3),
+            np.array([c.normal for c in contacts], dtype=float).reshape(1, -1, 3),
+            tuple(c.kind for c in contacts), tuple(c.cone_sides for c in contacts))
 
 
 def build_contacts(
@@ -210,48 +271,15 @@ def build_contacts(
     cone_sides: int = DEFAULT_CONE_SIDES,
     cup_indices: tuple[int, ...] = (0, 1, 2),
 ) -> ContactSet:
-    """Place the contact set for a scenario.
-
-    Fingers contact at 120-deg longitudes, a latitude asin(offset/radius)
-    below the equator. Cups sit in a ring around the axis on the palm side;
-    ``cup_indices`` restricts which cups are present (partial engagement).
-    """
-    r = scenario.fruit_radius
-    if scenario.fruit_offset > r:
-        raise OffsetExceedsRadius(
-            f"fruit_offset {scenario.fruit_offset} mm exceeds radius {r} mm"
-        )
-    contacts: list[Contact] = []
-    if scenario.mode in (ActuationMode.FINGERS, ActuationMode.DUAL):
-        psi = math.asin(scenario.fruit_offset / r)
-        for lon in FINGER_LONGITUDES_DEG:
-            az = math.radians(lon)
-            rhat = np.array([math.cos(az), math.sin(az), 0.0])
-            pos = r * (math.cos(psi) * rhat - math.sin(psi) * _Z)
-            contacts.append(
-                Contact(
-                    position=pos, normal=-_unit(pos), kind=ContactKind.FINGER_PAD,
-                    normal_capacity=model.pad_force, tension_capacity=0.0,
-                    mu=model.mu_pad, cone_sides=cone_sides,
-                )
-            )
-    if scenario.mode in (ActuationMode.SUCTION, ActuationMode.DUAL):
-        ring = min(CUP_RING_MM, 0.95 * r)
-        beta = math.asin(ring / r)
-        for i in cup_indices:
-            az = math.radians(CUP_LONGITUDES_DEG[i])
-            rhat = np.array([math.cos(az), math.sin(az), 0.0])
-            pos = r * (math.sin(beta) * rhat - math.cos(beta) * _Z)
-            contacts.append(
-                Contact(
-                    position=pos, normal=-_unit(pos), kind=ContactKind.SUCTION_CUP,
-                    normal_capacity=CUP_BACKING_N,
-                    tension_capacity=model.suction_axial,
-                    mu=0.0, cone_sides=cone_sides,
-                    shear_capacity=model.shear_fraction * model.suction_axial,
-                )
-            )
-    return ContactSet(fruit_radius=r, contacts=tuple(contacts))
+    """Place the contact set for a scenario (see ``_place``)."""
+    positions, normals, kinds = _place([scenario], [cup_indices])
+    return ContactSet(fruit_radius=scenario.fruit_radius, contacts=tuple(
+        Contact(position=p, normal=n, kind=kind, cone_sides=cone_sides,
+                **(dict(normal_capacity=model.pad_force, tension_capacity=0.0, mu=model.mu_pad)
+                   if kind is ContactKind.FINGER_PAD else
+                   dict(normal_capacity=CUP_BACKING_N, tension_capacity=model.suction_axial,
+                        mu=0.0, shear_capacity=model.shear_fraction * model.suction_axial)))
+        for p, n, kind in zip(positions[0], normals[0], kinds)))
 
 
 @dataclass(frozen=True)
@@ -265,80 +293,85 @@ class PullSolution:
 
 
 class _PullLp:
-    """The pull LP (c, a_eq, b_eq, a_ub, b_ub) of one contact layout and
-    pull, built in two steps. The last variable is alpha; the first three
-    rows of a_eq hold each variable's force direction.
+    """The pull LPs (c, a_eq, b_eq, a_ub, b_ub, each with a leading batch
+    axis) of B contact sets of one layout, built in two steps. The last
+    variable is alpha; the first three rows of a_eq hold each variable's
+    force direction.
 
-    The geometry step (the constructor) takes only the contact positions,
-    normals, kinds and cone sides and the pull: every suction-cup column,
-    each pad generator's tangent pattern T = cos * t1 + sin * t2, the
-    capacity rows (a_ub), c, b_eq and the pull column. The parameter step
-    (``fill``) writes the rest in place: the pad generators normal + mu * T
-    with their moments, and the capacities b_ub. Both steps use the same
-    elementwise operations, in the same order, as one build from scratch, so
-    a refilled LP is byte-identical to a new one.
+    The geometry step (the constructor) takes the contact positions and
+    normals (B x nc x 3), the layout's kinds and cone sides and the pulls
+    (B x 3): every suction-cup column, each pad generator's tangent pattern
+    T = cos * t1 + sin * t2, a_ub, c, b_eq and the pull column. The
+    parameter step (``fill``) writes the rest in place: the pad generators
+    normal + mu * T with their moments, and the capacities b_ub. Both use
+    one build's elementwise operations in its order, so every LP of a stack
+    or a refill is byte-identical to a new build of it alone.
     """
 
-    def __init__(self, contacts: tuple[Contact, ...], d: np.ndarray, app: np.ndarray):
-        self.kinds = tuple(c.kind for c in contacts)
+    def __init__(self, positions: np.ndarray, normals: np.ndarray,
+                 kinds: tuple[ContactKind, ...], sides: tuple[int, ...],
+                 d: np.ndarray, app: np.ndarray):
+        self.kinds = kinds
         self.cap_row: list[int] = []   # capacity row of every contact variable
         self.owner: list[int] = []     # contact index of every contact variable
-        pattern, cup_gens = [], []
-        n_caps = 0
-        for ci, c in enumerate(contacts):
-            k = c.cone_sides
-            if c.kind is ContactKind.FINGER_PAD:
-                t1, t2 = _tangent_frame(c.normal)
-                ph = [2.0 * math.pi * j / k for j in range(k)]
-                cos = np.array([math.cos(v) for v in ph])[:, None]
-                sin = np.array([math.sin(v) for v in ph])[:, None]
-                pattern.append(cos * t1 + sin * t2)
+        phase: list[float] = []        # of every variable: 2 pi j / k for generator j of k
+        tension: list[int] = []        # the tension variable of every cup
+        n_caps, nb = 0, len(d)
+        for ci, (kind, k) in enumerate(zip(kinds, sides)):
+            if kind is ContactKind.FINGER_PAD:
                 self.cap_row += [n_caps] * k
                 n_caps += 1
             else:
-                # tension, seat compression, then the shear polygon anchored to
-                # the cup's own azimuth so the contact set stays exactly
-                # threefold-symmetric after linearization
-                anchor = math.atan2(c.position[1], c.position[0])
-                ph = [anchor + 2.0 * math.pi * j / k for j in range(k)]
-                shear = np.array([[math.cos(v), math.sin(v), 0.0] for v in ph])
-                cup_gens.append(np.concatenate([[-_Z, _Z], shear]))
+                # tension, seat compression, then the shear polygon
+                tension.append(len(self.cap_row))
                 self.cap_row += [n_caps, n_caps + 1] + [n_caps + 2] * k
                 n_caps += 3
+                phase += [0.0, 0.0]
+            phase += [2.0 * math.pi * j / k for j in range(k)]
             self.owner += [ci] * (len(self.cap_row) - len(self.owner))
         owner = np.array(self.owner)
-        is_pad = np.array([kind is ContactKind.FINGER_PAD for kind in self.kinds])[owner]
+        is_pad = np.array([kind is ContactKind.FINGER_PAD for kind in kinds])[owner]
         self.pads = np.flatnonzero(is_pad)     # variables of the pad generators
         self.pad_owner = owner[self.pads]      # contact index of each of them
-        positions = np.array([c.position for c in contacts])
         nv = len(self.owner) + 1
-        a_eq = np.empty((6, nv))
-        if pattern:
-            self._pattern = np.concatenate(pattern)
-            self._normals = np.array([c.normal for c in contacts])[self.pad_owner]
-            self._pad_points = positions[self.pad_owner]
-        # the cup generators and the pull, with their moments in one step
-        cups = np.flatnonzero(~is_pad)
-        g = np.concatenate([*cup_gens, d[None]])
-        a_eq[:3, cups] = g[:-1].T
-        a_eq[:3, -1] = d
-        a_eq[3:, np.append(cups, nv - 1)] = _cross(
-            np.concatenate([positions[owner[cups]], app[None]]), g).T
+        a_eq = np.empty((nb, 6, nv))
+        if len(self.pads):
+            normals = normals[:, self.pad_owner]
+            t1, t2 = _tangent_frame(normals)
+            cos, sin = (np.array([f(phase[j]) for j in self.pads])[:, None]
+                        for f in (math.cos, math.sin))
+            self._pattern = (cos * t1 + sin * t2).reshape(-1, 3)
+            self._normals = normals.reshape(-1, 3)
+            self._pad_points = positions[:, self.pad_owner].reshape(-1, 3)
+        # the cup generators and the pull, with their moments in one step; the
+        # shear polygon is anchored to the cup's own azimuth so the contact set
+        # stays exactly threefold-symmetric after linearization
+        cols = np.append(np.flatnonzero(~is_pad), nv - 1)
+        points = np.concatenate([positions[:, owner[cols[:-1]]], app[:, None]], axis=1)
+        anchor = map(math.atan2, *(points[:, :-1, i].ravel().tolist() for i in (1, 0)))
+        ph = (np.reshape(list(anchor), (nb, -1)) + np.array(phase)[cols[:-1]]).ravel().tolist()
+        g = np.zeros((nb, nv, 3))
+        g[:, cols[:-1], 0] = np.reshape(list(map(math.cos, ph)), (nb, -1))
+        g[:, cols[:-1], 1] = np.reshape(list(map(math.sin, ph)), (nb, -1))
+        g[:, tension], g[:, [t + 1 for t in tension]], g[:, -1] = -_Z, _Z, d
+        g = g[:, cols]
+        a_eq[:, :, cols] = np.concatenate([g, _cross(points, g)], axis=2).transpose(0, 2, 1)
         a_ub = np.zeros((n_caps, nv))
         a_ub[self.cap_row, np.arange(nv - 1)] = 1.0
         c = np.zeros(nv)
         c[-1] = 1.0
-        self.lp = (c, a_eq, np.zeros(6), a_ub, np.empty(n_caps))
+        self.lp = (np.tile(c, (nb, 1)), a_eq, np.zeros((nb, 6)), np.tile(a_ub, (nb, 1, 1)),
+                   np.empty((nb, n_caps)))
 
     def fill(self, mu, caps) -> tuple:
-        """The parameter step: pad friction ``mu`` (one value, or a column of
-        one per pad generator) and the capacities, in capacity-row order.
-        Returns the LP, whose arrays the next fill reuses."""
+        """The parameter step: pad friction ``mu`` (one value, or a stack-major column
+        of one per pad generator) and the capacities, in capacity-row order, alike
+        for the whole stack. Returns the stack, whose arrays the next fill reuses."""
         a_eq = self.lp[1]
         if len(self.pads):
             g = self._normals + mu * self._pattern
-            a_eq[:3, self.pads] = g.T
-            a_eq[3:, self.pads] = _cross(self._pad_points, g).T
+            cols = np.concatenate([g, _cross(self._pad_points, g)], axis=1)
+            a_eq[:, :, self.pads] = cols.reshape(len(a_eq), -1, 6).transpose(0, 2, 1)
         self.lp[4][:] = caps
         return self.lp
 
@@ -353,26 +386,15 @@ class _PullLp:
 
 
 def _pull_lp(contacts: tuple[Contact, ...], d: np.ndarray, app: np.ndarray) -> _PullLp:
-    """The pull LP of a contact set, with each contact's own friction and
-    capacities."""
-    lp = _PullLp(contacts, d, app)
+    """The pull LP of a contact set (a stack of one), with each contact's
+    own friction and capacities."""
+    lp = _PullLp(*_contact_arrays(contacts), d[None], app[None])
     caps = []
     for c in contacts:
         caps += ([c.normal_capacity] if c.kind is ContactKind.FINGER_PAD
                  else [c.tension_capacity, c.normal_capacity, c.shear_capacity])
     lp.fill(np.array([c.mu for c in contacts], dtype=float)[lp.pad_owner, None], caps)
     return lp
-
-
-def _lp_columns(contacts: tuple[Contact, ...]):
-    """Wrench columns (one row per contact variable) and capacity rows.
-
-    Returns the nv x 6 columns (force over moment), the capacity row of
-    every variable, the capacities and the contact index of every variable,
-    as ``_pull_lp`` builds them.
-    """
-    lp = _pull_lp(contacts, _Z, np.zeros(3))
-    return lp.lp[1][:, :-1].T, lp.cap_row, lp.lp[4].tolist(), lp.owner
 
 
 def _alpha(res) -> float:
@@ -409,7 +431,8 @@ def solve_pull(
     if not contacts.contacts:
         return PullSolution(0.0, (), d, app)
     lp = _pull_lp(contacts.contacts, d, app)
-    return _pull_solution(contacts, d, app, solve_lp(*lp.lp), lp.lp[1], lp.owner)
+    res = solve_lp(*(a[0] for a in lp.lp))
+    return _pull_solution(contacts, d, app, res, lp.lp[1][0], lp.owner)
 
 
 def verify_witness(contacts: ContactSet, sol: PullSolution, tol: float = WITNESS_TOL) -> list[str]:
@@ -485,13 +508,13 @@ def pull_wrench_for(scenario: GraspScenario) -> tuple[np.ndarray, np.ndarray]:
 
 def _strength_geometry(scenario: GraspScenario, model: GraspModelParams,
                        cup_indices: tuple[int, ...] = (0, 1, 2)) -> _PullLp | None:
-    """The geometry step of a strength query's pull LP, or None when no
-    contact is present (strength 0). ``model`` only has to be one that
-    ``build_contacts`` accepts; ``refresh`` sets the parameters."""
+    """The geometry step of a strength query's pull LP (a stack of one), or
+    None when no contact is present (strength 0). ``model`` only has to be
+    one that ``build_contacts`` accepts; ``refresh`` sets the parameters."""
     contacts = build_contacts(scenario, model, DEFAULT_CONE_SIDES, cup_indices)
     if not contacts.contacts:
         return None
-    return _PullLp(contacts.contacts, *_pull_inputs(*pull_wrench_for(scenario)))
+    return _pull_lp(contacts.contacts, *_pull_inputs(*pull_wrench_for(scenario)))
 
 
 def _strength_lp(scenario: GraspScenario, model: GraspModelParams,
@@ -499,7 +522,21 @@ def _strength_lp(scenario: GraspScenario, model: GraspModelParams,
     """The pull LP (c, a_eq, b_eq, a_ub, b_ub) of a strength query, or None
     when no contact is present (strength 0)."""
     lp = _strength_geometry(scenario, model, cup_indices)
-    return None if lp is None else lp.refresh(model)
+    return None if lp is None else tuple(a[0] for a in lp.refresh(model))
+
+
+def _strength_stack(scenarios: list[GraspScenario], cup_indices: list[tuple[int, ...]],
+                    model: GraspModelParams) -> _PullLp | None:
+    """``_strength_geometry`` of B queries of one layout as one stack, with
+    no ``Contact`` objects but ``ContactSet``'s checks."""
+    positions, normals, kinds = _place(scenarios, cup_indices)
+    if not kinds:
+        return None
+    _check_contacts(np.array([s.fruit_radius for s in scenarios]), positions, normals, kinds,
+                    [0.0 if kind is ContactKind.FINGER_PAD else model.suction_axial
+                     for kind in kinds])
+    d, app = _pull_inputs(*zip(*map(pull_wrench_for, scenarios)))
+    return _PullLp(positions, normals, kinds, (DEFAULT_CONE_SIDES,) * len(kinds), d, app)
 
 
 def predict_strength(
@@ -519,10 +556,11 @@ def predict_strengths(
 ) -> list[float]:
     """``predict_strength`` for many (scenario, cup_indices) queries.
 
-    Queries whose contact sets share a layout are solved together, at most
-    ``LP_BATCH`` per batch, and each batch's contact sets and LPs are built
-    only when it is solved. Results are byte-identical to
-    ``predict_strength`` one query at a time.
+    Queries of one layout (mode and cup count) are solved together, at most
+    ``LP_BATCH`` per batch. A batch is built when it is solved, as one stack
+    of arrays (one contact placement, one LP geometry step) for one
+    ``solve_lp_batch``. Every LP and result is byte-identical to
+    ``predict_strength``'s, and the same inputs fail.
     """
     groups: dict[tuple, list[int]] = {}
     for i, (scenario, cups) in enumerate(queries):
@@ -532,10 +570,11 @@ def predict_strengths(
     for members in groups.values():
         for start in range(0, len(members), LP_BATCH):
             chunk = members[start:start + LP_BATCH]
-            lps = [_strength_lp(queries[i][0], model, queries[i][1]) for i in chunk]
-            if lps[0] is None:   # a layout with no contact holds nothing
+            lp = _strength_stack([queries[i][0] for i in chunk],
+                                 [queries[i][1] for i in chunk], model)
+            if lp is None:   # a layout with no contact holds nothing
                 continue
-            for i, res in zip(chunk, solve_lp_batch(*map(np.stack, zip(*lps)))):
+            for i, res in zip(chunk, solve_lp_batch(*lp.refresh(model))):
                 out[i] = _alpha(res)
     return out
 
@@ -698,18 +737,19 @@ def calibrate(
             return None
         return GraspModelParams(pad, mu, suc, kap)
 
-    # row index -> the row's pull LP and the basis of its last cold solve
-    row_lps: dict[int, tuple[_PullLp, tuple[int, ...] | None]] = {}
+    # row index -> the row's pull LP, its arrays (refreshed in place), last cold basis
+    row_lps: dict[int, tuple[_PullLp, tuple, tuple[int, ...] | None]] = {}
 
     def warm_strength(i: int, params: GraspModelParams) -> float:
         if i not in row_lps:
-            row_lps[i] = _strength_geometry(rows[i].scenario, params), None
-        pull_lp, basis = row_lps[i]
-        lp = pull_lp.refresh(params)
+            pull_lp = _strength_geometry(rows[i].scenario, params)
+            row_lps[i] = pull_lp, tuple(a[0] for a in pull_lp.lp), None
+        pull_lp, lp, basis = row_lps[i]
+        pull_lp.refresh(params)
         res = None if basis is None else solve_from_basis(*lp, basis)
         if res is None:
             res = solve_lp(*lp)
-            row_lps[i] = pull_lp, res.basis
+            row_lps[i] = pull_lp, lp, res.basis
         return _alpha(res)
 
     def loss(preds) -> float:

@@ -30,7 +30,6 @@ from tandemgrip.wrench import (
     reference_from_csv,
     solve_pull,
     verify_witness,
-    _lp_columns,
     _tangent_frame,
 )
 
@@ -539,6 +538,48 @@ class TestRowLps:
         assert built == rows
 
 
+def loop_build_contacts(scenario, model, cone_sides=wrench.DEFAULT_CONE_SIDES,
+                        cup_indices=(0, 1, 2)):
+    """Reference placement: one contact at a time, each normal through
+    ``np.linalg.norm``."""
+    r = scenario.fruit_radius
+    if scenario.fruit_offset > r:
+        raise OffsetExceedsRadius("offset exceeds radius")
+    contacts = []
+    if scenario.mode in (ActuationMode.FINGERS, ActuationMode.DUAL):
+        psi = math.asin(scenario.fruit_offset / r)
+        for lon in wrench.FINGER_LONGITUDES_DEG:
+            az = math.radians(lon)
+            rhat = np.array([math.cos(az), math.sin(az), 0.0])
+            pos = r * (math.cos(psi) * rhat - math.sin(psi) * Z)
+            contacts.append(Contact(
+                position=pos, normal=-(pos / np.linalg.norm(pos)),
+                kind=ContactKind.FINGER_PAD, normal_capacity=model.pad_force,
+                tension_capacity=0.0, mu=model.mu_pad, cone_sides=cone_sides))
+    if scenario.mode in (ActuationMode.SUCTION, ActuationMode.DUAL):
+        ring = min(wrench.CUP_RING_MM, 0.95 * r)
+        beta = math.asin(ring / r)
+        for i in cup_indices:
+            az = math.radians(wrench.CUP_LONGITUDES_DEG[i])
+            rhat = np.array([math.cos(az), math.sin(az), 0.0])
+            pos = r * (math.sin(beta) * rhat - math.cos(beta) * Z)
+            contacts.append(Contact(
+                position=pos, normal=-(pos / np.linalg.norm(pos)),
+                kind=ContactKind.SUCTION_CUP, normal_capacity=wrench.CUP_BACKING_N,
+                tension_capacity=model.suction_axial, mu=0.0, cone_sides=cone_sides,
+                shear_capacity=model.shear_fraction * model.suction_axial))
+    return ContactSet(fruit_radius=r, contacts=tuple(contacts))
+
+
+def loop_tangent_frame(n):
+    """Reference tangent frame of one normal, its z part a dot with +z."""
+    t1 = -Z + float(np.dot(Z, n)) * n
+    if np.linalg.norm(t1) < 1e-12:
+        t1 = np.array([1.0, 0.0, 0.0]) - n[0] * n
+    t1 = t1 / np.linalg.norm(t1)
+    return t1, np.cross(n, t1)
+
+
 def loop_lp_columns(contacts):
     """Reference column builder: one generator and one np.cross per column."""
     cols, caps, owner = [], [], []
@@ -546,7 +587,7 @@ def loop_lp_columns(contacts):
     for ci, c in enumerate(contacts):
         p = c.position
         if c.kind is ContactKind.FINGER_PAD:
-            t1, t2 = _tangent_frame(c.normal)
+            t1, t2 = loop_tangent_frame(c.normal)
             idx = []
             for j in range(c.cone_sides):
                 ph = 2.0 * math.pi * j / c.cone_sides
@@ -578,22 +619,39 @@ def loop_lp_columns(contacts):
     return np.array(cols), caps, owner
 
 
+CUP_SUBSETS = [c for k in range(4) for c in itertools.combinations(range(3), k)]
+
+
 def random_queries(seed, count):
-    """(scenario, cup_indices) queries over every mode, cup subset and pull."""
+    """(scenario, cup_indices) queries over every mode, cup subset and pull,
+    radii across ``FRUIT_RADIUS_RANGE_MM`` and offsets of 0, a random
+    fraction of the radius and the radius itself (where the pads sit on the
+    axis and their tangent frame falls back to +x)."""
     rng = np.random.default_rng(seed)
+    lo, hi = wrench.FRUIT_RADIUS_RANGE_MM
     queries = []
     for i in range(count):
+        radius = float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
         scenario = GraspScenario(
-            fruit_radius=float(rng.uniform(20, 50)),
-            fruit_offset=float(rng.uniform(0, 12)),
+            fruit_radius=radius,
+            fruit_offset=(0.0, float(rng.uniform(0, radius)), radius)[i // 3 % 3],
             pull_angle=float(rng.uniform(0, 90)),
             pull_type=PullType.AXIAL if rng.random() < 0.7 else PullType.ROTATIONAL,
             mode=list(ActuationMode)[i % 3],
         )
-        cups = tuple(int(k) for k in sorted(rng.choice(3, int(rng.integers(0, 4)),
-                                                       replace=False)))
-        queries.append((scenario, cups))
+        queries.append((scenario, CUP_SUBSETS[int(rng.integers(len(CUP_SUBSETS)))]))
     return queries
+
+
+def layout_chunks(queries, size):
+    """The queries in chunks of at most ``size`` of one layout, as
+    ``predict_strengths`` groups them."""
+    groups = {}
+    for scenario, cups in queries:
+        key = (scenario.mode, 0 if scenario.mode is ActuationMode.FINGERS else len(cups))
+        groups.setdefault(key, []).append((scenario, cups))
+    return [members[i:i + size] for members in groups.values()
+            for i in range(0, len(members), size)]
 
 
 class TestBatchedPull:
@@ -605,10 +663,11 @@ class TestBatchedPull:
             if not contacts:
                 continue
             ref_cols, ref_caps, ref_owner = loop_lp_columns(contacts)
-            cols, cap_row, caps, owner = _lp_columns(contacts)
+            lp = wrench._pull_lp(contacts, Z, np.zeros(3))
+            cols, caps = lp.lp[1][0, :, :-1].T, lp.lp[4][0].tolist()
             assert cols.tobytes() == ref_cols.tobytes()
-            assert owner == ref_owner
-            assert [([j for j, r in enumerate(cap_row) if r == k], cap)
+            assert lp.owner == ref_owner
+            assert [([j for j, r in enumerate(lp.cap_row) if r == k], cap)
                     for k, cap in enumerate(caps)] == ref_caps
 
     def test_predict_strengths_match_one_at_a_time(self, monkeypatch):
@@ -618,6 +677,89 @@ class TestBatchedPull:
         got = predict_strengths(queries, model)
         ref = [predict_strength(s, model, cup_indices=cups) for s, cups in queries]
         assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+class TestStackedBuild:
+    """``predict_strengths`` places the contacts and builds the pull LPs of
+    a batch as one stack; each is the build of its query alone, byte for
+    byte (``.tobytes()``, since ``np.array_equal`` lets -0.0 == 0.0 pass)."""
+
+    @pytest.mark.parametrize("size", [1, 7, wrench.LP_BATCH])
+    def test_stacked_placement_matches_loop(self, size):
+        model = shipped_calibration()
+        for chunk in layout_chunks(random_queries(size, 300), size):
+            positions, normals, kinds = wrench._place(*map(list, zip(*chunk)))
+            for k, (scenario, cups) in enumerate(chunk):
+                ref = loop_build_contacts(scenario, model, cup_indices=cups).contacts
+                assert kinds == tuple(c.kind for c in ref)
+                assert positions[k].tobytes() == np.array([c.position for c in ref]).tobytes()
+                assert normals[k].tobytes() == np.array([c.normal for c in ref]).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 7, wrench.LP_BATCH])
+    def test_stacked_lps_match_single_builds(self, size):
+        model = shipped_calibration()
+        for chunk in layout_chunks(random_queries(size + 100, 300), size):
+            lp = wrench._strength_stack(*map(list, zip(*chunk)), model)
+            if lp is None:
+                assert not any(wrench._strength_lp(s, model, cups) for s, cups in chunk)
+                continue
+            stack = lp.refresh(model)
+            for k, (scenario, cups) in enumerate(chunk):
+                one = wrench._strength_lp(scenario, model, cups)
+                assert [a[k].tobytes() for a in stack] == [a.tobytes() for a in one]
+                cols, _, _ = loop_lp_columns(
+                    loop_build_contacts(scenario, model, cup_indices=cups).contacts)
+                assert stack[1][k, :, :-1].T.tobytes() == cols.tobytes()
+
+    def test_norm_matches_numpy(self):
+        rng = np.random.default_rng(12)
+        v = rng.normal(size=(6, 4000, 3))
+        v *= np.array([1.0, 1e-150, 1e150, 1e-310, 1e-160, 1e153])[:, None, None]
+        v[rng.random(v.shape) < 0.2] = 0.0
+        v[rng.random(v.shape) < 0.2] *= -1.0          # signed zeros among them
+        v[0, :8] = [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [5e-324, 0.0, -5e-324],
+                    [1e-308, 2e-308, -3e-308], [1e150, 1e150, 1e150], [3.0, 4.0, 0.0],
+                    [-1e-150, 1e-150, 0.0], [1.0, -0.0, 1e-300]]
+        want = np.array([[np.linalg.norm(x) for x in row] for row in v])
+        assert wrench._norm(v).tobytes() == want.tobytes()
+        want = np.array([[float(np.dot(Z, x)) for x in row] for row in v])
+        assert wrench._dot(Z, v).tobytes() == want.tobytes()
+
+    def test_offset_exceeding_radius_raises_from_batch(self):
+        model = shipped_calibration()
+        for mode in ActuationMode:
+            bad = GraspScenario(37.5, fruit_offset=40.0, mode=mode)
+            with pytest.raises(OffsetExceedsRadius):
+                predict_strength(bad, model)
+            queries = [(GraspScenario(37.5, mode=mode), (0, 1)), (bad, (0, 1))]
+            with pytest.raises(OffsetExceedsRadius, match="fruit_offset 40.0 mm exceeds"):
+                predict_strengths(queries, model)
+
+    @pytest.mark.parametrize("field,scale,message", [
+        (0, 1.0 + 1e-6, "contact position not on the sphere surface"),
+        (1, 1.0 + 1e-8, "contact normal not unit length")], ids=["position", "normal"])
+    def test_contact_checks_run_on_the_stack(self, monkeypatch, field, scale, message):
+        # one contact of the seventh query leaves the sphere or the unit
+        # sphere of normals; the whole batch is refused, as ContactSet would
+        real = wrench._place
+
+        def place(*args):
+            placed = list(real(*args))
+            placed[field][6, 2] *= scale
+            return tuple(placed)
+        monkeypatch.setattr(wrench, "_place", place)
+        queries = [(GraspScenario(float(r), mode=ActuationMode.DUAL), (0, 1, 2))
+                   for r in range(30, 40)]
+        with pytest.raises(ValueError, match=message):
+            predict_strengths(queries, shipped_calibration())
+
+    def test_cup_tension_checked_on_the_stack(self):
+        model = GraspModelParams(suction_axial=0.0)
+        scenario = GraspScenario(37.5, mode=ActuationMode.SUCTION)
+        for strength in (lambda: predict_strength(scenario, model),
+                         lambda: predict_strengths([(scenario, (0, 2))], model)):
+            with pytest.raises(ValueError, match="suction cups need positive tension"):
+                strength()
 
 
 class TestNonFinite:
