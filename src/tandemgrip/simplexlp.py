@@ -6,9 +6,12 @@ this toolkit stay tiny (tens of variables), so clarity and determinism win
 over sparse machinery.
 
 ``solve_lp_batch`` runs the same algorithm on a stack of same-shape
-problems at once: every entering choice, ratio test and row update is the
+problems at once: every entering choice, leaving row and row update is the
 scalar one applied per problem, so each result is byte-identical to
-``solve_lp`` on that problem alone.
+``solve_lp`` on that problem alone. The ratio test is one min/argmin per
+iteration over the whole stack; only a problem whose ratios lie within a
+few tolerances of each other, where the scalar scan's row order can
+matter, is scanned row by row.
 
 ``solve_from_basis`` re-solves a problem from a basis that was optimal for
 a nearby one (LP sensitivity analysis; Chvatal, *Linear Programming*, 1983,
@@ -249,7 +252,8 @@ def _pivot_batch(tab: np.ndarray, basis: np.ndarray, rows: np.ndarray,
     (rows[k], cols[k]); the other problems are left untouched."""
     k = np.arange(tab.shape[0])
     prow = tab[k, rows]
-    np.divide(prow, prow[k, cols][:, None], out=prow, where=active[:, None])
+    # x / 1.0 is x bit for bit, so inactive rows divide by 1
+    prow /= np.where(active, prow[k, cols], 1.0)[:, None]
     tab[k, rows] = prow
     factor = tab[k, :, cols]
     # like the scalar loop, rows with a zero factor are left untouched
@@ -262,6 +266,23 @@ def _pivot_batch(tab: np.ndarray, basis: np.ndarray, rows: np.ndarray,
     basis[k, rows] = np.where(active, cols, basis[k, rows])
 
 
+def _bland_scan(ratios: np.ndarray, bas: np.ndarray, eligible: np.ndarray) -> np.ndarray:
+    """The scalar loop's leaving row for each problem of a stack: the
+    min-ratio test with Bland's tie-break, row by row; -1 where no row is
+    taken. Only eligible ratios are compared, so a stack may hold any value
+    in the other entries."""
+    leave = np.full(len(ratios), -1)
+    best = np.full(len(ratios), np.inf)
+    best_var = np.full(len(ratios), -1)
+    for r in np.flatnonzero(eligible.any(axis=0)):
+        e = np.flatnonzero(eligible[:, r])
+        ratio, var, cur = ratios[e, r], bas[e, r], best[e]
+        take = (ratio < cur - _TOL) | ((np.abs(ratio - cur) <= _TOL) & (var < best_var[e]))
+        e = e[take]
+        leave[e], best[e], best_var[e] = r, ratio[take], var[take]
+    return leave
+
+
 def _bland_iterate_batch(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                          ncols: int, maxiter: np.ndarray) -> np.ndarray:
     """``_bland_iterate`` on a stack of tableaux; True where optimal,
@@ -269,11 +290,33 @@ def _bland_iterate_batch(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray,
 
     Finished problems are frozen; once they make up half of the working
     set they are written back and compacted out of it.
+
+    The ratio test is one vectorised step. Take a problem's smallest
+    eligible ratio ``rmin`` and its near set N, the eligible rows with ratio
+    <= rmin + tol/2; every other eligible ratio is either in the gap
+    (rmin + tol/2, rmin + 3 tol] or far, above it. The scalar loop scans the
+    rows in order, takes a row whose ratio is below best - tol, and breaks a
+    tie (|ratio - best| <= tol) by the smaller basis index. When the gap is
+    empty it ends on the row of N with the smallest basis index:
+      - the first row of N it meets is taken, as best is then inf or far,
+        more than 2.5 tol above it;
+      - from then on best stays in N: a far ratio is more than 2.5 tol
+        above it, so neither below it nor tied;
+      - every later row of N ties with best (they are within tol/2 of each
+        other), so the smaller basis index wins.
+    These margins hold in floating point while |rmin| <= 1e6 (< 2**20): one
+    rounding of a value there moves it by at most 2**-34 < 0.06 tol. With
+    rmin = inf no row is taken, as in the scalar loop. A problem whose gap
+    is not empty, or whose rmin is NaN, -inf or beyond 1e6 in magnitude,
+    goes through the row-by-row scan (``_bland_scan``); in campaigns that
+    is almost never. Every leaving row, and so every basis and result, is
+    the scalar one.
     """
     optimal = np.zeros(tab.shape[0], dtype=bool)
     live = np.arange(tab.shape[0])           # stack index of each working problem
     running = np.ones(live.size, dtype=bool)
     t, bas, cst = tab, basis, cost
+    big = tab.shape[2]                       # above every basis index
 
     def write_back():
         if t is not tab:
@@ -285,22 +328,20 @@ def _bland_iterate_batch(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray,
         positive = cst[:, :ncols] > _TOL
         has_enter = positive.any(axis=1)
         enter = positive.argmax(axis=1)
-        # min ratio, Bland tie-break on basis variable index, row by row as
-        # in the scalar loop
+        # min ratio, Bland tie-break on basis variable index; ineligible
+        # rows read inf and take part in no subtraction
         k = np.arange(live.size)
         column = t[k, :, enter]
         eligible = (column > _TOL) & (running & has_enter)[:, None]
-        ratios = np.divide(t[:, :, -1], column, out=np.zeros_like(column), where=eligible)
-        leave = np.full(live.size, -1)
-        best = np.full(live.size, np.inf)
-        best_var = np.full(live.size, -1)
-        for r in np.flatnonzero(eligible.any(axis=0)):
-            ratio, var = ratios[:, r], bas[:, r]
-            take = eligible[:, r] & ((ratio < best - _TOL)
-                                     | ((np.abs(ratio - best) <= _TOL) & (var < best_var)))
-            leave[take] = r
-            np.copyto(best, ratio, where=take)
-            np.copyto(best_var, var, where=take)
+        ratios = np.where(eligible, t[:, :, -1], np.inf) / np.where(eligible, column, 1.0)
+        rmin = ratios.min(axis=1)
+        near = (rmin + _TOL / 2)[:, None]
+        leave = np.where(ratios <= near, bas, big).argmin(axis=1)
+        leave[rmin == np.inf] = -1
+        gap = (ratios > near) & (ratios <= (rmin + 3 * _TOL)[:, None])
+        scan = gap.any(axis=1) | (~(np.abs(rmin) <= 1e6) & (rmin != np.inf))
+        if scan.any():
+            leave[scan] = _bland_scan(ratios[scan], bas[scan], eligible[scan])
         go = running & has_enter & (leave >= 0)
         done = running & ~go
         optimal[live[done]] = ~has_enter[done]

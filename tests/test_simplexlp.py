@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from tandemgrip import wrench
+from tandemgrip import simplexlp, wrench
 from tandemgrip.config import shipped_calibration
-from tandemgrip.picksim import DEFAULT_FIELD_STATS, run_campaign
-from tandemgrip.simplexlp import solve_from_basis, solve_lp, solve_lp_batch
+from tandemgrip.picksim import DEFAULT_FIELD_STATS, LEAF_OCCLUSION_FAIL_PROB, run_campaign
+from tandemgrip.simplexlp import _TOL, solve_from_basis, solve_lp, solve_lp_batch
 from tandemgrip.wrench import ActuationMode
 
 
@@ -107,6 +107,24 @@ def random_problem(rng, kind, n, m_eq, m_ub):
     return c, a_eq, rng.normal(size=m_eq), a_ub, rng.normal(size=m_ub)
 
 
+def tolerance_chain_problem(rng, scale, n, m_eq, m_ub):
+    """An LP whose first ratio test, on column 0, sees eligible ratios
+    ``scale`` + a chain of offsets 0.3-3.5 tol apart in shuffled row order,
+    some rows at an exact ratio 0 (b = 0), and equality rows first: their
+    artificials have the largest basis indices, so basis order runs against
+    row order."""
+    m = m_eq + m_ub
+    ratio = scale + rng.permutation(np.cumsum(rng.uniform(0.3, 3.5, m))) * _TOL
+    ratio[rng.random(m) < 0.3] = 0.0
+    a = rng.normal(size=(m, n))
+    a[:, 0] = rng.uniform(0.5, 2.0, m)
+    a[rng.random(m) < 0.15, 0] = 0.0       # a row with no ratio
+    b = ratio * a[:, 0]
+    c = rng.normal(size=n)
+    c[0] = abs(c[0]) + 0.1
+    return c, a[:m_eq], b[:m_eq], a[m_eq:], b[m_eq:]
+
+
 class TestBatch:
     @pytest.mark.parametrize("kind", ["integer", "feasible", "degenerate", "signed"])
     def test_random_stacks_match_scalar(self, kind):
@@ -134,6 +152,29 @@ class TestBatch:
             assert statuses == {"optimal", "infeasible", "unbounded"}
             assert negative_rows > 0
 
+    def test_tolerance_chains_match_scalar(self, monkeypatch):
+        scans = []
+        real = simplexlp._bland_scan
+
+        def spy(ratios, bas, eligible):
+            scans.append(len(ratios))
+            return real(ratios, bas, eligible)
+
+        monkeypatch.setattr(simplexlp, "_bland_scan", spy)
+        rng = np.random.default_rng(1977)
+        for scale in [0.0, 1.0, 10.0, 1e3, 1e5, 1e6, 3e6, 1e7]:
+            for _ in range(20):
+                n, m_eq, m_ub = int(rng.integers(2, 6)), int(rng.integers(0, 3)), int(rng.integers(2, 7))
+                stack = [tolerance_chain_problem(rng, scale, n, m_eq, m_ub) for _ in range(8)]
+                args = [np.stack([p[f] for p in stack]) for f in range(5)]
+
+                def constraints(p):
+                    return (*((p[1], p[2]) if m_eq else (None, None)), p[3], p[4])
+
+                for p, got in zip(stack, solve_lp_batch(args[0], *constraints(args))):
+                    assert_identical(got, solve_lp(p[0], *constraints(p)))
+        assert sum(scans) > 100
+
     def test_no_constraints(self):
         c = np.array([[1.0, -1.0], [-1.0, -2.0]])
         for got, ci in zip(solve_lp_batch(c), c):
@@ -151,6 +192,10 @@ class TestBatch:
 
         monkeypatch.setattr(wrench, "solve_lp_batch", spy)
         run_campaign(DEFAULT_FIELD_STATS, shipped_calibration(), mode, 300, seed=31)
+        # the benchmark's suction and fingers runs: retry rounds give smaller
+        # and odder chunks
+        run_campaign(DEFAULT_FIELD_STATS, shipped_calibration(), mode, 150, seed=32,
+                     occlusion_fail_prob=LEAF_OCCLUSION_FAIL_PROB, retries=1)
         count = 0
         for args, results in solved:
             for i, got in enumerate(results):
