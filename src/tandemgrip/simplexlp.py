@@ -13,10 +13,11 @@ iteration over the whole stack; only a problem whose ratios lie within a
 few tolerances of each other, where the scalar scan's row order can
 matter, is scanned row by row.
 
-``solve_from_basis`` re-solves a problem from a basis that was optimal for
-a nearby one (LP sensitivity analysis; Chvatal, *Linear Programming*, 1983,
-ch. 10): one factorisation of the basis matrix gives the primal and dual
-values, and the basis is accepted only if both are feasible.
+``solve_from_basis_batch`` re-solves a stack of problems, each from a basis
+that was optimal for a nearby one (LP sensitivity analysis; Chvatal, *Linear
+Programming*, 1983, ch. 10): one stacked factorisation of the basis matrices
+gives the primal and dual values, and a basis is accepted only if both are
+feasible. ``solve_from_basis`` is its one-problem case.
 """
 
 from __future__ import annotations
@@ -187,59 +188,71 @@ def solve_lp(
     return LpResult("optimal", float(c @ x[:n]), x[:n], tuple(basis))
 
 
-def solve_from_basis(
+def solve_from_basis_batch(
     c: np.ndarray,
     a_eq: np.ndarray | None,
     b_eq: np.ndarray | None,
     a_ub: np.ndarray | None,
     b_ub: np.ndarray | None,
-    basis: tuple[int, ...],
-) -> LpResult | None:
-    """``solve_lp``'s optimum from a given basis, or None if it is not one.
+    basis,
+) -> list[LpResult | None]:
+    """``solve_lp``'s optimum of each problem of a stack from a given basis, or
+    None where that basis is not optimal and the problem must be solved cold.
 
-    ``basis`` is an ``LpResult.basis``, usually of a problem with the same
-    shape and different data. In the standard form [A_eq 0; A_ub I] of this
-    problem, one inverse of the basis matrix B gives x_B = B^-1 b and the
-    duals y = c_B B^-1. The basis is accepted only if it is primal feasible
-    (x_B >= -tol) and dual feasible (every reduced cost c - y A <= tol),
-    which makes it optimal. None means the caller must solve cold: also for
-    a basis of another shape, one that still holds an artificial, or a
-    singular B.
+    The arguments carry a leading batch axis, as ``solve_lp_batch``'s do, and
+    ``basis`` holds one ``LpResult.basis`` per problem. In the standard form
+    [A_eq 0; A_ub I], one stacked inverse of the basis matrices B gives
+    x_B = B^-1 b and the duals y = c_B B^-1; a basis is accepted only if
+    x_B >= -tol and every reduced cost c - y A <= tol. A basis of another
+    length, with an artificial or with a singular B rejects only its own
+    problem. The inverse and the matmuls make one problem's LAPACK and BLAS
+    calls per problem, so each result is that of the problem alone.
     """
     c = np.asarray(c, dtype=float)
-    n = c.size
+    nb, n = c.shape
 
     def block(a_, b_):
         if a_ is None or b_ is None:
-            return np.zeros((0, n)), np.zeros(0)
-        return np.asarray(a_, dtype=float).reshape(-1, n), np.asarray(b_, dtype=float).reshape(-1)
+            a_, b_ = np.zeros((nb, 0, n)), np.zeros((nb, 0))
+        return np.asarray(a_, float).reshape(nb, -1, n), np.asarray(b_, float).reshape(nb, -1)
 
-    a_eq, b_eq = block(a_eq, b_eq)
-    a_ub, b_ub = block(a_ub, b_ub)
-    m_eq, n_slack = b_eq.size, b_ub.size
-    ncols = n + n_slack
-    a = np.zeros((m_eq + n_slack, ncols))
-    a[:m_eq, :n] = a_eq
-    a[m_eq:, :n] = a_ub
-    a[m_eq:, n:] = np.eye(n_slack)
-    b = np.concatenate([b_eq, b_ub])
-    basis = np.asarray(basis, dtype=int)
-    if basis.size != b.size or b.size == 0 or basis.max() >= ncols:
-        return None
+    (a_eq, b_eq), (a_ub, b_ub) = block(a_eq, b_eq), block(a_ub, b_ub)
+    m_eq, n_slack = b_eq.shape[1], b_ub.shape[1]
+    m, ncols = m_eq + n_slack, n + n_slack
+    a = np.zeros((nb, m, ncols))
+    a[:, :, :n] = np.concatenate([a_eq, a_ub], axis=1)
+    a[:, m_eq:, n:] = np.eye(n_slack)
+    b = np.concatenate([b_eq, b_ub], axis=1)
+    # a rejected basis reads column 0 and gets B = I: no index out of range, no singular stack
+    ok = np.array([len(bk) == m > 0 and 0 <= min(bk) <= max(bk) < ncols for bk in basis], bool)
+    bas = np.array([bk if good else [0] * m for bk, good in zip(basis, ok)], int).reshape(nb, m)
+    k = np.arange(nb)[:, None]
+    mat = a[k, :, bas].transpose(0, 2, 1)   # the basis columns of each problem
+    mat[~ok] = np.eye(m)
     try:
-        b_inv = np.linalg.inv(a[:, basis])
-    except np.linalg.LinAlgError:
-        return None
-    x_b = b_inv @ b
-    cost = np.zeros(ncols)
-    cost[:n] = c
-    reduced = cost - (cost[basis] @ b_inv) @ a
+        b_inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:   # a singular B: invert each problem alone
+        b_inv = np.empty((nb, m, m))   # C order, as the stacked inverse returns it
+        for i in range(nb):
+            try:
+                b_inv[i] = np.linalg.inv(mat[i])
+            except np.linalg.LinAlgError:
+                b_inv[i], ok[i] = np.eye(m), False
+    x_b = (b_inv @ b[:, :, None])[:, :, 0]
+    cost = np.concatenate([c, np.zeros((nb, n_slack))], axis=1)
+    reduced = cost - ((cost[k, bas][:, None] @ b_inv) @ a)[:, 0]
     # (NaN fails both tests)
-    if not (np.all(x_b >= -_TOL) and np.all(reduced <= _TOL)):
-        return None
-    x = np.zeros(ncols)
-    x[basis] = x_b
-    return LpResult("optimal", float(c @ x[:n]), x[:n], tuple(basis.tolist()))
+    ok &= np.all(x_b >= -_TOL, axis=1) & np.all(reduced <= _TOL, axis=1)
+    x = np.zeros((nb, ncols))
+    x[k, bas] = x_b
+    return [LpResult("optimal", float(c[i] @ x[i, :n]), x[i, :n], tuple(bas[i].tolist()))
+            if ok[i] else None for i in range(nb)]
+
+
+def solve_from_basis(c, a_eq, b_eq, a_ub, b_ub, basis: tuple[int, ...]) -> LpResult | None:
+    """``solve_from_basis_batch`` for one problem."""
+    return solve_from_basis_batch(*(None if v is None else np.asarray(v, dtype=float)[None]
+                                    for v in (c, a_eq, b_eq, a_ub, b_ub)), [basis])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     require_finite,
 )
-from .simplexlp import solve_from_basis, solve_lp, solve_lp_batch
+from .simplexlp import solve_from_basis_batch, solve_lp, solve_lp_batch
 
 _Z = np.array([0.0, 0.0, 1.0])
 
@@ -506,29 +506,11 @@ def pull_wrench_for(scenario: GraspScenario) -> tuple[np.ndarray, np.ndarray]:
     return d, np.zeros(3)
 
 
-def _strength_geometry(scenario: GraspScenario, model: GraspModelParams,
-                       cup_indices: tuple[int, ...] = (0, 1, 2)) -> _PullLp | None:
-    """The geometry step of a strength query's pull LP (a stack of one), or
-    None when no contact is present (strength 0). ``model`` only has to be
-    one that ``build_contacts`` accepts; ``refresh`` sets the parameters."""
-    contacts = build_contacts(scenario, model, DEFAULT_CONE_SIDES, cup_indices)
-    if not contacts.contacts:
-        return None
-    return _pull_lp(contacts.contacts, *_pull_inputs(*pull_wrench_for(scenario)))
-
-
-def _strength_lp(scenario: GraspScenario, model: GraspModelParams,
-                 cup_indices: tuple[int, ...] = (0, 1, 2)):
-    """The pull LP (c, a_eq, b_eq, a_ub, b_ub) of a strength query, or None
-    when no contact is present (strength 0)."""
-    lp = _strength_geometry(scenario, model, cup_indices)
-    return None if lp is None else tuple(a[0] for a in lp.refresh(model))
-
-
 def _strength_stack(scenarios: list[GraspScenario], cup_indices: list[tuple[int, ...]],
                     model: GraspModelParams) -> _PullLp | None:
-    """``_strength_geometry`` of B queries of one layout as one stack, with
-    no ``Contact`` objects but ``ContactSet``'s checks."""
+    """The geometry step of B strength queries' pull LPs, of one layout, as one
+    stack (no ``Contact`` objects, but ``ContactSet``'s checks), or None when
+    no contact is present (strength 0). ``refresh`` sets the parameters."""
     positions, normals, kinds = _place(scenarios, cup_indices)
     if not kinds:
         return None
@@ -716,13 +698,13 @@ def calibrate(
     (marked approximate in the dataset) from the loss.
 
     A row's geometry is fixed; between two evaluations only ``mu_pad`` and
-    the capacities move. So each fitted row's contact set and pull LP are
-    built once, at the row's first evaluation, and every later evaluation
-    rewrites only the pad columns and the capacities of that LP in place.
-    The LP first tries the optimal basis of the row's previous solve
-    (``solve_from_basis``) and solves cold only when it no longer holds. The
-    residuals are cold ``predict_strength`` values at the fitted point, and
-    the reported error is the loss over the fitted rows' residuals.
+    the capacities move. So the fitted rows of each layout (mode) are one
+    pull-LP stack, built at the first evaluation; every later evaluation
+    rewrites its pad columns and capacities in place and solves it from its
+    rows' previous bases with one stacked inverse (``solve_from_basis_batch``),
+    solving a row cold only when its basis no longer holds. The residuals are
+    one cold ``predict_strengths`` pass at the fitted point, and the reported
+    error is the loss over the fitted rows' residuals.
     """
     if not reference.rows:
         raise ValueError("reference measurements must be nonempty")
@@ -737,20 +719,27 @@ def calibrate(
             return None
         return GraspModelParams(pad, mu, suc, kap)
 
-    # row index -> the row's pull LP, its arrays (refreshed in place), last cold basis
-    row_lps: dict[int, tuple[_PullLp, tuple, tuple[int, ...] | None]] = {}
+    layouts: dict[ActuationMode, list[int]] = {}
+    for i, row in enumerate(rows):
+        layouts.setdefault(row.scenario.mode, []).append(i)
+    # layout -> its rows' pull-LP stack and each row's last cold basis
+    stacks: dict[ActuationMode, tuple[_PullLp, list[tuple[int, ...]]]] = {}
 
-    def warm_strength(i: int, params: GraspModelParams) -> float:
-        if i not in row_lps:
-            pull_lp = _strength_geometry(rows[i].scenario, params)
-            row_lps[i] = pull_lp, tuple(a[0] for a in pull_lp.lp), None
-        pull_lp, lp, basis = row_lps[i]
-        pull_lp.refresh(params)
-        res = None if basis is None else solve_from_basis(*lp, basis)
-        if res is None:
-            res = solve_lp(*lp)
-            row_lps[i] = pull_lp, lp, res.basis
-        return _alpha(res)
+    def strengths(params: GraspModelParams) -> list[float]:
+        preds = [0.0] * len(rows)
+        for mode, members in layouts.items():
+            if mode not in stacks:
+                scenarios = [rows[i].scenario for i in members]
+                stacks[mode] = (_strength_stack(scenarios, [(0, 1, 2)] * len(members), params),
+                                [()] * len(members))
+            stack, bases = stacks[mode]
+            lp = stack.refresh(params)
+            for k, res in enumerate(solve_from_basis_batch(*lp, bases)):
+                if res is None:
+                    res = solve_lp(*(a[k] for a in lp))
+                    bases[k] = res.basis
+                preds[members[k]] = _alpha(res)
+        return preds
 
     def loss(preds) -> float:
         err = 0.0
@@ -762,7 +751,7 @@ def calibrate(
         params = unpack(x)
         if params is None:
             return 1e9
-        return loss([warm_strength(i, params) for i in range(len(rows))])
+        return loss(strengths(params))
 
     x0 = np.array([initial.pad_force, initial.mu_pad, initial.suction_axial,
                    initial.shear_fraction])
@@ -771,12 +760,10 @@ def calibrate(
     if fitted is None:
         raise CalibrationDiverged("search left the admissible parameter region")
 
-    residuals = []
-    for row in reference.rows:
-        pred = predict_strength(row.scenario, fitted)
-        residuals.append(ResidualRow(scenario=row.scenario, measured=row.strength,
-                                     predicted=pred,
-                                     rel_error=(pred - row.strength) / row.strength))
+    preds = predict_strengths([(row.scenario, (0, 1, 2)) for row in reference.rows], fitted)
+    residuals = [ResidualRow(scenario=row.scenario, measured=row.strength, predicted=pred,
+                             rel_error=(pred - row.strength) / row.strength)
+                 for row, pred in zip(reference.rows, preds)]
     fitted_rows = list(compress(residuals, fit))
     mean_abs = float(np.mean([abs(r.rel_error) for r in fitted_rows]))
     if mean_abs >= 0.5:

@@ -1,15 +1,23 @@
 """Dense simplex solver vs known solutions and an independent solver; the
-batched solver vs the scalar one, byte for byte."""
+batched solver vs the scalar one, and the stacked basis solve vs a
+one-problem reference, byte for byte."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from tandemgrip import simplexlp, wrench
-from tandemgrip.config import shipped_calibration
+from tandemgrip.config import data_text, shipped_calibration
 from tandemgrip.picksim import DEFAULT_FIELD_STATS, LEAF_OCCLUSION_FAIL_PROB, run_campaign
-from tandemgrip.simplexlp import _TOL, solve_from_basis, solve_lp, solve_lp_batch
-from tandemgrip.wrench import ActuationMode
+from tandemgrip.simplexlp import (
+    _TOL,
+    LpResult,
+    solve_from_basis,
+    solve_from_basis_batch,
+    solve_lp,
+    solve_lp_batch,
+)
+from tandemgrip.wrench import ActuationMode, GraspModelParams
 
 
 class TestKnownProblems:
@@ -216,6 +224,10 @@ class TestSolveFromBasis:
                 args = (c, *((a_eq, b_eq) if m_eq else (None, None)), a_ub, b_ub)
                 cold = solve_lp(*args)
                 warm = solve_from_basis(*args, cold.basis)
+                want = reference_solve_from_basis(*args, cold.basis)
+                assert (warm is None) == (want is None)
+                if want is not None:
+                    assert_identical(warm, want)
                 if cold.status != "optimal" or max(cold.basis) >= n + m_ub:
                     # unbounded, infeasible, or an artificial left in the basis
                     assert warm is None
@@ -253,3 +265,112 @@ class TestSolveFromBasis:
                                np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([4.0, 8.0]),
                                (0, 1))
         assert res is None
+
+
+def reference_solve_from_basis(c, a_eq, b_eq, a_ub, b_ub, basis):
+    """Reference basis solve: one problem, one inverse of its basis matrix."""
+    c = np.asarray(c, dtype=float)
+    n = c.size
+
+    def block(a_, b_):
+        if a_ is None or b_ is None:
+            return np.zeros((0, n)), np.zeros(0)
+        return np.asarray(a_, dtype=float).reshape(-1, n), np.asarray(b_, dtype=float).reshape(-1)
+
+    a_eq, b_eq = block(a_eq, b_eq)
+    a_ub, b_ub = block(a_ub, b_ub)
+    m_eq, n_slack = b_eq.size, b_ub.size
+    ncols = n + n_slack
+    a = np.zeros((m_eq + n_slack, ncols))
+    a[:m_eq, :n] = a_eq
+    a[m_eq:, :n] = a_ub
+    a[m_eq:, n:] = np.eye(n_slack)
+    b = np.concatenate([b_eq, b_ub])
+    basis = np.asarray(basis, dtype=int)
+    if basis.size != b.size or b.size == 0 or basis.max() >= ncols:
+        return None
+    try:
+        b_inv = np.linalg.inv(a[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    x_b = b_inv @ b
+    cost = np.zeros(ncols)
+    cost[:n] = c
+    reduced = cost - (cost[basis] @ b_inv) @ a
+    if not (np.all(x_b >= -_TOL) and np.all(reduced <= _TOL)):
+        return None
+    x = np.zeros(ncols)
+    x[basis] = x_b
+    return LpResult("optimal", float(c @ x[:n]), x[:n], tuple(basis.tolist()))
+
+
+def calibration_stacks():
+    """One pull-LP stack per layout of the shipped reference rows, as
+    ``calibrate`` builds them."""
+    rows = wrench.reference_from_csv(data_text("grasp_reference.csv")).rows
+    stacks = {}
+    for mode in ActuationMode:
+        scenarios = [r.scenario for r in rows if r.scenario.mode is mode]
+        stacks[mode] = wrench._strength_stack(scenarios, [(0, 1, 2)] * len(scenarios),
+                                              shipped_calibration())
+    return stacks
+
+
+def random_params(rng):
+    return np.array([rng.uniform(2.0, 30.0), rng.uniform(0.05, 2.0),
+                     rng.uniform(0.5, 10.0), rng.uniform(0.05, 1.0)])
+
+
+def as_params(x):
+    return GraspModelParams(*(float(v) for v in x))
+
+
+class TestSolveFromBasisBatch:
+    """``solve_from_basis_batch`` equals the one-problem reference on every
+    problem of a stack: the same None pattern and the same bytes."""
+
+    def test_calibration_stacks_match_reference(self):
+        rng = np.random.default_rng(2024)
+        accepted = rejected = 0
+        for stack in calibration_stacks().values():
+            for _ in range(12):
+                # the bases of a point, tried at a neighbour of it
+                x = random_params(rng)
+                lp = stack.refresh(as_params(x))
+                bases = [solve_lp(*(a[k] for a in lp)).basis for k in range(len(lp[0]))]
+                step = rng.choice([1e-3, 0.03, 0.3])
+                y = x * (1.0 + step * rng.uniform(-1.0, 1.0, 4))
+                y[3] = min(y[3], 1.0)
+                lp = stack.refresh(as_params(y))
+                got = solve_from_basis_batch(*lp, bases)
+                assert len(got) == len(bases)
+                for k, res in enumerate(got):
+                    want = reference_solve_from_basis(*(a[k] for a in lp), bases[k])
+                    assert (res is None) == (want is None)
+                    if want is None:
+                        rejected += 1
+                        continue
+                    assert_identical(res, want)
+                    accepted += 1
+        assert accepted > 100 and rejected > 10
+
+    def test_bad_problems_fail_alone(self):
+        # a singular basis matrix, an artificial in the basis, a basis of
+        # another length and NaN data, among good problems of one stack
+        stack = calibration_stacks()[ActuationMode.DUAL]
+        lp = tuple(a.copy() for a in stack.refresh(shipped_calibration()))
+        bases = [list(solve_lp(*(a[k] for a in lp)).basis) for k in range(len(lp[0]))]
+        ncols = lp[0].shape[1] + lp[4].shape[1]
+        bases[1][1] = bases[1][0]
+        bases[3][2] = ncols + 1
+        bases[5] = bases[5][:-1]
+        lp[1][7, 0, bases[7][0]] = np.nan
+        bad = {1, 3, 5, 7}
+        got = solve_from_basis_batch(*lp, bases)
+        for k, res in enumerate(got):
+            want = reference_solve_from_basis(*(a[k] for a in lp), bases[k])
+            if k in bad:
+                assert res is None and want is None, k
+            else:
+                assert_identical(res, want)
+        assert sum(res is not None for res in got) == len(got) - len(bad)

@@ -323,17 +323,19 @@ class TestCalibration:
 
     def test_one_cold_strength_per_reference_row(self, monkeypatch):
         # the search runs warm; only the residual pass solves cold, once per
-        # row of the dataset, fitted or not
-        calls = []
-        real = wrench.predict_strength
+        # row of the dataset, fitted or not, in one predict_strengths call
+        calls, single = [], []
+        real = wrench.predict_strengths
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
-        monkeypatch.setattr(wrench, "predict_strength", counted)
+        def counted(queries, model):
+            calls.append([scenario for scenario, _ in queries])
+            return real(queries, model)
+        monkeypatch.setattr(wrench, "predict_strengths", counted)
+        monkeypatch.setattr(wrench, "predict_strength", lambda *args: single.append(args))
         reference = reference_from_csv(data_text("grasp_reference.csv"))
         calibrate(reference, authoritative_only=True)
-        assert calls == [r.scenario for r in reference.rows]
+        assert calls == [[r.scenario for r in reference.rows]]
+        assert single == []
 
 
 def search_objectives():
@@ -427,27 +429,39 @@ def assert_same_fit(result, cold):
     assert np.float64(result.mean_sq_rel_error).tobytes() == np.float64(cold.fun).tobytes()
 
 
+def _strength_lp(scenario, model, cup_indices=(0, 1, 2)):
+    """Single-build oracle: the pull LP (c, a_eq, b_eq, a_ub, b_ub) of one
+    strength query, built from its own ``Contact`` objects, or None when no
+    contact is present."""
+    contacts = build_contacts(scenario, model, wrench.DEFAULT_CONE_SIDES, cup_indices).contacts
+    if not contacts:
+        return None
+    lp = wrench._pull_lp(contacts, *wrench._pull_inputs(*pull_wrench_for(scenario)))
+    return tuple(a[0] for a in lp.refresh(model))
+
+
 class TestWarmCalibration:
-    """``calibrate`` restarts each row's LP from its previous optimal basis;
-    its fit is still the cold fit, byte for byte."""
+    """``calibrate`` restarts each layout's stack of LPs from their previous
+    optimal bases; its fit is still the cold fit, byte for byte."""
 
     @pytest.fixture(scope="class")
     def authoritative_fit(self):
         """The 13-row fit, with every warm-started LP also solved cold."""
         calls, gaps = [], []
-        real = wrench.solve_from_basis
+        real = wrench.solve_from_basis_batch
 
         def checked(*args):
-            warm = real(*args)
-            calls.append(warm is not None)
-            if warm is not None:
-                alpha = solve_lp(*args[:5]).x[-1]
-                gaps.append(abs(warm.x[-1] - alpha) / max(1.0, alpha))
-            return warm
+            results = real(*args)
+            for k, warm in enumerate(results):
+                calls.append(warm is not None)
+                if warm is not None:
+                    alpha = solve_lp(*(a[k] for a in args[:5])).x[-1]
+                    gaps.append(abs(warm.x[-1] - alpha) / max(1.0, alpha))
+            return results
 
         reference = reference_from_csv(data_text("grasp_reference.csv"))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wrench, "solve_from_basis", checked)
+            mp.setattr(wrench, "solve_from_basis_batch", checked)
             result = calibrate(reference, authoritative_only=True)
         return reference, result, calls, gaps
 
@@ -464,10 +478,20 @@ class TestWarmCalibration:
         reference = reference_from_csv(data_text("grasp_reference.csv"))
         assert_same_fit(fresh_calibration, cold_fit(reference.rows))
 
+    def test_residuals_are_cold_strengths(self, fresh_calibration):
+        reference = reference_from_csv(data_text("grasp_reference.csv"))
+        assert len(fresh_calibration.residuals) == len(reference.rows) == 27
+        for row, r in zip(reference.rows, fresh_calibration.residuals):
+            pred = predict_strength(row.scenario, fresh_calibration.params)
+            assert r.scenario == row.scenario
+            assert np.float64(r.predicted).tobytes() == np.float64(pred).tobytes()
+            rel = (pred - row.strength) / row.strength
+            assert np.float64(r.rel_error).tobytes() == np.float64(rel).tobytes()
+
 
 class TestRowLps:
-    """``calibrate`` builds each fitted row's pull LP once and then rewrites
-    only its pad columns and capacities."""
+    """``calibrate`` builds each layout's fitted rows as one pull-LP stack
+    once and then rewrites only its pad columns and capacities."""
 
     def test_refreshed_lps_equal_fresh_builds(self, monkeypatch):
         reference = reference_from_csv(data_text("grasp_reference.csv"))
@@ -476,18 +500,20 @@ class TestRowLps:
                             rng.uniform(0.5, 10.0), rng.uniform(0.05, 1.0)])
                   for _ in range(6)]
         point = [None]   # index of the point under evaluation
-        solved = []      # (point, how, the LP's bytes) of every solve
+        stacked, cold = [], []   # (point, the LP's bytes) of every stacked row, cold solve
 
-        def record(real, warm):
-            def solve(*args):
-                res = real(*args)
-                if warm:
-                    how = "warm" if res is not None else "warm failed"
-                else:   # a cold solve after a failed warm one solves the same LP
-                    how = "again" if solved and solved[-1][1] == "warm failed" else "cold"
-                solved.append((point[0], how, tuple(a.tobytes() for a in args[:5])))
-                return res
-            return solve
+        def lp_bytes(lp):
+            return tuple(a.tobytes() for a in lp)
+
+        def spy_batch(*args):
+            results = real_batch(*args)
+            stacked.extend((point[0], lp_bytes(a[k] for a in args[:5]))
+                           for k in range(len(results)))
+            return results
+
+        def spy_cold(*args):
+            cold.append((point[0], lp_bytes(args)))
+            return real_cold(*args)
 
         def visit(fun, x0, **options):
             # the search visits the points in turn; the fit ends at the
@@ -501,21 +527,28 @@ class TestRowLps:
                 x=np.array([p.pad_force, p.mu_pad, p.suction_axial, p.shear_fraction]),
                 fun=0.0, nit=1)
 
-        monkeypatch.setattr(wrench, "solve_from_basis", record(wrench.solve_from_basis, True))
-        monkeypatch.setattr(wrench, "solve_lp", record(wrench.solve_lp, False))
+        real_batch, real_cold = wrench.solve_from_basis_batch, wrench.solve_lp
+        monkeypatch.setattr(wrench, "solve_from_basis_batch", spy_batch)
+        monkeypatch.setattr(wrench, "solve_lp", spy_cold)
         monkeypatch.setattr(wrench, "minimize", visit)
         calibrate(reference)
-        assert {how for _, how, _ in solved} >= {"warm", "cold"}
+        assert len(cold) < len(stacked) == len(points) * len(reference.rows)
         for k, x in enumerate(points):
-            got = [lp for p, how, lp in solved if p == k and how != "again"]
             params = GraspModelParams(*(float(v) for v in x))
-            want = [tuple(a.tobytes() for a in wrench._strength_lp(row.scenario, params))
-                    for row in reference.rows]
-            assert got == want, k
+            want = [lp_bytes(_strength_lp(row.scenario, params)) for row in reference.rows]
+            got = [lp for p, lp in stacked if p == k]
+            assert sorted(got) == sorted(want), k
+            solved_cold = [lp for p, lp in cold if p == k]
+            assert solved_cold and all(lp in want for lp in solved_cold), k
 
-    def test_one_contact_build_per_row_in_the_search(self, monkeypatch):
+    def test_one_stack_per_layout_in_the_search(self, monkeypatch):
         reference = reference_from_csv(data_text("grasp_reference.csv"))
-        searching, built = [False], []
+        searching, stacks, built = [False], [], []
+
+        def stack(scenarios, cup_indices, model):
+            if searching[0]:
+                stacks.append((scenarios, cup_indices))
+            return real_stack(scenarios, cup_indices, model)
 
         def counted(*args, **kwargs):
             if searching[0]:
@@ -529,13 +562,21 @@ class TestRowLps:
             finally:
                 searching[0] = False
 
-        real_build, real_minimize = wrench.build_contacts, wrench.minimize
+        real_stack, real_build = wrench._strength_stack, wrench.build_contacts
+        real_minimize = wrench.minimize
+        monkeypatch.setattr(wrench, "_strength_stack", stack)
         monkeypatch.setattr(wrench, "build_contacts", counted)
         monkeypatch.setattr(wrench, "minimize", search)
         calibrate(reference, authoritative_only=True)
         rows = [r.scenario for r in reference.rows if r.authoritative]
         assert len(rows) == 13
-        assert built == rows
+        assert sorted(len(s) for s, _ in stacks) == [3, 4, 6]
+        modes = [{s.mode for s in scenarios} for scenarios, _ in stacks]
+        assert all(len(m) == 1 for m in modes) and set.union(*modes) == set(ActuationMode)
+        assert all(cups == [(0, 1, 2)] * len(s) for s, cups in stacks)
+        placed = [s for scenarios, _ in stacks for s in scenarios]
+        assert sorted(placed, key=repr) == sorted(rows, key=repr)
+        assert built == []
 
 
 def loop_build_contacts(scenario, model, cone_sides=wrench.DEFAULT_CONE_SIDES,
@@ -701,11 +742,11 @@ class TestStackedBuild:
         for chunk in layout_chunks(random_queries(size + 100, 300), size):
             lp = wrench._strength_stack(*map(list, zip(*chunk)), model)
             if lp is None:
-                assert not any(wrench._strength_lp(s, model, cups) for s, cups in chunk)
+                assert not any(_strength_lp(s, model, cups) for s, cups in chunk)
                 continue
             stack = lp.refresh(model)
             for k, (scenario, cups) in enumerate(chunk):
-                one = wrench._strength_lp(scenario, model, cups)
+                one = _strength_lp(scenario, model, cups)
                 assert [a[k].tobytes() for a in stack] == [a.tobytes() for a in one]
                 cols, _, _ = loop_lp_columns(
                     loop_build_contacts(scenario, model, cup_indices=cups).contacts)
