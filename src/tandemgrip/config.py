@@ -49,12 +49,7 @@ class GripperConfig:
             )
             tr = d["travel"]
             travel = TravelRange(x_min=float(tr["x_min_mm"]), x_max=float(tr["x_max_mm"]))
-            gm = d["grasp_model"]
-            grasp_model = GraspModelParams(
-                pad_force=float(gm["pad_force_N"]), mu_pad=float(gm["mu_pad"]),
-                suction_axial=float(gm["suction_axial_N"]),
-                shear_fraction=float(gm["shear_fraction"]),
-            )
+            grasp_model = GraspModelParams.from_dict(d["grasp_model"])
             cam_ref = d.get("cam", "default")
             if cam_ref == "default":
                 cam = None

@@ -5,13 +5,17 @@ two-phase dense tableau with Bland's anti-cycling rule. Problem sizes in
 this toolkit stay tiny (tens of variables), so clarity and determinism win
 over sparse machinery.
 
-``solve_lp_batch`` runs the same algorithm on a stack of same-shape
-problems at once: every entering choice, leaving row and row update is the
-scalar one applied per problem, so each result is byte-identical to
-``solve_lp`` on that problem alone. The ratio test is one min/argmin per
-iteration over the whole stack; only a problem whose ratios lie within a
-few tolerances of each other, where the scalar scan's row order can
-matter, is scanned row by row.
+There is one two-phase driver, a scalar kernel and a stacked kernel. The
+driver (``_solve``) builds the tableaux of a stack of same-shape problems,
+runs both phases and reads off the results; a kernel is the Bland
+iteration and the pivot it runs them with. ``solve_lp`` is the driver on a
+stack of one problem with the scalar kernel (``_bland_iterate``,
+``_pivot``). ``solve_lp_batch`` runs the stacked kernel: every entering
+choice, leaving row and row update is the scalar one applied per problem,
+so each result is byte-identical to ``solve_lp`` on that problem alone. Its
+ratio test is one min/argmin per iteration over the whole stack; only a
+problem whose ratios lie within a few tolerances of each other, where the
+scalar scan's row order can matter, is scanned row by row.
 
 ``solve_from_basis_batch`` re-solves a stack of problems, each from a basis
 that was optimal for a nearby one (LP sensitivity analysis; Chvatal, *Linear
@@ -46,9 +50,13 @@ class LpResult:
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and abs(tab[r, col]) > 0.0:
-            tab[r] -= tab[r, col] * tab[row]
+    # one update of every other row with a non-zero factor: the pivot row
+    # does not change meanwhile, so each row gets the update it gets alone
+    factor = tab[:, col]
+    touch = np.abs(factor) > 0.0
+    touch[row] = False
+    rows = np.flatnonzero(touch)
+    tab[rows] -= factor[rows, None] * tab[row]
     basis[row] = col
 
 
@@ -85,6 +93,40 @@ def _bland_iterate(tab: np.ndarray, basis: list[int], cost: np.ndarray,
     )
 
 
+def _iterate_one(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray, ncols: int,
+                 maxiter: np.ndarray) -> np.ndarray:
+    """``_bland_iterate`` with ``_bland_iterate_batch``'s arguments, on a
+    stack of one problem."""
+    bas = basis[0].tolist()
+    status = _bland_iterate(tab[0], bas, cost[0], ncols, int(maxiter[0]))
+    basis[0] = bas
+    return np.array([status == "optimal"])
+
+
+def _pivot_one(tab: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               active: np.ndarray) -> None:
+    """``_pivot`` with ``_pivot_batch``'s arguments, on a stack of one problem."""
+    if active[0]:
+        _pivot(tab[0], basis[0], int(rows[0]), int(cols[0]))
+
+
+def _one(*args) -> list:
+    """One problem's arguments as a stack of one; None stays None."""
+    return [None if v is None else np.asarray(v, dtype=float)[None] for v in args]
+
+
+def _block(a, b, nb: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One constraint block of a stack of ``nb`` problems in ``n`` variables
+    as (nb, m, n) rows and (nb, m) right-hand sides. A block that lacks
+    either part has no rows, and ``b`` sets the row count."""
+    if a is None or b is None:
+        return np.zeros((nb, 0, n)), np.zeros((nb, 0))
+    b = np.asarray(b, dtype=float).reshape(nb, -1)
+    # (with no variables the row count of ``a`` cannot be inferred)
+    a = np.asarray(a, dtype=float).reshape(nb, -1, n) if n else np.zeros((nb, b.shape[1], 0))
+    return a[:, :b.shape[1]], b
+
+
 def solve_lp(
     c: np.ndarray,
     a_eq: np.ndarray | None = None,
@@ -93,99 +135,7 @@ def solve_lp(
     b_ub: np.ndarray | None = None,
 ) -> LpResult:
     """Maximize c.x with equality/inequality constraints and x >= 0."""
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    rows = []
-    rhs = []
-    n_slack = 0
-    slack_of_row = []
-    if a_eq is not None and len(np.atleast_1d(b_eq)) > 0:
-        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-        for i, bi in enumerate(np.atleast_1d(np.asarray(b_eq, dtype=float))):
-            rows.append(a_eq[i].copy())
-            rhs.append(float(bi))
-            slack_of_row.append(-1)
-    if a_ub is not None and len(np.atleast_1d(b_ub)) > 0:
-        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        for i, bi in enumerate(np.atleast_1d(np.asarray(b_ub, dtype=float))):
-            rows.append(a_ub[i].copy())
-            rhs.append(float(bi))
-            slack_of_row.append(n_slack)
-            n_slack += 1
-    m = len(rows)
-    if m == 0:
-        # unconstrained beyond x >= 0: bounded only if no positive cost
-        if np.any(c > _TOL):
-            return LpResult("unbounded", np.inf, np.zeros(n), ())
-        return LpResult("optimal", 0.0, np.zeros(n), ())
-
-    ncols = n + n_slack
-    tab = np.zeros((m, ncols + m + 1))
-    basis = [-1] * m
-    need_artificial = []
-    for r in range(m):
-        a = rows[r]
-        b = rhs[r]
-        sl = slack_of_row[r]
-        sign = 1.0
-        if b < 0.0:
-            sign = -1.0
-            b = -b
-            a = -a
-        tab[r, :n] = a
-        if sl >= 0:
-            tab[r, n + sl] = sign
-        tab[r, -1] = b
-        if sl >= 0 and sign > 0:
-            basis[r] = n + sl
-        else:
-            need_artificial.append(r)
-
-    # phase 1: artificial columns for rows lacking a basic variable
-    art_cols = []
-    for r in need_artificial:
-        col = ncols + len(art_cols)
-        tab[r, col] = 1.0
-        basis[r] = col
-        art_cols.append(col)
-    total_cols = ncols + len(art_cols)
-    work = tab[:, list(range(total_cols)) + [-1]].copy()
-
-    maxiter = 200 * (total_cols + m + 1)
-    if art_cols:
-        cost1 = np.zeros(total_cols + 1)
-        for col in art_cols:
-            cost1[col] = -1.0
-        for r in range(m):
-            if basis[r] in art_cols:
-                cost1 += work[r]   # price out the basic artificials
-        status = _bland_iterate(work, basis, cost1, ncols, maxiter)
-        if status != "optimal" or cost1[-1] > 1e-7:
-            return LpResult("infeasible", np.nan, np.full(n, np.nan), tuple(basis))
-        # drive leftover zero-value artificials out of the basis
-        for r in range(m):
-            if basis[r] >= ncols:
-                for j in range(ncols):
-                    if abs(work[r, j]) > _TOL:
-                        _pivot(work, basis, r, j)
-                        break
-
-    # phase 2
-    cost2 = np.zeros(total_cols + 1)
-    cost2[:n] = c
-    for col in art_cols:
-        cost2[col] = -1e18  # never re-enter
-    for r in range(m):
-        cost2 -= cost2[basis[r]] * work[r]
-    status = _bland_iterate(work, basis, cost2, ncols, maxiter)
-    if status == "unbounded":
-        return LpResult("unbounded", np.inf, np.full(n, np.nan), tuple(basis))
-
-    x = np.zeros(total_cols)
-    for r in range(m):
-        if basis[r] < total_cols:
-            x[basis[r]] = work[r, -1]
-    return LpResult("optimal", float(c @ x[:n]), x[:n], tuple(basis))
+    return _solve(*_one(c, a_eq, b_eq, a_ub, b_ub), _iterate_one, _pivot_one)[0]
 
 
 def solve_from_basis_batch(
@@ -211,12 +161,7 @@ def solve_from_basis_batch(
     c = np.asarray(c, dtype=float)
     nb, n = c.shape
 
-    def block(a_, b_):
-        if a_ is None or b_ is None:
-            a_, b_ = np.zeros((nb, 0, n)), np.zeros((nb, 0))
-        return np.asarray(a_, float).reshape(nb, -1, n), np.asarray(b_, float).reshape(nb, -1)
-
-    (a_eq, b_eq), (a_ub, b_ub) = block(a_eq, b_eq), block(a_ub, b_ub)
+    (a_eq, b_eq), (a_ub, b_ub) = _block(a_eq, b_eq, nb, n), _block(a_ub, b_ub, nb, n)
     m_eq, n_slack = b_eq.shape[1], b_ub.shape[1]
     m, ncols = m_eq + n_slack, n + n_slack
     a = np.zeros((nb, m, ncols))
@@ -251,8 +196,7 @@ def solve_from_basis_batch(
 
 def solve_from_basis(c, a_eq, b_eq, a_ub, b_ub, basis: tuple[int, ...]) -> LpResult | None:
     """``solve_from_basis_batch`` for one problem."""
-    return solve_from_basis_batch(*(None if v is None else np.asarray(v, dtype=float)[None]
-                                    for v in (c, a_eq, b_eq, a_ub, b_ub)), [basis])[0]
+    return solve_from_basis_batch(*_one(c, a_eq, b_eq, a_ub, b_ub), [basis])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +316,94 @@ def _bland_iterate_batch(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray,
                     where=running[:, None])
 
 
+def _solve(c, a_eq, b_eq, a_ub, b_ub, iterate, pivot) -> list[LpResult]:
+    """The two-phase method on a stack of same-shape problems, with the
+    kernel ``iterate`` and ``pivot`` (the arguments and results of
+    ``_bland_iterate_batch`` and ``_pivot_batch``)."""
+    c = np.asarray(c, dtype=float)
+    nb, n = c.shape
+    (a_eq, b_eq), (a_ub, b_ub) = _block(a_eq, b_eq, nb, n), _block(a_ub, b_ub, nb, n)
+    n_eq, n_slack = b_eq.shape[1], b_ub.shape[1]
+    m = n_eq + n_slack
+    if m == 0:
+        # unconstrained beyond x >= 0: bounded only if no positive cost
+        return [LpResult("unbounded", np.inf, np.zeros(n), ()) if np.any(ci > _TOL)
+                else LpResult("optimal", 0.0, np.zeros(n), ()) for ci in c]
+
+    # rows whose rhs is negative are negated; those rows and the equality
+    # rows need an artificial variable
+    b = np.concatenate([b_eq, b_ub], axis=1)
+    neg = b < 0.0
+    need_art = neg.copy()
+    need_art[:, :n_eq] = True
+    # one artificial column per row that needs one in any problem of the
+    # stack, in row order
+    art_rows = np.flatnonzero(need_art.any(axis=0))
+    is_art = need_art[:, art_rows]          # problem uses artificial column i
+    slot = np.zeros(m, dtype=int)
+    slot[art_rows] = np.arange(art_rows.size)
+    ncols = n + n_slack
+    slack = np.arange(n_slack)
+    work = np.zeros((nb, m, ncols + art_rows.size + 1))
+    work[:, :n_eq, :n] = a_eq
+    work[:, n_eq:, :n] = a_ub
+    work[:, n_eq + slack, n + slack] = np.where(neg[:, n_eq:], -1.0, 1.0)
+    # (not np.negative(lhs, out=lhs, where=...): numpy 2.4.6 computes masked
+    # in-place ufuncs wrong on strided views such as a one-column slice)
+    lhs = work[:, :, :n]
+    lhs[neg] = -lhs[neg]
+    work[:, :, -1] = np.where(neg, -b, b)
+    work[:, art_rows, ncols + np.arange(art_rows.size)] = is_art
+    basis = np.where(need_art, ncols + slot, n - n_eq + np.arange(m))
+    maxiter = 200 * (ncols + need_art.sum(axis=1) + m + 1)
+
+    # phase 1, only with artificial columns; a problem of the stack without
+    # any has a zero cost row and stops at once. An artificial never
+    # re-enters, so it is basic only in its own row.
+    feasible = np.ones(nb, dtype=bool)
+    if art_rows.size:
+        cost1 = np.zeros((nb, work.shape[2]))
+        cost1[:, ncols:-1] = np.where(is_art, -1.0, 0.0)
+        for r in art_rows:
+            np.add(cost1, work[:, r], out=cost1, where=need_art[:, r, None])
+        feasible = iterate(work, basis, cost1, ncols, maxiter) & ~(cost1[:, -1] > 1e-7)
+        # drive leftover zero-value artificials out of the basis
+        for r in art_rows:
+            big = np.abs(work[:, r, :ncols]) > _TOL
+            drive = feasible & (basis[:, r] >= ncols) & big.any(axis=1)
+            if drive.any():
+                pivot(work, basis, np.full(nb, r), big.argmax(axis=1), drive)
+
+    # phase 2
+    p2 = np.flatnonzero(feasible)
+    if p2.size:
+        t, bs = (work, basis) if p2.size == nb else (work[p2], basis[p2])
+        k = np.arange(p2.size)
+        cost2 = np.zeros((p2.size, work.shape[2]))
+        cost2[:, :n] = c[p2]
+        cost2[:, ncols:-1] = np.where(is_art[p2], -1e18, 0.0)  # never re-enter
+        for r in range(m):
+            cost2 -= cost2[k, bs[:, r]][:, None] * t[:, r]
+        optimal = iterate(t, bs, cost2, ncols, maxiter[p2])
+        x = np.zeros((p2.size, t.shape[2] - 1))
+        x[k[:, None], bs] = t[:, :, -1]
+        basis[p2] = bs
+
+    # number each problem's artificial columns among its own
+    own = ncols + np.cumsum(need_art, axis=1) - 1
+    art = basis >= ncols
+    basis[art] = own[np.nonzero(art)[0], art_rows[basis[art] - ncols]]
+    results = [LpResult("infeasible", np.nan, np.full(n, np.nan), tuple(b.tolist()))
+               for b in basis]
+    for i, j in enumerate(p2):
+        if optimal[i]:
+            xi = x[i, :n].copy()
+            results[j] = LpResult("optimal", float(c[j] @ xi), xi, results[j].basis)
+        else:
+            results[j] = LpResult("unbounded", np.inf, np.full(n, np.nan), results[j].basis)
+    return results
+
+
 def solve_lp_batch(
     c: np.ndarray,
     a_eq: np.ndarray | None = None,
@@ -385,86 +417,4 @@ def solve_lp_batch(
     b_eq: B x m_eq, and likewise for the inequalities). Result k is
     byte-identical to ``solve_lp`` on problem k alone.
     """
-    c = np.asarray(c, dtype=float)
-    nb, n = c.shape
-    n_eq = np.shape(b_eq)[-1] if a_eq is not None and b_eq is not None else 0
-    n_slack = np.shape(b_ub)[-1] if a_ub is not None and b_ub is not None else 0
-    m = n_eq + n_slack
-    if m == 0:
-        return [solve_lp(ci) for ci in c]
-
-    # rows whose rhs is negative are negated; those rows and the equality
-    # rows need an artificial variable
-    b = np.zeros((nb, m))
-    if n_eq:
-        b[:, :n_eq] = b_eq
-    if n_slack:
-        b[:, n_eq:] = b_ub
-    neg = b < 0.0
-    need_art = neg.copy()
-    need_art[:, :n_eq] = True
-    # one artificial column per row that needs one in any problem of the
-    # stack; the columns keep the row order, as the scalar solver's do
-    art_rows = np.flatnonzero(need_art.any(axis=0))
-    is_art = need_art[:, art_rows]          # problem uses artificial column i
-    slot = np.zeros(m, dtype=int)
-    slot[art_rows] = np.arange(art_rows.size)
-    ncols = n + n_slack
-    rows, slack = np.arange(m), np.arange(n_slack)
-    work = np.zeros((nb, m, ncols + art_rows.size + 1))
-    if n_eq:
-        work[:, :n_eq, :n] = a_eq
-    if n_slack:
-        work[:, n_eq:, :n] = a_ub
-        work[:, n_eq + slack, n + slack] = np.where(neg[:, n_eq:], -1.0, 1.0)
-    # (not np.negative(lhs, out=lhs, where=...): numpy 2.4.6 computes masked
-    # in-place ufuncs wrong on strided views such as a one-column slice)
-    lhs = work[:, :, :n]
-    lhs[neg] = -lhs[neg]
-    work[:, :, -1] = np.where(neg, -b, b)
-    work[:, art_rows, ncols + slot[art_rows]] = is_art
-    basis = np.where(need_art, ncols + slot, n - n_eq + rows)
-    maxiter = 200 * (ncols + need_art.sum(axis=1) + m + 1)
-
-    # phase 1; a problem without artificial columns has a zero cost row and
-    # stops at once, as if the phase were skipped
-    cost1 = np.zeros((nb, work.shape[2]))
-    cost1[:, ncols:-1] = np.where(is_art, -1.0, 0.0)
-    for r in range(m):
-        np.add(cost1, work[:, r], out=cost1, where=need_art[:, r, None])
-    optimal = _bland_iterate_batch(work, basis, cost1, ncols, maxiter)
-    feasible = optimal & ~(cost1[:, -1] > 1e-7)
-    # drive leftover zero-value artificials out of the basis
-    for r in range(m):
-        big = np.abs(work[:, r, :ncols]) > _TOL
-        drive = feasible & (basis[:, r] >= ncols) & big.any(axis=1)
-        if drive.any():
-            _pivot_batch(work, basis, np.full(nb, r), big.argmax(axis=1), drive)
-
-    # phase 2
-    p2 = np.flatnonzero(feasible)
-    t, bs = (work, basis) if p2.size == nb else (work[p2], basis[p2])
-    k = np.arange(p2.size)
-    cost2 = np.zeros((p2.size, work.shape[2]))
-    cost2[:, :n] = c[p2]
-    cost2[:, ncols:-1] = np.where(is_art[p2], -1e18, 0.0)  # never re-enter
-    for r in range(m):
-        cost2 -= cost2[k, bs[:, r]][:, None] * t[:, r]
-    optimal = _bland_iterate_batch(t, bs, cost2, ncols, maxiter[p2])
-    x = np.zeros((p2.size, t.shape[2] - 1))
-    x[k[:, None], bs] = t[:, :, -1]
-
-    # number each problem's artificial columns among its own, as solve_lp does
-    basis[p2] = bs
-    own = ncols + np.cumsum(need_art, axis=1) - 1
-    art = basis >= ncols
-    basis[art] = own[np.nonzero(art)[0], art_rows[basis[art] - ncols]]
-    results = [LpResult("infeasible", np.nan, np.full(n, np.nan), tuple(b.tolist()))
-               for b in basis]
-    for i, j in enumerate(p2):
-        if optimal[i]:
-            xi = x[i, :n].copy()
-            results[j] = LpResult("optimal", float(c[j] @ xi), xi, results[j].basis)
-        else:
-            results[j] = LpResult("unbounded", np.inf, np.full(n, np.nan), results[j].basis)
-    return results
+    return _solve(c, a_eq, b_eq, a_ub, b_ub, _bland_iterate_batch, _pivot_batch)

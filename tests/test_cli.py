@@ -471,6 +471,7 @@ class TestNonFiniteConfig:
         ("grasp_model", "pad_force_N", float("nan"), ["grasp", "--config-model"]),
         ("screw", "mu", float("inf"), ["transmission"]),
         (None, "bruise_threshold_N", float("nan"), ["bruise"]),
+        ("grasp_model", "mu_pad", float("nan"), ["grasp", "--config-model"]),
     ])
     def test_exit_2(self, capsys, tmp_path, section, field, value, argv):
         doc = json.loads(data_text("default_config.json"))
@@ -481,6 +482,21 @@ class TestNonFiniteConfig:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), None])
+    def test_bad_mu_pad_named(self, capsys, tmp_path, value):
+        # None drops the key
+        doc = json.loads(data_text("default_config.json"))
+        if value is None:
+            del doc["grasp_model"]["mu_pad"]
+        else:
+            doc["grasp_model"]["mu_pad"] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, tmp_path, "--config", str(cfg), "grasp", "--config-model")
+        assert code == 2
+        assert out == ""
+        assert "mu_pad" in err
 
     def test_integer_past_float_range_usage_error(self, capsys, tmp_path):
         doc = json.loads(data_text("default_config.json"))

@@ -1,6 +1,6 @@
 """Dense simplex solver vs known solutions and an independent solver; the
-batched solver vs the scalar one, and the stacked basis solve vs a
-one-problem reference, byte for byte."""
+batched solver vs the scalar one, the pivot and the stacked basis solve vs
+one-problem references, byte for byte; the phase hooks a tracer uses."""
 
 import numpy as np
 import pytest
@@ -49,6 +49,13 @@ class TestKnownProblems:
         res = solve_lp(np.array([-1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([-1.0]))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-1.0)
+
+    def test_no_variables(self):
+        # 0 <= 1 holds and 0 <= -1 does not
+        assert solve_lp(np.zeros(0), a_ub=np.zeros((1, 0)), b_ub=np.array([1.0])).status == "optimal"
+        assert solve_lp(np.zeros(0), a_ub=np.zeros((1, 0)), b_ub=np.array([-1.0])).status == "infeasible"
+        assert solve_from_basis(np.zeros(0), None, None, np.zeros((1, 0)), np.array([1.0]),
+                                (0,)).status == "optimal"
 
     def test_degenerate_no_cycling(self):
         # classic degenerate corner; Bland's rule must terminate
@@ -374,3 +381,153 @@ class TestSolveFromBasisBatch:
             else:
                 assert_identical(res, want)
         assert sum(res is not None for res in got) == len(got) - len(bad)
+
+
+def reference_pivot(tab, basis, row, col):
+    """Reference pivot: the pivot row first, then one update per other row
+    with a non-zero factor, row by row."""
+    tab[row] /= tab[row, col]
+    for r in range(tab.shape[0]):
+        if r != row and abs(tab[r, col]) > 0.0:
+            tab[r] -= tab[r, col] * tab[row]
+    basis[row] = col
+
+
+# zeros of both signs, NaN, infinities and subnormals
+SPECIALS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310]
+
+
+class TestPivot:
+    def test_matches_row_loop(self):
+        rng = np.random.default_rng(1953)
+        seen = set()
+        for _ in range(400):
+            m, cols = int(rng.integers(1, 10)), int(rng.integers(2, 12))
+            tab = rng.normal(size=(m, cols))
+            special = rng.random((m, cols)) < 0.15
+            tab[special] = rng.choice(SPECIALS, size=int(special.sum()))
+            row, col = int(rng.integers(m)), int(rng.integers(cols - 1))
+            factors = rng.choice(SPECIALS + [1.0, -3.0, 0.25], size=m)
+            tab[:, col] = np.where(rng.random(m) < 0.7, factors, tab[:, col])
+            if rng.random() < 0.9:
+                tab[row, col] = rng.choice([1.5, -0.75, 2e-300])
+            seen.update(np.float64(v).tobytes() for k, v in enumerate(tab[:, col]) if k != row)
+            basis = rng.integers(0, cols - 1, m).tolist()
+            want, want_basis = tab.copy(), list(basis)
+            got, got_basis = tab.copy(), list(basis)
+            with np.errstate(all="ignore"):
+                reference_pivot(want, want_basis, row, col)
+                simplexlp._pivot(got, got_basis, row, col)
+            assert got.tobytes() == want.tobytes()
+            assert got_basis == want_basis
+        assert {np.float64(v).tobytes() for v in SPECIALS} <= seen
+
+
+def artificial_basis(n, b_eq, b_ub):
+    """The starting basis: each inequality row with b >= 0 holds its slack,
+    every other row an artificial numbered in row order after the slacks."""
+    basis, art = [], n + len(b_ub)
+    for r, b in enumerate([*b_eq, *b_ub]):
+        if r >= len(b_eq) and not b < 0.0:
+            basis.append(n + r - len(b_eq))
+        else:
+            basis.append(art)
+            art += 1
+    return basis
+
+
+class TestPhaseHooks:
+    """What a tracer that splits ``solve_lp`` into phases relies on:
+    ``solve_lp`` calls the module-level ``_bland_iterate`` at most twice, the
+    first time with columns beyond ``ncols`` exactly when the LP has
+    artificials, and makes every pivot through the module-level ``_pivot``,
+    the drive-out pivots after phase 1 too; ``solve_lp_batch`` calls
+    neither."""
+
+    # max 0 st -2x = 0, 2x <= 2: phase 1 ends with the artificial basic at
+    # zero, and a drive-out pivot puts x in its place
+    DRIVE_OUT = (np.array([0.0]), np.array([[-2.0]]), np.array([0.0]),
+                 np.array([[2.0]]), np.array([2.0]))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real_iterate, real_pivot = simplexlp._bland_iterate, simplexlp._pivot
+
+        def iterate(tab, basis, cost, ncols, maxiter):
+            calls.append(("iterate", tab.shape[1] - 1 > ncols))
+            status = real_iterate(tab, basis, cost, ncols, maxiter)
+            calls.append(("end",))
+            return status
+
+        def pivot(tab, basis, row, col):
+            calls.append(("pivot", row, col))
+            real_pivot(tab, basis, row, col)
+
+        monkeypatch.setattr(simplexlp, "_bland_iterate", iterate)
+        monkeypatch.setattr(simplexlp, "_pivot", pivot)
+        return calls
+
+    def problems(self):
+        rng = np.random.default_rng(1952)
+        yield self.DRIVE_OUT
+        for kind in ("integer", "degenerate", "signed", "feasible"):
+            for _ in range(60):
+                n = int(rng.integers(1, 6))
+                yield random_problem(rng, kind, n, int(rng.integers(0, 4)), int(rng.integers(0, 5)))
+
+    def test_solve_lp(self, calls):
+        drive_outs = phase_pivots = 0
+        for c, a_eq, b_eq, a_ub, b_ub in self.problems():
+            calls.clear()
+            res = solve_lp(c, a_eq, b_eq, a_ub, b_ub)
+            iterates = [k for k, call in enumerate(calls) if call[0] == "iterate"]
+            assert len(iterates) <= 2
+            if iterates:
+                assert calls[iterates[0]][1] == bool(b_eq.size or np.any(b_ub < 0.0))
+            # the pivots, replayed on the starting basis, give the final one
+            basis = artificial_basis(len(c), b_eq, b_ub)
+            for call in calls:
+                if call[0] == "pivot":
+                    basis[call[1]] = call[2]
+            assert tuple(basis) == res.basis
+            if len(iterates) == 2:
+                between = calls[iterates[0]:iterates[1]]
+                drive_outs += sum(call[0] == "pivot" for call in between[between.index(("end",)):])
+            phase_pivots += sum(call[0] == "pivot" for call in calls)
+        assert drive_outs > 0 and phase_pivots > drive_outs
+
+    def test_solve_lp_batch_calls_neither(self, calls):
+        stack = [self.DRIVE_OUT, *self.problems()][:20]
+        shapes = {(len(p[0]), len(p[2]), len(p[4])) for p in stack}
+        for shape in shapes:
+            same = [p for p in stack if (len(p[0]), len(p[2]), len(p[4])) == shape]
+            solve_lp_batch(*(np.stack([p[f] for p in same]) for f in range(5)))
+        assert calls == []
+
+
+class TestArgumentShapes:
+    """Loose argument shapes give the bytes of the LP they spell, passed as
+    2-D constraint matrices and 1-D vectors."""
+
+    C, ROW, OTHER = np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([[1.0, -1.0]])
+
+    @pytest.mark.parametrize("loose,canonical", [
+        # a single-row 1-D a_eq
+        ((C, ROW, np.array([3.0]), OTHER, np.array([1.0])),
+         (C, ROW[None], np.array([3.0]), OTHER, np.array([1.0]))),
+        # a 0-d b_ub
+        ((C, None, None, ROW[None], np.float64(4.0)),
+         (C, None, None, ROW[None], np.array([4.0]))),
+        # an empty b_eq with a_eq given: no equality rows
+        ((C, np.stack([ROW, ROW]), np.array([]), OTHER, np.array([1.0])),
+         (C, np.zeros((0, 2)), np.zeros(0), OTHER, np.array([1.0]))),
+        # plain Python lists
+        (([1, 2], [[1, 1]], [3], [[1, -1]], [-1]),
+         (C, ROW[None], np.array([3.0]), OTHER, np.array([-1.0]))),
+        # no constraints at all, unbounded and bounded
+        ((C,), (C, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0))),
+        ((-C,), (-C, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0))),
+    ])
+    def test_same_bytes_as_canonical(self, loose, canonical):
+        assert_identical(solve_lp(*loose), solve_lp(*canonical))
