@@ -25,11 +25,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from .errors import PoseUnsolvable, SynthesisFailed, require_finite
-from .wrench import FRUIT_RADIUS_RANGE_MM
+from .wrench import FRUIT_RADIUS_RANGE_MM, _dot, _norm
 
 Point = tuple[float, float]
 
@@ -39,10 +40,17 @@ EPS = 1e-9
 MAX_REACH_MM = 120.0      # radial envelope of the palm/track housing
 ARC_SAMPLES = 2048        # arc-length table resolution
 SCAN_SAMPLES = 129        # coarse scan of the inner parameter
+SCAN_BLOCK = 512          # samples scanned together (a 1 MB distance table)
 MAX_SAMPLES = 100_000     # most poses one validate_path pass may solve
 # largest cam-spec coordinate or length: far past any gripper, and far
 # below where the pose solver's squared distances overflow
 MAX_TRACK_MM = 1e6
+
+
+def _pow(x: np.ndarray, n: float) -> np.ndarray:
+    """``x ** n`` per element through libm's ``pow``, as Python's ``**`` takes
+    it; numpy's ``power`` and a product of factors differ in the last bit."""
+    return np.fromiter(map(math.pow, x.ravel().tolist(), repeat(n)), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -54,14 +62,15 @@ class CubicBezier:
     p2: Point
     p3: Point
 
-    def eval(self, t: float) -> np.ndarray:
+    def eval(self, t) -> np.ndarray:
+        """The point at parameter ``t``, or at each parameter of an array ``t``
+        (points on the last axis). The powers are Python's ``**`` per element
+        and the four terms add in order from +0.0, as ``sum`` adds them from
+        int 0, so each point has the same bits whichever way it is asked for."""
+        t = np.asarray(t, dtype=float)[..., None]
         mt = 1.0 - t
-        w = (mt**3, 3.0 * mt**2 * t, 3.0 * mt * t**2, t**3)
-        pts = (self.p0, self.p1, self.p2, self.p3)
-        return np.array([
-            sum(w[i] * pts[i][0] for i in range(4)),
-            sum(w[i] * pts[i][1] for i in range(4)),
-        ])
+        return (0.0 + _pow(mt, 3.0) * self.p0 + 3.0 * _pow(mt, 2.0) * t * self.p1
+                + 3.0 * mt * _pow(t, 2.0) * self.p2 + _pow(t, 3.0) * self.p3)
 
     def as_list(self) -> list[list[float]]:
         return [list(self.p0), list(self.p1), list(self.p2), list(self.p3)]
@@ -311,105 +320,116 @@ def _outer_table(spec: CamTrackSpec) -> tuple[np.ndarray, np.ndarray]:
     ts = np.linspace(0.0, 1.0, ARC_SAMPLES)
     chunks = []
     for k, seg in enumerate(spec.outer_path):
-        pts = np.array([seg.eval(t) for t in ts])
+        pts = seg.eval(ts)
         chunks.append(pts if k == 0 else pts[1:])
     pts = np.vstack(chunks)
     d = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     return pts, np.concatenate([[0.0], np.cumsum(d)])
 
 
-def _outer_point(spec: CamTrackSpec, u: float) -> np.ndarray:
+def _outer_points(spec: CamTrackSpec, us: np.ndarray) -> np.ndarray:
+    """Outer-pin positions at arc-length fractions ``us``, one row each."""
     pts, cum = _outer_table(spec)
-    target = u * cum[-1]
-    i = int(np.clip(np.searchsorted(cum, target), 1, len(cum) - 1))
+    target = us * cum[-1]
+    i = np.clip(np.searchsorted(cum, target), 1, len(cum) - 1)
     seg_len = cum[i] - cum[i - 1]
-    f = (target - cum[i - 1]) / seg_len if seg_len > 0.0 else 0.0
-    return pts[i - 1] + f * (pts[i] - pts[i - 1])
+    f = np.zeros_like(target)
+    step = seg_len > 0.0
+    f[step] = (target[step] - cum[i - 1][step]) / seg_len[step]
+    return pts[i - 1] + f[:, None] * (pts[i] - pts[i - 1])
 
 
 @lru_cache(maxsize=32)
 def _inner_scan_grid(spec: CamTrackSpec) -> tuple[np.ndarray, np.ndarray]:
     ts = np.linspace(0.0, spec.inner_hard_stop, SCAN_SAMPLES)
-    pts = np.array([spec.inner_path.eval(float(t)) for t in ts])
-    return ts, pts
+    return ts, spec.inner_path.eval(ts)
 
 
-def solve_finger_pose(spec: CamTrackSpec, u: float) -> FingerPose:
-    """Finger pose at outer-pin arc-length fraction ``u`` in [0, 1].
+def solve_finger_poses(spec: CamTrackSpec, us) -> list[FingerPose]:
+    """Finger poses at outer-pin arc-length fractions ``us`` in [0, 1], solved
+    as one batch.
 
     The outer pin is placed on the outer path; the inner pin is found by
     1D root finding on the inner-path parameter so the pin separation holds
-    exactly. Past the hard stop the inner pin is pinned there and the outer
-    pin is snapped onto the exact pin circle (clamping rotation).
+    exactly: a coarse scan brackets each sample's rightmost root, and one
+    64-step bisection halves every bracket at once. Past the hard stop the
+    inner pin is pinned there and the outer pin is snapped onto the exact
+    pin circle (clamping rotation). The first unsolvable sample raises
+    ``PoseUnsolvable``. Norms are ``wrench._norm``'s, the bits of
+    ``np.linalg.norm`` on each vector.
     """
-    if not 0.0 <= u <= 1.0:
+    us = np.asarray(us, dtype=float)
+    if not np.all((us >= 0.0) & (us <= 1.0)):
         raise ValueError("u must be in [0, 1]")
-    outer = _outer_point(spec, u)
+    outer = _outer_points(spec, us)
     s = spec.pin_separation
     hard = spec.hard_stop_point()
 
-    def f(t: float) -> float:
-        return float(np.linalg.norm(spec.inner_path.eval(t) - outer)) - s
-
+    # coarse scan of SCAN_BLOCK samples at a time, so temporaries stay
+    # bounded: each sample's smallest |grid - outer| - s, its value at the
+    # hard stop (the last grid point) and the rightmost grid index within
+    # pin distance (-1 for none)
     ts, grid = _inner_scan_grid(spec)
-    fs = np.linalg.norm(grid - outer, axis=1) - s
-    f_end = fs[-1]
-    region: Region
-    inner: np.ndarray
+    f_min, f_end, k = np.empty(len(us)), np.empty(len(us)), np.empty(len(us), dtype=int)
+    for a in range(0, len(us), SCAN_BLOCK):
+        block = slice(a, a + SCAN_BLOCK)
+        fs = np.linalg.norm(grid - outer[block, None], axis=2) - s
+        f_min[block], f_end[block] = fs.min(axis=1), fs[:, -1]
+        k[block] = np.where(fs <= EPS, np.arange(len(ts)), -1).max(axis=1)
 
-    if fs.min() > EPS or f_end < -EPS:
-        # no rail point at pin distance, or the outer pin is inside the
-        # hard-stop circle: either the clamp arc (snap) or an inconsistency
-        if abs(f_end) <= SNAP_TOL_MM:
-            region = Region.CLAMPING
-            inner = hard
-        else:
-            detail = (
-                f"min |inner - outer| - s = {fs.min():.4f} mm, "
-                f"at the hard stop {f_end:.4f} mm"
-            )
-            raise PoseUnsolvable(u, detail)
-    else:
-        # rightmost crossing: the inner pin is maximally advanced toward the stop
-        k = int(np.max(np.nonzero(fs <= EPS)))
-        if k == len(ts) - 1:
-            region = Region.CLAMPING
-            inner = hard
-        else:
-            lo, hi = float(ts[k]), float(ts[k + 1])
-            for _ in range(64):
-                mid = 0.5 * (lo + hi)
-                if f(mid) <= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            t_root = 0.5 * (lo + hi)
-            inner = spec.inner_path.eval(t_root)
-            if np.linalg.norm(inner - hard) <= HARD_STOP_TOL_MM:
-                region = Region.CLAMPING
-                inner = hard
-            else:
-                region = Region.SWEEPING
+    # no rail point at pin distance, or the outer pin is inside the hard-stop
+    # circle: either the clamp arc (snap) or an inconsistency
+    # (a NaN fails each `<=` test, so the tests are negated, not flipped)
+    off_rail = (f_min > EPS) | (f_end < -EPS)
+    bad = off_rail & ~(np.abs(f_end) <= SNAP_TOL_MM)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise PoseUnsolvable(float(us[i]), (
+            f"min |inner - outer| - s = {f_min[i]:.4f} mm, "
+            f"at the hard stop {f_end[i]:.4f} mm"
+        ))
 
-    if region is Region.CLAMPING:
-        # outer pin onto the exact circle about the stop (slot play)
-        outer = hard + s * (outer - hard) / np.linalg.norm(outer - hard)
+    # rightmost crossing: the inner pin is maximally advanced toward the stop
+    b = np.flatnonzero(~off_rail & (k < len(ts) - 1))
+    lo, hi, ob = ts[k[b]], ts[k[b] + 1], outer[b]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        inside = _norm(spec.inner_path.eval(mid) - ob) - s <= 0.0
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    root = spec.inner_path.eval(0.5 * (lo + hi))
+    b_sweep = ~(_norm(root - hard) <= HARD_STOP_TOL_MM)
 
-    u_io = (outer - inner) / np.linalg.norm(outer - inner)
+    sweeping = np.zeros(len(us), dtype=bool)
+    sweeping[b[b_sweep]] = True
+    inner = np.tile(hard, (len(us), 1))
+    inner[sweeping] = root[b_sweep]
+    # clamping: the outer pin onto the exact circle about the stop (slot play)
+    c = ~sweeping
+    outer[c] = hard + s * (outer[c] - hard) / _norm(outer[c] - hard)[:, None]
+
+    u_io = (outer - inner) / _norm(outer - inner)[:, None]
     tip = inner - spec.tip_extension * u_io
     tip_dir = (tip - inner) / spec.tip_extension
-    rotation = math.atan2(tip_dir[0], tip_dir[1])
-    return FingerPose(inner_pin=inner, outer_pin=outer, pad_tip=tip,
-                      region=region, rotation=rotation)
+    rotation = map(math.atan2, tip_dir[:, 0].tolist(), tip_dir[:, 1].tolist())
+    return [FingerPose(inner_pin=i, outer_pin=o, pad_tip=p,
+                       region=Region.SWEEPING if sw else Region.CLAMPING, rotation=r)
+            for i, o, p, sw, r in zip(inner, outer, tip, sweeping.tolist(), rotation)]
+
+
+def solve_finger_pose(spec: CamTrackSpec, u: float) -> FingerPose:
+    """Finger pose at outer-pin arc-length fraction ``u`` in [0, 1]: the
+    one-sample case of ``solve_finger_poses``."""
+    return solve_finger_poses(spec, [u])[0]
 
 
 def _segment_clearance(a: np.ndarray, b: np.ndarray, center: np.ndarray,
-                       radius: float, halfwidth: float) -> float:
-    """Signed distance of the widened finger segment to the fruit sphere."""
+                       radius: float, halfwidth: float) -> np.ndarray:
+    """Signed distance of each widened finger segment (rows of ``a`` to rows
+    of ``b``) to the fruit sphere."""
     ab = b - a
-    t = float(np.clip(np.dot(center - a, ab) / np.dot(ab, ab), 0.0, 1.0))
-    closest = a + t * ab
-    return float(np.linalg.norm(closest - center)) - radius - halfwidth
+    t = np.clip(_dot(center - a, ab) / _dot(ab, ab), 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    return _norm(closest - center) - radius - halfwidth
 
 
 def validate_path(spec: CamTrackSpec, samples: int) -> PathReport:
@@ -419,16 +439,15 @@ def validate_path(spec: CamTrackSpec, samples: int) -> PathReport:
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}")
     center = np.array(spec.fruit_center)
-    min_clear = math.inf
-    max_radius = 0.0
-    poses = tuple((float(u), solve_finger_pose(spec, float(u)))
-                  for u in np.linspace(0.0, 1.0, samples))
-    for _, pose in poses:
-        if pose.region is Region.SWEEPING:
-            clear = _segment_clearance(pose.inner_pin, pose.pad_tip, center,
-                                       spec.fruit_radius, spec.pad_halfwidth)
-            min_clear = min(min_clear, clear)
-            max_radius = max(max_radius, abs(float(pose.pad_tip[0])))
+    us = np.linspace(0.0, 1.0, samples)
+    poses = tuple(zip(us.tolist(), solve_finger_poses(spec, us)))
+    sweep = [p for _, p in poses if p.region is Region.SWEEPING]
+    inner = np.array([p.inner_pin for p in sweep]).reshape(-1, 2)
+    tip = np.array([p.pad_tip for p in sweep]).reshape(-1, 2)
+    clear = _segment_clearance(inner, tip, center, spec.fruit_radius, spec.pad_halfwidth)
+    # builtin min and max, in sample order, as a running min/max takes them
+    min_clear = min([math.inf, *clear.tolist()])
+    max_radius = max([0.0, *np.abs(tip[:, 0]).tolist()])
     final_tip = poses[-1][1].pad_tip
     sin_lat = float(np.clip((center[1] - final_tip[1]) / spec.fruit_radius, -1.0, 1.0))
     latitude = math.asin(sin_lat)

@@ -177,15 +177,13 @@ def cmd_campath(args) -> int:
     (out / "campath_report.json").write_text(campath.report_to_json(report))
     (out / "campath_poses.csv").write_text(campath.poses_to_csv(report))
     if args.format == "svg":
-        ts = [i / 127 for i in range(128)]
+        ts = np.array([i / 127 for i in range(128)])
         curves = {}
         for k, seg in enumerate(spec.outer_path):
-            curves[f"outer seg {k}"] = [tuple(seg.eval(t)) for t in ts]
-        curves["inner"] = [tuple(spec.inner_path.eval(t)) for t in ts]
-        tips = []
-        for u in np.linspace(0.0, 1.0, 96):
-            tips.append(tuple(campath.solve_finger_pose(spec, float(u)).pad_tip))
-        curves["tip trajectory"] = tips
+            curves[f"outer seg {k}"] = list(map(tuple, seg.eval(ts)))
+        curves["inner"] = list(map(tuple, spec.inner_path.eval(ts)))
+        poses = campath.solve_finger_poses(spec, np.linspace(0.0, 1.0, 96))
+        curves["tip trajectory"] = [tuple(p.pad_tip) for p in poses]
         svg = svgplot.path_plot(
             curves, circle=(spec.fruit_center[0], spec.fruit_center[1],
                             spec.fruit_radius),

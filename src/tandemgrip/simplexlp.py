@@ -115,16 +115,21 @@ def _one(*args) -> list:
     return [None if v is None else np.asarray(v, dtype=float)[None] for v in args]
 
 
-def _block(a, b, nb: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One constraint block of a stack of ``nb`` problems in ``n`` variables
-    as (nb, m, n) rows and (nb, m) right-hand sides. A block that lacks
-    either part has no rows, and ``b`` sets the row count."""
-    if a is None or b is None:
+def _block(name: str, a, b, nb: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One constraint block (``name``: "eq" or "ub") of a stack of ``nb``
+    problems in ``n`` variables as (nb, m, n) rows and (nb, m) right-hand
+    sides. A block that lacks either part, or has an empty ``b``, has no
+    rows; otherwise rows and right-hand sides of different counts raise
+    ``ValueError``."""
+    if a is None or b is None or np.size(b) == 0:
         return np.zeros((nb, 0, n)), np.zeros((nb, 0))
     b = np.asarray(b, dtype=float).reshape(nb, -1)
     # (with no variables the row count of ``a`` cannot be inferred)
     a = np.asarray(a, dtype=float).reshape(nb, -1, n) if n else np.zeros((nb, b.shape[1], 0))
-    return a[:, :b.shape[1]], b
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"a_{name} and b_{name} must have one row count, "
+                         f"got {a.shape[1]} and {b.shape[1]}")
+    return a, b
 
 
 def solve_lp(
@@ -161,7 +166,7 @@ def solve_from_basis_batch(
     c = np.asarray(c, dtype=float)
     nb, n = c.shape
 
-    (a_eq, b_eq), (a_ub, b_ub) = _block(a_eq, b_eq, nb, n), _block(a_ub, b_ub, nb, n)
+    (a_eq, b_eq), (a_ub, b_ub) = _block("eq", a_eq, b_eq, nb, n), _block("ub", a_ub, b_ub, nb, n)
     m_eq, n_slack = b_eq.shape[1], b_ub.shape[1]
     m, ncols = m_eq + n_slack, n + n_slack
     a = np.zeros((nb, m, ncols))
@@ -322,7 +327,7 @@ def _solve(c, a_eq, b_eq, a_ub, b_ub, iterate, pivot) -> list[LpResult]:
     ``_bland_iterate_batch`` and ``_pivot_batch``)."""
     c = np.asarray(c, dtype=float)
     nb, n = c.shape
-    (a_eq, b_eq), (a_ub, b_ub) = _block(a_eq, b_eq, nb, n), _block(a_ub, b_ub, nb, n)
+    (a_eq, b_eq), (a_ub, b_ub) = _block("eq", a_eq, b_eq, nb, n), _block("ub", a_ub, b_ub, nb, n)
     n_eq, n_slack = b_eq.shape[1], b_ub.shape[1]
     m = n_eq + n_slack
     if m == 0:

@@ -184,13 +184,13 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot`` of 3-vectors stacked on the last axis, bit for bit: the stacked
+    """``np.dot`` of vectors stacked on the last axis, bit for bit: the stacked
     matmul makes the same BLAS dot call per pair (an einsum or a sum does not)."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` (sqrt of the dot) of 3-vectors stacked on the last axis."""
+    """``np.linalg.norm`` (sqrt of the dot) of vectors stacked on the last axis."""
     return np.sqrt(_dot(v, v))
 
 

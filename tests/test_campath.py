@@ -1,24 +1,113 @@
 """Cam track synthesis and finger pose solving."""
 
 import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tandemgrip import campath
 from tandemgrip.campath import (
+    EPS,
+    HARD_STOP_TOL_MM,
     MAX_SAMPLES,
+    SNAP_TOL_MM,
     CamTrackSpec,
     CubicBezier,
+    FingerPose,
     Region,
     build_default_tracks,
     poses_to_csv,
     solve_finger_pose,
+    solve_finger_poses,
     validate_path,
     POSES_CSV_HEADER,
 )
 from tandemgrip.errors import PoseUnsolvable, SynthesisFailed
+
+
+def reference_eval(seg: CubicBezier, t: float) -> np.ndarray:
+    """One Bezier point in Python floats: powers by ``**`` and each coordinate
+    a ``sum`` of the four terms."""
+    mt = 1.0 - t
+    w = (mt**3, 3.0 * mt**2 * t, 3.0 * mt * t**2, t**3)
+    pts = (seg.p0, seg.p1, seg.p2, seg.p3)
+    return np.array([
+        sum(w[i] * pts[i][0] for i in range(4)),
+        sum(w[i] * pts[i][1] for i in range(4)),
+    ])
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_tables(spec: CamTrackSpec):
+    """The outer polyline with its cumulative arc length, and the inner scan
+    grid, one ``reference_eval`` per point."""
+    ts = np.linspace(0.0, 1.0, campath.ARC_SAMPLES)
+    pts = np.vstack([np.array([reference_eval(seg, t) for t in ts])[min(k, 1):]
+                     for k, seg in enumerate(spec.outer_path)])
+    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    scan = np.linspace(0.0, spec.inner_hard_stop, campath.SCAN_SAMPLES)
+    grid = np.array([reference_eval(spec.inner_path, float(t)) for t in scan])
+    return pts, cum, scan, grid
+
+
+def reference_solve_finger_pose(spec: CamTrackSpec, u: float) -> FingerPose:
+    """One pose at a time: a scalar 64-step bisection with ``np.linalg.norm``
+    (the oracle of ``solve_finger_poses``)."""
+    pts, cum, ts, grid = _reference_tables(spec)
+    target = u * cum[-1]
+    i = int(np.clip(np.searchsorted(cum, target), 1, len(cum) - 1))
+    seg_len = cum[i] - cum[i - 1]
+    f = (target - cum[i - 1]) / seg_len if seg_len > 0.0 else 0.0
+    outer = pts[i - 1] + f * (pts[i] - pts[i - 1])
+    s = spec.pin_separation
+    hard = reference_eval(spec.inner_path, spec.inner_hard_stop)
+
+    def residual(t: float) -> float:
+        return float(np.linalg.norm(reference_eval(spec.inner_path, t) - outer)) - s
+
+    fs = np.linalg.norm(grid - outer, axis=1) - s
+    f_end = fs[-1]
+    if fs.min() > EPS or f_end < -EPS:
+        if abs(f_end) > SNAP_TOL_MM:
+            raise PoseUnsolvable(u, f"min |inner - outer| - s = {fs.min():.4f} mm, "
+                                    f"at the hard stop {f_end:.4f} mm")
+        region, inner = Region.CLAMPING, hard
+    else:
+        k = int(np.max(np.nonzero(fs <= EPS)))
+        if k == len(ts) - 1:
+            region, inner = Region.CLAMPING, hard
+        else:
+            lo, hi = float(ts[k]), float(ts[k + 1])
+            for _ in range(64):
+                mid = 0.5 * (lo + hi)
+                if residual(mid) <= 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            inner = reference_eval(spec.inner_path, 0.5 * (lo + hi))
+            if np.linalg.norm(inner - hard) <= HARD_STOP_TOL_MM:
+                region, inner = Region.CLAMPING, hard
+            else:
+                region = Region.SWEEPING
+    if region is Region.CLAMPING:
+        outer = hard + s * (outer - hard) / np.linalg.norm(outer - hard)
+    u_io = (outer - inner) / np.linalg.norm(outer - inner)
+    tip = inner - spec.tip_extension * u_io
+    tip_dir = (tip - inner) / spec.tip_extension
+    return FingerPose(inner_pin=inner, outer_pin=outer, pad_tip=tip, region=region,
+                      rotation=math.atan2(tip_dir[0], tip_dir[1]))
+
+
+def assert_same_pose(got: FingerPose, want: FingerPose):
+    assert got.region is want.region
+    for name in ("inner_pin", "outer_pin", "pad_tip"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert type(got.rotation) is float
+    assert got.rotation.hex() == want.rotation.hex()
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +118,8 @@ def spec75():
 
 @pytest.fixture(scope="module")
 def poses75(spec75):
-    return [(float(u), solve_finger_pose(spec75, float(u)))
-            for u in np.linspace(0.0, 1.0, 500)]
+    us = np.linspace(0.0, 1.0, 500)
+    return list(zip(us.tolist(), solve_finger_poses(spec75, us)))
 
 
 class TestSynthesis:
@@ -165,15 +254,15 @@ class TestValidateReport:
     def test_sample_bound_checked_before_solving(self, spec75, monkeypatch):
         calls = []
 
-        def counting(spec, u):
-            calls.append(u)
-            return solve_finger_pose(spec, u)
-        monkeypatch.setattr(campath, "solve_finger_pose", counting)
+        def counting(spec, us):
+            calls.append(list(us))
+            return solve_finger_poses(spec, us)
+        monkeypatch.setattr(campath, "solve_finger_poses", counting)
         with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
             validate_path(spec75, MAX_SAMPLES + 1)
         assert calls == []
         validate_path(spec75, 3)
-        assert len(calls) == 3
+        assert calls == [[0.0, 0.5, 1.0]]
 
     def test_report_keeps_poses_out_of_eq_and_repr(self, spec75):
         a, b = validate_path(spec75, 5), validate_path(spec75, 5)
@@ -198,6 +287,104 @@ class TestValidateReport:
         assert lines[-1].endswith("clamping")
 
 
+def _reference_report(spec: CamTrackSpec, poses) -> tuple[float, float, float]:
+    """min clearance, max sweep radius and contact latitude, one pose at a time."""
+    center = np.array(spec.fruit_center)
+    min_clear, max_radius = math.inf, 0.0
+    for _, pose in poses:
+        if pose.region is Region.SWEEPING:
+            a, ab = pose.inner_pin, pose.pad_tip - pose.inner_pin
+            t = float(np.clip(np.dot(center - a, ab) / np.dot(ab, ab), 0.0, 1.0))
+            clear = (float(np.linalg.norm(a + t * ab - center))
+                     - spec.fruit_radius - spec.pad_halfwidth)
+            min_clear = min(min_clear, clear)
+            max_radius = max(max_radius, abs(float(pose.pad_tip[0])))
+    sin_lat = float(np.clip((center[1] - poses[-1][1].pad_tip[1]) / spec.fruit_radius,
+                            -1.0, 1.0))
+    return (0.0 if min_clear is math.inf else min_clear), max_radius, math.asin(sin_lat)
+
+
+def _spec(radius, clearance, **changes):
+    spec, _ = build_default_tracks(radius, clearance)
+    return dataclasses.replace(spec, **changes)
+
+
+class TestBatchedPoses:
+    """``solve_finger_poses`` against the one-pose-at-a-time oracle, bit for bit."""
+
+    US = np.linspace(0.0, 1.0, 500)
+
+    @pytest.mark.parametrize("radius,clearance,changes", [
+        (30.0, 2.0, {}),
+        (37.5, 3.0, {}),
+        (45.0, 0.0, {}),
+        (55.0, 5.0, {}),
+        # a moved fruit: the same poses, a report with interference
+        (37.5, 3.0, {"fruit_center": (10.0, 37.5)}),
+        # a longer pin separation: about a fifth of the samples need the snap
+        (37.5, 3.0, {"pin_separation": 18.02}),
+    ])
+    def test_poses_and_report_match_reference(self, radius, clearance, changes):
+        spec = _spec(radius, clearance, **changes)
+        want = [reference_solve_finger_pose(spec, u) for u in self.US.tolist()]
+        report = validate_path(spec, len(self.US))
+        assert [u for u, _ in report.poses] == self.US.tolist()
+        for (_, got), ref in zip(report.poses, want):
+            assert_same_pose(got, ref)
+        want_report = _reference_report(spec, list(zip(self.US.tolist(), want)))
+        got_report = (report.min_clearance, report.max_sweep_radius,
+                      report.clamp_contact_latitude)
+        assert [float(v).hex() for v in got_report] == [v.hex() for v in want_report]
+
+    def test_snap_spec_reaches_the_snap(self):
+        # the parametrised case above covers the branch only if it is taken
+        spec = _spec(37.5, 3.0, pin_separation=18.02)
+        _, _, _, grid = _reference_tables(spec)
+        outer = campath._outer_points(spec, self.US)
+        fs = np.linalg.norm(grid[None] - outer[:, None], axis=2) - spec.pin_separation
+        off_rail = (fs.min(axis=1) > EPS) | (fs[:, -1] < -EPS)
+        assert 50 < np.count_nonzero(off_rail) < 150
+
+    def test_single_pose_is_the_batch_of_one(self, spec75, poses75):
+        for u, pose in poses75[::50]:
+            assert_same_pose(solve_finger_pose(spec75, u), pose)
+
+    @pytest.mark.parametrize("pin_separation", [100.0, 18.06, 17.99])
+    def test_unsolvable_raises_the_first_failing_sample(self, spec75, pin_separation):
+        spec = dataclasses.replace(spec75, pin_separation=pin_separation)
+        with pytest.raises(PoseUnsolvable) as want:
+            for u in self.US.tolist():
+                reference_solve_finger_pose(spec, u)
+        with pytest.raises(PoseUnsolvable) as got:
+            validate_path(spec, len(self.US))
+        assert got.value.u == want.value.u
+        assert str(got.value) == str(want.value)
+
+    def test_unsolvable_midway(self, spec75):
+        spec = dataclasses.replace(spec75, pin_separation=18.06)
+        with pytest.raises(PoseUnsolvable) as err:
+            validate_path(spec, len(self.US))
+        assert 0.5 < err.value.u < 1.0
+
+    def test_u_checked_for_every_sample(self, spec75):
+        with pytest.raises(ValueError, match=r"u must be in \[0, 1\]"):
+            solve_finger_poses(spec75, [0.0, 0.5, math.nan])
+
+    def test_scan_memory_stays_linear_in_samples(self, spec75):
+        # 20,000 samples against the 129-point scan grid would be a 41 MB
+        # (samples x 129 x 2) array at once; scanned in blocks, the pass
+        # peaked at 15.3 MB, 12.2 MB of which are the poses it returns
+        validate_path(spec75, 2)
+        tracemalloc.start()
+        try:
+            report = validate_path(spec75, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.poses) == 20_000
+        assert peak < 24e6
+
+
 class TestSpecValidation:
     # the scalar fields are covered through a config file in test_cli.py
     def test_non_finite_control_points_named(self, spec75):
@@ -211,6 +398,28 @@ class TestSpecValidation:
 
 
 class TestBezier:
+    SEGMENTS = [
+        CubicBezier((0, 0), (1, 2), (3, 2), (4, 0)),
+        CubicBezier((-0.0, 12.5), (-0.0, -0.0), (7.25, -0.0), (-0.0, 3.0)),
+        CubicBezier((16.875, -6.75), (21.25, -4.5), (32.5, -2.25), (37.5, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("seg", SEGMENTS)
+    def test_array_eval_is_the_scalar_eval(self, seg):
+        rng = np.random.default_rng(7)
+        ts = np.concatenate([[0.0, 1.0, -0.0], rng.random(2000)])
+        got = seg.eval(ts)
+        assert got.shape == (len(ts), 2)
+        for t, row in zip(ts.tolist(), got):
+            one = seg.eval(t)
+            assert one.shape == (2,)
+            assert one.tobytes() == row.tobytes() == reference_eval(seg, t).tobytes()
+
+    def test_negative_zero_terms_sum_to_positive_zero(self):
+        seg = self.SEGMENTS[1]
+        assert math.copysign(1.0, seg.eval(0.0)[0]) == 1.0
+        assert math.copysign(1.0, seg.eval(np.array([0.0]))[0, 0]) == 1.0
+
     def test_endpoints(self):
         seg = CubicBezier((0, 0), (1, 2), (3, 2), (4, 0))
         assert np.allclose(seg.eval(0.0), (0, 0))

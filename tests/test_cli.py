@@ -232,13 +232,14 @@ class TestCampathPoseSolves:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """Every sample solved, one entry per pose of each batch."""
         calls = []
-        solve = campath.solve_finger_pose
+        solve = campath.solve_finger_poses
 
-        def counting(spec, u):
-            calls.append(u)
-            return solve(spec, u)
-        monkeypatch.setattr(campath, "solve_finger_pose", counting)
+        def counting(spec, us):
+            calls.extend(us)
+            return solve(spec, us)
+        monkeypatch.setattr(campath, "solve_finger_poses", counting)
         return calls
 
     @pytest.mark.parametrize("argv,expected", [

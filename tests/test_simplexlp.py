@@ -531,3 +531,19 @@ class TestArgumentShapes:
     ])
     def test_same_bytes_as_canonical(self, loose, canonical):
         assert_identical(solve_lp(*loose), solve_lp(*canonical))
+
+    @pytest.mark.parametrize("rows", [
+        # more rows in a_ub than right-hand sides (once read as unbounded)
+        dict(a_ub=[[1, 0], [0, 1]], b_ub=[1]),
+        # fewer rows in a_eq than right-hand sides (once read as infeasible)
+        dict(a_eq=[[1, 1]], b_eq=[2, 3]),
+    ])
+    def test_row_count_mismatch_raises(self, rows):
+        with pytest.raises(ValueError, match="one row count"):
+            solve_lp([1, 1], **rows)
+        stacked = {k: np.stack([np.asarray(v, dtype=float)] * 2) for k, v in rows.items()}
+        with pytest.raises(ValueError, match="one row count"):
+            solve_lp_batch(np.ones((2, 2)), **stacked)
+        with pytest.raises(ValueError, match="one row count"):
+            solve_from_basis([1, 1], rows.get("a_eq"), rows.get("b_eq"),
+                             rows.get("a_ub"), rows.get("b_ub"), (0,))
