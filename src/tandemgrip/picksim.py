@@ -8,8 +8,12 @@ use the same engagement rule and the same strength-vs-detachment compare.
 Each trial derives its own RNG stream from (seed, trial index), so results
 are bit-identical regardless of execution order.
 
-Campaigns run in batched rounds: every unfinished trial advances to its
-next strength query, and the round's queries are solved together as
+Campaigns run trials in blocks. A block's first attempts are one array
+step: the trials' draws are stacked, each quantile model samples its
+column once and one trials x cups mask engages the cups, giving each
+trial the floats it would get alone; a retry draws from its trial's
+stream when it is made. Then every unfinished trial advances to its next
+strength query in rounds, and each round's queries are solved together as
 batched LPs (``wrench.predict_strengths``), whose results are
 byte-identical to solving them one at a time. A retry re-solves the
 strength LP only when it lands on an engaged cup set the trial has not
@@ -47,6 +51,7 @@ from .wrench import (
     CUP_RING_MM,
     GraspModelParams,
     GraspScenario,
+    _norm,
     predict_strength,
     predict_strengths,
 )
@@ -100,20 +105,25 @@ class PickState:
     strength: float = 0.0  # N, grasp strength used in the pull comparison
 
 
+_CUP_CENTERS = CUP_RING_MM * np.array([(math.cos(a), math.sin(a)) for a in map(
+    math.radians, CUP_LONGITUDES_DEG)])
+
+
+def _cup_sets(offsets, azimuths) -> list[tuple[int, ...]]:
+    """``cups_engaged_at`` of each (offset, azimuth) pair, from one trials x
+    cups mask; distances are ``np.linalg.norm``'s, bit for bit."""
+    fruit = np.array([(d * math.cos(az), d * math.sin(az)) for d, az in zip(offsets, azimuths)])
+    mask = _norm(_CUP_CENTERS - fruit[:, None]) <= CUP_RING_MM + CUP_ENGAGE_TOL_MM
+    return [tuple(i for i, hit in enumerate(row) if hit) for row in mask.tolist()]
+
+
 def cups_engaged_at(offset: float, azimuth: float) -> tuple[int, ...]:
     """Indices of the cups whose centers land within reach of the offset fruit axis.
 
     A cup engages when its center lies within ring + CUP_ENGAGE_TOL_MM of
     the fruit axis shifted by ``offset`` toward ``azimuth``.
     """
-    fruit = offset * np.array([math.cos(azimuth), math.sin(azimuth)])
-    engaged = []
-    for i, lon in enumerate(CUP_LONGITUDES_DEG):
-        az = math.radians(lon)
-        cup = CUP_RING_MM * np.array([math.cos(az), math.sin(az)])
-        if float(np.linalg.norm(cup - fruit)) <= CUP_RING_MM + CUP_ENGAGE_TOL_MM:
-            engaged.append(i)
-    return tuple(engaged)
+    return _cup_sets([offset], [azimuth])[0]
 
 
 def _trial_scenario(mode: ActuationMode, radius: float, angle_deg: float,
@@ -129,17 +139,17 @@ def _trial_strength(mode: ActuationMode, radius: float, angle_deg: float,
                             cup_indices=cups)
 
 
-def _engage(mode: ActuationMode, offset: float, azimuth: float,
-            engage_rule: int) -> tuple[tuple[int, ...], bool]:
-    """Engaged cups and whether the grasp engaged at all.
+def _engage(mode: ActuationMode, offsets, azimuths, engage_rule: int) -> list[tuple]:
+    """Engaged cups of each offset fruit and whether its grasp engaged at all.
 
     Suction needs ``engage_rule`` cups; with fingers, the sweeping fingers
     funnel the fruit in only from close enough.
     """
-    cups = () if mode is ActuationMode.FINGERS else cups_engaged_at(offset, azimuth)
+    fingers = mode is ActuationMode.FINGERS
+    cup_sets = [()] * len(offsets) if fingers else _cup_sets(offsets, azimuths)
     if mode is ActuationMode.SUCTION:
-        return cups, len(cups) >= engage_rule
-    return cups, offset <= FINGER_CAPTURE_TOL_MM
+        return [(cups, len(cups) >= engage_rule) for cups in cup_sets]
+    return [(cups, d <= FINGER_CAPTURE_TOL_MM) for cups, d in zip(cup_sets, offsets)]
 
 
 def _pull_outcome(strength: float, detachment_force: float) -> PickOutcome:
@@ -166,7 +176,7 @@ def run_pick(
     _check_engage_rule(engage_rule)
     # approach: advance until the palm meets the fruit (placed 50 mm away)
     mode, offset = scenario.mode, scenario.fruit_offset
-    cups, engaged = _engage(mode, offset, misalignment_azimuth, engage_rule)
+    [(cups, engaged)] = _engage(mode, [offset], [misalignment_azimuth], engage_rule)
     if not engaged:
         return PickState(PickPhase.DONE, len(cups), APPROACH_LIMIT_MM, PickOutcome.NO_ENGAGE)
     strength = _trial_strength(mode, scenario.fruit_radius, scenario.pull_angle, cups, model)
@@ -301,37 +311,40 @@ def trials_to_csv(log: tuple[TrialRecord, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_trial(
-    stats: TrialStats,
-    mode: ActuationMode,
-    seed: int,
-    index: int,
-    engage_rule: int,
-    occlusion_fail_prob: float,
-    retries: int,
-) -> Generator[tuple, float, TrialRecord]:
-    """One trial as a generator: it yields a (scenario, cups) strength query
+def _first_attempts(stats: TrialStats, mode: ActuationMode, seed: int, block: range,
+                    engage_rule: int, occlusion_fail_prob: float):
+    """(index, rng, draws, first attempt's (cups, engaged)) of each trial of
+    ``block``, drawn, sampled and engaged as arrays that die with this call."""
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in block]
+    u = np.array([rng.random(7) for rng in rngs])
+    net, tan, diameter, offset, stiffness = (q.sample(u[:, k]).tolist() for k, q in enumerate(
+        (stats.net_fdf, stats.tangential_fdf, stats.fruit_diameter, stats.gripper_offset,
+         stats.branch_stiffness)))
+    azimuth = (2.0 * math.pi * u[:, 5]).tolist()
+    draws = zip(net, tan, diameter, offset, stiffness, azimuth,
+                (u[:, 6] < occlusion_fail_prob).tolist())
+    return zip(block, rngs, draws, _engage(mode, offset, azimuth, engage_rule))
+
+
+def _run_trial(stats: TrialStats, mode: ActuationMode, engage_rule: int, retries: int,
+               index: int, rng: np.random.Generator, draws: tuple,
+               first: tuple) -> Generator[tuple, float, TrialRecord]:
+    """One trial as a generator, from its stream, its draws and its first
+    attempt's (cups, engaged): it yields a (scenario, cups) strength query
     whenever an attempt engages a cup set the trial has not solved yet, is
     sent the strength back, and returns the trial's record.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    u = rng.random(7)
-    net = float(stats.net_fdf.sample(u[0]))
-    tan = float(stats.tangential_fdf.sample(u[1]))
-    diameter = float(stats.fruit_diameter.sample(u[2]))
-    offset = float(stats.gripper_offset.sample(u[3]))
-    stiffness = float(stats.branch_stiffness.sample(u[4]))
-    azimuth = 2.0 * math.pi * u[5]
-
-    if occlusion_fail_prob > 0.0 and u[6] < occlusion_fail_prob:
+    net, tan, diameter, offset, stiffness, azimuth, occluded = draws
+    if occluded:
         return TrialRecord(index, net, offset, stiffness, mode, 0.0, PickOutcome.NO_ENGAGE)
 
     angle = math.degrees(math.asin(min(tan / max(net, 1e-9), 1.0)))
     strengths: dict = {}
+    cups, engaged = first
     for attempt in range(retries + 1):
         if attempt:
             offset = float(stats.gripper_offset.sample(rng.random()))
-        cups, engaged = _engage(mode, offset, azimuth, engage_rule)
+            [(cups, engaged)] = _engage(mode, [offset], [azimuth], engage_rule)
         if engaged:
             if cups not in strengths:
                 strengths[cups] = yield (_trial_scenario(mode, diameter / 2.0, angle, cups), cups)
@@ -376,15 +389,19 @@ def run_campaign(
         raise ValueError(f"retries must be <= {MAX_RETRIES}")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    if not 0.0 <= occlusion_fail_prob <= 1.0:   # (NaN fails both)
+        raise ValueError(f"occlusion_fail_prob must be in [0, 1], got {occlusion_fail_prob!r}")
     _check_engage_rule(engage_rule)
     records: dict[int, TrialRecord] = {}
     for start in range(0, trials, CAMPAIGN_BLOCK):
+        block = range(start, min(start + CAMPAIGN_BLOCK, trials))
+        running = {i: _run_trial(stats, mode, engage_rule, retries, i, *trial) for i, *trial
+                   in _first_attempts(stats, mode, seed, block, engage_rule, occlusion_fail_prob)}
         # each round advances every unfinished trial of the block to its next
         # strength query (or its record), then solves the round's queries
         # as one batch
-        running = {i: _run_trial(stats, mode, seed, i, engage_rule,
-                                 occlusion_fail_prob, retries)
-                   for i in range(start, min(start + CAMPAIGN_BLOCK, trials))}
         answers: dict[int, float | None] = dict.fromkeys(running)
         while running:
             queries = {}

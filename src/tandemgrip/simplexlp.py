@@ -118,13 +118,18 @@ def _one(*args) -> list:
 def _block(name: str, a, b, nb: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """One constraint block (``name``: "eq" or "ub") of a stack of ``nb``
     problems in ``n`` variables as (nb, m, n) rows and (nb, m) right-hand
-    sides. A block that lacks either part, or has an empty ``b``, has no
-    rows; otherwise rows and right-hand sides of different counts raise
-    ``ValueError``."""
-    if a is None or b is None or np.size(b) == 0:
+    sides. A block whose parts are both absent or both empty has no rows; a
+    block with rows in one part only, or with rows and right-hand sides of
+    different counts, raises ``ValueError``."""
+    has_b = b is not None and np.size(b) > 0
+    # (with no variables the row count of ``a`` cannot be inferred)
+    has_a = a is not None and (np.size(a) > 0 or (n == 0 and has_b))
+    if has_a != has_b:
+        given, other = ("a", "b") if has_a else ("b", "a")
+        raise ValueError(f"{given}_{name} has rows but {other}_{name} has none")
+    if not has_b:
         return np.zeros((nb, 0, n)), np.zeros((nb, 0))
     b = np.asarray(b, dtype=float).reshape(nb, -1)
-    # (with no variables the row count of ``a`` cannot be inferred)
     a = np.asarray(a, dtype=float).reshape(nb, -1, n) if n else np.zeros((nb, b.shape[1], 0))
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"a_{name} and b_{name} must have one row count, "

@@ -343,6 +343,12 @@ class TestSimulate:
         assert code == 2
         assert "retries must be >= 0" in err
 
+    def test_negative_seed_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, tmp_path, "simulate", "--trials", "1", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0" in err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_usage_error(self, capsys, tmp_path, threads):
         code, _, err = run(capsys, tmp_path, "simulate", "--trials", "1",

@@ -23,6 +23,7 @@ from tandemgrip.picksim import (
     run_pick,
     trials_to_csv,
 )
+from tandemgrip.quantiles import QuantileModel
 from tandemgrip.wrench import ActuationMode, GraspModelParams, GraspScenario
 
 
@@ -125,6 +126,62 @@ class TestEngagement:
 
     def test_partial_engagement_band(self):
         assert cups_engaged_at(25.0, math.radians(0.0)) == (0, 2)
+
+    def test_block_mask_matches_one_trial_at_the_boundary(self):
+        # fruit axes at the reach of each cup, nudged a few ulps either way:
+        # the block mask, the one-trial case and the per-cup np.linalg.norm
+        # rule agree on every one
+        reach = picksim.CUP_RING_MM + picksim.CUP_ENGAGE_TOL_MM
+        offsets, azimuths = [], []
+        for lon in wrench.CUP_LONGITUDES_DEG:
+            cup = picksim.CUP_RING_MM * np.array([math.cos(math.radians(lon)),
+                                                  math.sin(math.radians(lon))])
+            for t in np.linspace(0.0, 2.0 * math.pi, 97):
+                x, y = cup + reach * np.array([math.cos(t), math.sin(t)])
+                offset, azimuth = math.hypot(x, y), math.atan2(y, x)
+                for ulps in range(-4, 5):
+                    offsets.append(offset + ulps * math.ulp(offset))
+                    azimuths.append(azimuth)
+
+        def norm_rule(offset, azimuth):
+            fruit = offset * np.array([math.cos(azimuth), math.sin(azimuth)])
+            return tuple(i for i, lon in enumerate(wrench.CUP_LONGITUDES_DEG)
+                         if float(np.linalg.norm(picksim.CUP_RING_MM * np.array(
+                             [math.cos(math.radians(lon)), math.sin(math.radians(lon))])
+                             - fruit)) <= reach)
+
+        block = picksim._cup_sets(offsets, azimuths)
+        one = [cups_engaged_at(o, a) for o, a in zip(offsets, azimuths)]
+        assert block == one == [norm_rule(o, a) for o, a in zip(offsets, azimuths)]
+        # the nudges straddle the boundary: every cup is both reached and missed
+        for i in range(3):
+            assert 0 < sum(i in cups for cups in block) < len(block)
+
+
+class TestBlockSampling:
+    EDGE_MODELS = [
+        QuantileModel(1.0, 1.0, 1.0, 1.0, 1.0),
+        QuantileModel(0.0, 2.0, 2.0, 2.0, 5.0),
+        QuantileModel(-3.0, -3.0, 0.5, 7.0, 7.0),
+    ]
+    U = np.concatenate([
+        [0.0, 1.0, 0.25, 0.5, 0.75, np.nextafter(0.25, 0.0), np.nextafter(0.75, 1.0),
+         np.nextafter(1.0, 0.0), 5e-324],
+        np.random.default_rng(3).random(200),
+    ])
+
+    @pytest.mark.parametrize("model", [
+        *(getattr(DEFAULT_FIELD_STATS, name) for name in TrialStats.__dataclass_fields__),
+        *EDGE_MODELS,
+    ])
+    @pytest.mark.parametrize("size", [1, 4, 5, 209])
+    def test_block_sample_matches_per_variate_bytes(self, model, size):
+        # a block of fewer variates than quantiles, and of more, takes
+        # np.interp's two slope paths
+        u = self.U[:size]
+        block = model.sample(u).tolist()
+        alone = [float(model.sample(x)) for x in u]
+        assert np.array(block).tobytes() == np.array(alone).tobytes()
 
 
 class TestCampaign:
@@ -243,18 +300,48 @@ class TestCampaign:
         assert blocks.log == whole.log
 
     def test_retry_offsets_drawn_only_when_used(self):
-        # a trial waiting for its first strength has drawn one offset, not one
-        # per allowed retry, so memory does not grow with ``retries``
+        # a trial waiting for its first strength has made its first attempt and
+        # drawn no retry offset, so memory does not grow with ``retries``
+        rng = np.random.default_rng(np.random.SeedSequence([43, 0]))
+        rng.random(7)
+        state = rng.bit_generator.state
+        # net, tangential, diameter, offset, stiffness, azimuth, occluded
+        draws = (20.0, 5.0, 76.0, 4.0, 400.0, 0.0, False)
         tracemalloc.start()
         try:
-            trial = picksim._run_trial(DEFAULT_FIELD_STATS, ActuationMode.DUAL, 43, 0,
-                                       engage_rule=2, occlusion_fail_prob=0.0,
-                                       retries=10**6)
+            trial = picksim._run_trial(DEFAULT_FIELD_STATS, ActuationMode.DUAL, 2, 10**6,
+                                       0, rng, draws, ((0, 1, 2), True))
             next(trial)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"occlusion_fail_prob": math.nan}, "occlusion_fail_prob must be in"),
+        ({"occlusion_fail_prob": -0.5}, "occlusion_fail_prob must be in"),
+        ({"occlusion_fail_prob": 1.5}, "occlusion_fail_prob must be in"),
+        ({"occlusion_fail_prob": math.inf}, "occlusion_fail_prob must be in"),
+        ({"occlusion_fail_prob": -math.inf}, "occlusion_fail_prob must be in"),
+    ])
+    def test_bad_seed_and_occlusion_rejected(self, model, monkeypatch, kwargs, message):
+        # checked before any trial runs
+        started = []
+        monkeypatch.setattr(picksim, "_run_trial", lambda *a: started.append(a))
+        with pytest.raises(ValueError, match=message):
+            run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 3,
+                         **{"seed": 0, **kwargs})
+        assert started == []
+
+    def test_occlusion_probability_bounds_accepted(self, model):
+        never = run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.FINGERS, 20, seed=4,
+                             occlusion_fail_prob=0.0)
+        always = run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.FINGERS, 20, seed=4,
+                              occlusion_fail_prob=1.0)
+        assert never.breakdown[PickOutcome.PICKED] > 0
+        assert always.breakdown[PickOutcome.NO_ENGAGE] == 20
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, model, threads):

@@ -519,8 +519,8 @@ class TestArgumentShapes:
         # a 0-d b_ub
         ((C, None, None, ROW[None], np.float64(4.0)),
          (C, None, None, ROW[None], np.array([4.0]))),
-        # an empty b_eq with a_eq given: no equality rows
-        ((C, np.stack([ROW, ROW]), np.array([]), OTHER, np.array([1.0])),
+        # an empty b_eq with an empty a_eq: no equality rows
+        ((C, [], np.array([]), OTHER, np.array([1.0])),
          (C, np.zeros((0, 2)), np.zeros(0), OTHER, np.array([1.0]))),
         # plain Python lists
         (([1, 2], [[1, 1]], [3], [[1, -1]], [-1]),
@@ -547,3 +547,23 @@ class TestArgumentShapes:
         with pytest.raises(ValueError, match="one row count"):
             solve_from_basis([1, 1], rows.get("a_eq"), rows.get("b_eq"),
                              rows.get("a_ub"), rows.get("b_ub"), (0,))
+
+    @pytest.mark.parametrize("half,message", [
+        # a_ub without b_ub (once read as no rows: unbounded)
+        (dict(a_ub=[[1, 0], [0, 1]]), "a_ub has rows but b_ub has none"),
+        # b_eq without a_eq (once read as no rows)
+        (dict(b_eq=[3]), "b_eq has rows but a_eq has none"),
+        # a_eq rows with an empty b_eq
+        (dict(a_eq=[[1, 1]], b_eq=[]), "a_eq has rows but b_eq has none"),
+        # b_ub rows with an empty a_ub
+        (dict(a_ub=np.zeros((0, 2)), b_ub=[1]), "b_ub has rows but a_ub has none"),
+    ])
+    def test_half_given_block_raises(self, half, message):
+        with pytest.raises(ValueError, match=message):
+            solve_lp([1, 1], **half)
+        stacked = {k: np.stack([np.asarray(v, dtype=float)] * 2) for k, v in half.items()}
+        with pytest.raises(ValueError, match=message):
+            solve_lp_batch(np.ones((2, 2)), **stacked)
+        with pytest.raises(ValueError, match=message):
+            solve_from_basis_batch(np.ones((2, 2)), *(stacked.get(k) for k in (
+                "a_eq", "b_eq", "a_ub", "b_ub")), [(0,), (0,)])
