@@ -9,9 +9,9 @@ Subsystems:
   cli        command-line front end over all of the above
 """
 
+from .config import GraspModelParams
 from .leadscrew import DEFAULT_SCREW, ScrewParams
 from .linkage import DEFAULT_LINKAGE, DEFAULT_TRAVEL, LinkageParams, TravelRange
-from .wrench import ActuationMode, GraspModelParams, GraspScenario, PullType
 
 __all__ = [
     "ActuationMode",
@@ -27,3 +27,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the wrench names load numpy and the LP layer only when first asked for
+    if name in ("ActuationMode", "GraspScenario", "PullType"):
+        from . import wrench
+        return getattr(wrench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import PoseUnsolvable, SynthesisFailed, require_finite
-from .wrench import FRUIT_RADIUS_RANGE_MM, _dot, _norm
+from .vectors import FRUIT_RADIUS_RANGE_MM, _dot, _norm
 
 Point = tuple[float, float]
 
@@ -355,7 +355,7 @@ def solve_finger_poses(spec: CamTrackSpec, us) -> list[FingerPose]:
     64-step bisection halves every bracket at once. Past the hard stop the
     inner pin is pinned there and the outer pin is snapped onto the exact
     pin circle (clamping rotation). The first unsolvable sample raises
-    ``PoseUnsolvable``. Norms are ``wrench._norm``'s, the bits of
+    ``PoseUnsolvable``. Norms are ``vectors._norm``'s, the bits of
     ``np.linalg.norm`` on each vector.
     """
     us = np.asarray(us, dtype=float)

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 usage/config error, 3 domain/geometry error,
 4 numerical failure.
+
+Each command imports the layers it runs in its own body, so a short
+command such as ``transmission`` does not pay for numpy or the LP layer.
 """
 
 from __future__ import annotations
@@ -12,9 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import campath, picksim, svgplot
+from . import svgplot
 from .config import GripperConfig, data_text, default_config, shipped_calibration
 from .errors import (
     CalibrationDiverged,
@@ -35,19 +36,6 @@ from .linkage import (
     sweep_transmission,
     transmission_row,
     travel_grid,
-)
-from .picksim import ActuationMode, DEFAULT_FIELD_STATS
-from .quantiles import summarize_csv_text
-from .wrench import (
-    GraspScenario,
-    PullType,
-    build_contacts,
-    calibrate,
-    calibration_to_json,
-    pull_wrench_for,
-    reference_from_csv,
-    solve_pull,
-    verify_witness,
 )
 
 USAGE_ERROR, DOMAIN_ERROR, NUMERICAL_ERROR = 2, 3, 4
@@ -164,6 +152,10 @@ def cmd_bruise(args) -> int:
 
 
 def cmd_campath(args) -> int:
+    import numpy as np
+
+    from . import campath
+
     cfg = _load_config(args)
     if cfg.cam is not None and args.fruit_diameter is None:
         spec, report = cfg.cam, None
@@ -195,6 +187,9 @@ def cmd_campath(args) -> int:
 
 
 def cmd_grasp(args) -> int:
+    from .wrench import (ActuationMode, GraspScenario, PullType, build_contacts,
+                         pull_wrench_for, solve_pull, verify_witness)
+
     cfg = _load_config(args)
     model = cfg.grasp_model if args.config_model else shipped_calibration()
     scenario = GraspScenario(
@@ -224,6 +219,8 @@ def cmd_grasp(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .wrench import calibrate, calibration_to_json, reference_from_csv
+
     if args.data is not None:
         text = Path(args.data).read_text()
     else:
@@ -238,9 +235,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import picksim
+    from .wrench import ActuationMode
+
     model = shipped_calibration()
     occl = picksim.LEAF_OCCLUSION_FAIL_PROB if args.occlusion else 0.0
-    stats = DEFAULT_FIELD_STATS
+    stats = picksim.DEFAULT_FIELD_STATS
     if args.stats is not None:
         stats = picksim.TrialStats.from_json(Path(args.stats).read_text())
     result = picksim.run_campaign(
@@ -257,6 +257,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .quantiles import summarize_csv_text
+
     if args.csv is not None:
         text = Path(args.csv).read_text()
     else:

@@ -11,12 +11,48 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .campath import CamTrackSpec
 from .errors import ParseError, require_finite
 from .leadscrew import ScrewParams
 from .linkage import LinkageParams, TravelRange
-from .wrench import GraspModelParams
+
+if TYPE_CHECKING:
+    from .campath import CamTrackSpec
+
+
+@dataclass(frozen=True)
+class GraspModelParams:
+    """Calibratable capacity parameters of the grasp model."""
+
+    pad_force: float = 18.0       # N, finger normal capacity at final clamp
+    mu_pad: float = 0.8           # effective pad friction (soft-pad effects folded in)
+    suction_axial: float = 4.0    # N per cup
+    shear_fraction: float = 0.5   # kappa, shear cap fraction of tension capacity
+
+    def __post_init__(self):
+        require_finite(**vars(self))
+        if min(self.pad_force, self.mu_pad, self.suction_axial) < 0.0:
+            raise ValueError("capacities must be >= 0")
+        if not 0.0 < self.shear_fraction <= 1.0:
+            raise ValueError("shear_fraction must be in (0, 1]")
+
+    def to_dict(self) -> dict:
+        return {
+            "pad_force_N": self.pad_force,
+            "mu_pad": self.mu_pad,
+            "suction_axial_N": self.suction_axial,
+            "shear_fraction": self.shear_fraction,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "GraspModelParams":
+        return cls(
+            pad_force=float(d["pad_force_N"]),
+            mu_pad=float(d["mu_pad"]),
+            suction_axial=float(d["suction_axial_N"]),
+            shear_fraction=float(d["shear_fraction"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -59,6 +95,7 @@ class GripperConfig:
                     cam_path = base_dir / cam_path
                 if not cam_path.exists():
                     raise ParseError(f"cam track file not found: {cam_path}")
+                from .campath import CamTrackSpec
                 cam = CamTrackSpec.from_json(cam_path.read_text())
             bruise = float(d.get("bruise_threshold_N", 30.0))
             require_finite(bruise_threshold_N=bruise)

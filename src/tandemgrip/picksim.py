@@ -45,13 +45,13 @@ import numpy as np
 
 from .errors import ParseError
 from .quantiles import QuantileModel
+from .vectors import _norm
 from .wrench import (
     ActuationMode,
     CUP_LONGITUDES_DEG,
     CUP_RING_MM,
     GraspModelParams,
     GraspScenario,
-    _norm,
     predict_strength,
     predict_strengths,
 )

@@ -34,6 +34,7 @@ from itertools import compress
 
 import numpy as np
 
+from .config import GraspModelParams
 from .errors import (
     CalibrationDiverged,
     LpNumericalFailure,
@@ -42,6 +43,7 @@ from .errors import (
     require_finite,
 )
 from .simplexlp import solve_from_basis_batch, solve_lp, solve_lp_batch
+from .vectors import FRUIT_RADIUS_RANGE_MM, _cross, _dot, _norm, _unit
 
 _Z = np.array([0.0, 0.0, 1.0])
 
@@ -53,9 +55,6 @@ PULL_TILT_LONGITUDE_DEG = 60.0
 DEFAULT_CONE_SIDES = 8
 WITNESS_TOL = 1e-6
 LP_BATCH = 64                # pull LPs per solve_lp_batch call
-# fruit radii the pull LP answers soundly; far outside, its moments overflow
-# or its answer is lost to rounding
-FRUIT_RADIUS_RANGE_MM = (1.0, 1000.0)
 
 
 class PullType(enum.Enum):
@@ -121,40 +120,6 @@ class ContactSet:
 
 
 @dataclass(frozen=True)
-class GraspModelParams:
-    """Calibratable capacity parameters of the grasp model."""
-
-    pad_force: float = 18.0       # N, finger normal capacity at final clamp
-    mu_pad: float = 0.8           # effective pad friction (soft-pad effects folded in)
-    suction_axial: float = 4.0    # N per cup
-    shear_fraction: float = 0.5   # kappa, shear cap fraction of tension capacity
-
-    def __post_init__(self):
-        require_finite(**vars(self))
-        if min(self.pad_force, self.mu_pad, self.suction_axial) < 0.0:
-            raise ValueError("capacities must be >= 0")
-        if not 0.0 < self.shear_fraction <= 1.0:
-            raise ValueError("shear_fraction must be in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "pad_force_N": self.pad_force,
-            "mu_pad": self.mu_pad,
-            "suction_axial_N": self.suction_axial,
-            "shear_fraction": self.shear_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GraspModelParams":
-        return cls(
-            pad_force=float(d["pad_force_N"]),
-            mu_pad=float(d["mu_pad"]),
-            suction_axial=float(d["suction_axial_N"]),
-            shear_fraction=float(d["shear_fraction"]),
-        )
-
-
-@dataclass(frozen=True)
 class ReferenceRow:
     scenario: GraspScenario
     strength: float   # N
@@ -173,29 +138,6 @@ class ReferenceMeasurements:
         for r in self.rows:
             if r.strength <= 0.0:
                 raise ValueError("reference strengths must be positive")
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of 3-vectors stacked on the last axis, in its operation
-    order (so bit for bit the same) without its per-call overhead."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot`` of vectors stacked on the last axis, bit for bit: the stacked
-    matmul makes the same BLAS dot call per pair (an einsum or a sum does not)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` (sqrt of the dot) of vectors stacked on the last axis."""
-    return np.sqrt(_dot(v, v))
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / _norm(v)[..., None]
 
 
 def _tangent_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

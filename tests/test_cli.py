@@ -318,6 +318,24 @@ class TestCampathNonFinite:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("command", ["transmission", "bruise"])
+    @pytest.mark.parametrize("malformed,message", [
+        pytest.param(True, "tip_extension must be finite", id="malformed"),
+        pytest.param(False, "cam track file not found", id="missing"),
+    ])
+    def test_every_command_checks_the_cam_file(self, capsys, tmp_path, cam_doc, command,
+                                               malformed, message):
+        # config.py imports campath only when a config names a cam file,
+        # so commands that never use the tracks must still check them
+        config = cam_config(tmp_path, {**cam_doc, "tip_extension_mm": float("nan")}
+                            if malformed else cam_doc)
+        if not malformed:
+            (tmp_path / "tracks.json").unlink()
+        code, out, err = run(capsys, tmp_path, "--config", str(config), command)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert run(capsys, tmp_path, "--config", str(config), "campath") == (code, out, err)
+
     @pytest.mark.parametrize("flag,value,name", [
         ("--clearance", "nan", "clearance"),
         ("--clearance", "inf", "clearance"),
@@ -516,18 +534,96 @@ class TestNonFiniteConfig:
         assert "too large" in err
 
 
+# the six commands of the benchmark's cli workload
+BENCH_COMMANDS = {
+    "transmission": ["transmission"],
+    "bruise": ["bruise"],
+    "grasp-dual": ["grasp", "--mode", "dual", "--angle", "45"],
+    "grasp-suction": ["grasp", "--mode", "suction", "--pull", "rotational"],
+    "stats": ["stats"],
+    "campath": ["campath"],
+}
+
+
+def modules_after_command(tmp_path, argv) -> set[str]:
+    """``sys.modules`` after ``cli.main(argv)`` in a fresh interpreter."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from tandemgrip import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['--out', {str(tmp_path)!r}, *{argv!r}])\n"
+        "assert code == 0, code\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    src = str(Path(tandemgrip.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
 class TestColdStart:
-    def test_no_command_imports_scipy(self, tmp_path):
+    @pytest.mark.parametrize("command", BENCH_COMMANDS)
+    def test_no_command_imports_scipy(self, tmp_path, command):
         # calibration has its own Nelder-Mead, so scipy stays out of every command
-        script = (
-            "import sys\n"
-            "def scipy_modules():\n"
-            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-            "from tandemgrip import cli\n"
-            "assert not scipy_modules(), scipy_modules()\n"
-            f"assert cli.main(['--out', {str(tmp_path)!r}, 'grasp', '--angle', '30']) == 0\n"
-            "assert not scipy_modules(), scipy_modules()\n"
-        )
+        loaded = modules_after_command(tmp_path, BENCH_COMMANDS[command])
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+    # modules each command must not load: every command imports its layers in
+    # its own body, and a module-level import in cli.py, config.py or
+    # __init__.py would put them back in front of every command
+    NOT_LOADED = {
+        "transmission": {"numpy"},
+        "bruise": {"numpy"},
+        "grasp-dual": {"tandemgrip.campath", "tandemgrip.picksim", "tandemgrip.quantiles"},
+        "grasp-suction": {"tandemgrip.campath", "tandemgrip.picksim", "tandemgrip.quantiles"},
+        "stats": {"tandemgrip.wrench", "tandemgrip.campath"},
+        "campath": {"tandemgrip.wrench", "tandemgrip.simplexlp", "tandemgrip.picksim"},
+    }
+
+    @pytest.mark.parametrize("command", BENCH_COMMANDS)
+    def test_command_loads_only_its_layers(self, tmp_path, command):
+        loaded = modules_after_command(tmp_path, BENCH_COMMANDS[command])
+        assert not self.NOT_LOADED[command] & loaded
+
+
+class TestPackageSurface:
+    HOMES = {
+        "ActuationMode": "wrench",
+        "DEFAULT_LINKAGE": "linkage",
+        "DEFAULT_SCREW": "leadscrew",
+        "DEFAULT_TRAVEL": "linkage",
+        "GraspModelParams": "config",
+        "GraspScenario": "wrench",
+        "LinkageParams": "linkage",
+        "PullType": "wrench",
+        "ScrewParams": "leadscrew",
+        "TravelRange": "linkage",
+    }
+
+    def test_names_resolve_to_their_home_modules(self):
+        assert sorted(tandemgrip.__all__) == sorted(self.HOMES)
+        for name, home in self.HOMES.items():
+            module = importlib.import_module(f"tandemgrip.{home}")
+            assert getattr(tandemgrip, name) is getattr(module, name), name
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from tandemgrip import *", namespace)
+        for name in tandemgrip.__all__:
+            assert namespace[name] is getattr(tandemgrip, name), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="'nope'"):
+            tandemgrip.nope  # noqa: B018
+
+    def test_grasp_model_params_has_one_class(self):
+        from tandemgrip import config, wrench
+        assert wrench.GraspModelParams is config.GraspModelParams
+
+    def test_bare_import_loads_no_numpy(self):
+        script = "import sys, tandemgrip\nassert 'numpy' not in sys.modules\n"
         src = str(Path(tandemgrip.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
