@@ -545,22 +545,26 @@ BENCH_COMMANDS = {
 }
 
 
+def fresh_python(script: str) -> str:
+    """Run ``script`` in a fresh interpreter on this checkout; its stdout."""
+    src = str(Path(tandemgrip.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def modules_after_command(tmp_path, argv) -> set[str]:
     """``sys.modules`` after ``cli.main(argv)`` in a fresh interpreter."""
-    script = (
+    return set(json.loads(fresh_python(
         "import contextlib, io, json, sys\n"
         "from tandemgrip import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main(['--out', {str(tmp_path)!r}, *{argv!r}])\n"
         "assert code == 0, code\n"
         "print(json.dumps(sorted(sys.modules)))\n"
-    )
-    src = str(Path(tandemgrip.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+    )))
 
 
 class TestColdStart:
@@ -616,19 +620,14 @@ class TestPackageSurface:
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="'nope'"):
-            tandemgrip.nope  # noqa: B018
+            tandemgrip.nope
 
     def test_grasp_model_params_has_one_class(self):
         from tandemgrip import config, wrench
         assert wrench.GraspModelParams is config.GraspModelParams
 
     def test_bare_import_loads_no_numpy(self):
-        script = "import sys, tandemgrip\nassert 'numpy' not in sys.modules\n"
-        src = str(Path(tandemgrip.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        fresh_python("import sys, tandemgrip\nassert 'numpy' not in sys.modules\n")
 
 
 class TestSimulateStats:
