@@ -1,10 +1,12 @@
 """Pick-protocol simulation against a proxy branch model.
 
-Single picks walk the phase machine used in the physical trials: approach
-up to 50 mm, engage suction cups, deploy the fingers, then pull back until
-the detachment threshold or grasp failure. Campaigns Monte-Carlo the same
-machine with per-trial draws from field-statistics quantile models; both
-use the same engagement rule and the same strength-vs-detachment compare.
+A single pick follows the protocol of the physical trials: approach up to
+50 mm, engage suction cups, deploy the fingers, then pull back until the
+detachment threshold or grasp failure. Its outcome tells where it ended:
+``no_engage`` before the pull, ``grasp_slip`` during it. Campaigns
+Monte-Carlo the same protocol with per-trial draws from field-statistics
+quantile models; both use the same engagement rule and the same
+strength-vs-detachment compare.
 Each trial derives its own RNG stream from (seed, trial index), so results
 are bit-identical regardless of execution order.
 
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, require_finite
 from .quantiles import QuantileModel
 from .vectors import _norm
 from .wrench import (
@@ -66,19 +68,10 @@ MAX_TRIALS = 100_000            # most trials one campaign may run
 MAX_RETRIES = 100               # most retries one trial may make
 
 
-class PickPhase(enum.Enum):
-    APPROACH = "approach"
-    SUCTION_ENGAGE = "suction_engage"
-    FINGER_DEPLOY = "finger_deploy"
-    PULL = "pull"
-    DONE = "done"
-
-
 class PickOutcome(enum.Enum):
     PICKED = "picked"
     GRASP_SLIP = "grasp_slip"
     NO_ENGAGE = "no_engage"
-    PENDING = "pending"
 
 
 @dataclass(frozen=True)
@@ -87,20 +80,18 @@ class ProxyModel:
 
     detachment_force: float = 16.0    # N
     branch_stiffness: float = 455.0   # N/m
-    fruit_diameter: float = 75.0      # mm
-    fruit_mass: float = 220.0         # g
 
     def __post_init__(self):
-        if min(self.detachment_force, self.branch_stiffness,
-               self.fruit_diameter, self.fruit_mass) <= 0.0:
+        require_finite(detachment_force=self.detachment_force,
+                       branch_stiffness=self.branch_stiffness)
+        if min(self.detachment_force, self.branch_stiffness) <= 0.0:
             raise ValueError("proxy parameters must be positive")
 
 
 @dataclass(frozen=True)
 class PickState:
-    phase: PickPhase
     cups_engaged: int
-    travel: float          # mm within the reported phase (pull travel when Done)
+    travel: float          # mm: the approach limit without engagement, else the pull travel
     outcome: PickOutcome
     strength: float = 0.0  # N, grasp strength used in the pull comparison
 
@@ -168,21 +159,22 @@ def run_pick(
     engage_rule: int = 2,
     misalignment_azimuth: float = 0.0,
 ) -> PickState:
-    """Execute one pick through the phase machine.
+    """Execute one pick: approach, engage, then pull.
 
     The scenario's fruit offset doubles as the lateral misalignment for cup
     engagement (lab usage). All failure paths are outcomes, not errors.
     """
     _check_engage_rule(engage_rule)
+    require_finite(misalignment_azimuth=misalignment_azimuth)
     # approach: advance until the palm meets the fruit (placed 50 mm away)
     mode, offset = scenario.mode, scenario.fruit_offset
     [(cups, engaged)] = _engage(mode, [offset], [misalignment_azimuth], engage_rule)
     if not engaged:
-        return PickState(PickPhase.DONE, len(cups), APPROACH_LIMIT_MM, PickOutcome.NO_ENGAGE)
+        return PickState(len(cups), APPROACH_LIMIT_MM, PickOutcome.NO_ENGAGE)
     strength = _trial_strength(mode, scenario.fruit_radius, scenario.pull_angle, cups, model)
     pull_travel = proxy.detachment_force / proxy.branch_stiffness * 1000.0
-    return PickState(PickPhase.DONE, len(cups), pull_travel,
-                     _pull_outcome(strength, proxy.detachment_force), strength)
+    return PickState(len(cups), pull_travel, _pull_outcome(strength, proxy.detachment_force),
+                     strength)
 
 
 @dataclass(frozen=True)

@@ -423,15 +423,6 @@ def verify_witness(contacts: ContactSet, sol: PullSolution, tol: float = WITNESS
     return problems
 
 
-def max_resistible_pull(
-    contacts: ContactSet,
-    pull_direction: np.ndarray,
-    application_point: np.ndarray,
-) -> float:
-    """Maximum pull force (N) the contact set can balance."""
-    return solve_pull(contacts, pull_direction, application_point).alpha
-
-
 def pull_wrench_for(scenario: GraspScenario) -> tuple[np.ndarray, np.ndarray]:
     """Pull direction and application point for a scenario (fruit frame).
 
@@ -468,10 +459,12 @@ def predict_strength(
     model: GraspModelParams,
     cup_indices: tuple[int, ...] = (0, 1, 2),
 ) -> float:
-    """Predicted grasp strength (N) for a scenario."""
-    contacts = build_contacts(scenario, model, DEFAULT_CONE_SIDES, cup_indices)
-    d, app = pull_wrench_for(scenario)
-    return max_resistible_pull(contacts, d, app)
+    """Predicted grasp strength (N) for a scenario: ``predict_strengths``'
+    stack of one, solved with the scalar kernel."""
+    lp = _strength_stack([scenario], [cup_indices], model)
+    if lp is None:   # no contact holds nothing
+        return 0.0
+    return _alpha(solve_lp(*(a[0] for a in lp.refresh(model))))
 
 
 def predict_strengths(

@@ -36,7 +36,6 @@ from tandemgrip.wrench import (
     GraspScenario,
     PullType,
     build_contacts,
-    max_resistible_pull,
     predict_strength,
     pull_wrench_for,
     solve_pull,
@@ -146,11 +145,11 @@ def test_criterion_5_lp_soundness():
     # analytic planar cases
     mu, cap = 0.6, 9.0
     cs = ContactSet(37.5, (pad([37.5, 0, 0], cap, mu, 8), pad([-37.5, 0, 0], cap, mu, 8)))
-    assert max_resistible_pull(cs, [0, 0, 1], [0, 0, 0]) == pytest.approx(
+    assert solve_pull(cs, [0, 0, 1], [0, 0, 0]).alpha == pytest.approx(
         2 * mu * cap, rel=1e-6
     )
     cs1 = ContactSet(37.5, (pad([0, 0, 37.5], 7.0, 0.0),))
-    assert max_resistible_pull(cs1, [0, 0, 1], [0, 0, 0]) == pytest.approx(7.0, abs=1e-6)
+    assert solve_pull(cs1, [0, 0, 1], [0, 0, 0]).alpha == pytest.approx(7.0, abs=1e-6)
     # enumeration oracle
     rng = np.random.default_rng(99)
     for _ in range(100):
@@ -163,7 +162,7 @@ def test_criterion_5_lp_soundness():
         cset = ContactSet(37.5, tuple(contacts))
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        lp = max_resistible_pull(cset, d, np.zeros(3))
+        lp = solve_pull(cset, d, np.zeros(3)).alpha
         oracle = enumeration_oracle(cset, d, np.zeros(3))
         assert lp == pytest.approx(oracle, rel=0.02, abs=1e-6)
     elapsed = time.perf_counter() - t0

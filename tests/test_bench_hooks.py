@@ -1,0 +1,62 @@
+"""The traced benchmark's hooks still find every name they wrap.
+
+``perfbench/spans.py`` wraps toolkit functions from outside the package;
+a renamed function or a changed ``_bland_iterate`` signature lands in
+``Tracer.missing`` and fails a traced run. This loads that file as it is
+and checks that installing, tracing a strength query and a small campaign,
+and uninstalling leave nothing missing and every name as it was.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import scipy.optimize
+
+from tandemgrip import campath, cli, config, leadscrew, linkage, picksim, quantiles  # noqa: F401
+from tandemgrip import simplexlp, wrench  # noqa: F401
+from tandemgrip.config import shipped_calibration
+from tandemgrip.picksim import DEFAULT_FIELD_STATS
+from tandemgrip.wrench import ActuationMode, GraspScenario
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bound_names():
+    """Every attribute of every loaded toolkit module, of ``QuantileModel``
+    and of ``scipy.optimize``, by identity."""
+    owners = [mod for name, mod in sys.modules.items() if name.startswith("tandemgrip")]
+    owners += [quantiles.QuantileModel, scipy.optimize]
+    return {id(owner): (owner, dict(vars(owner))) for owner in owners}
+
+
+def test_hooks_install_trace_and_uninstall():
+    spans = load_spans()
+    before = bound_names()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, [])
+        assert tracer.missing == []
+        assert wrench.predict_strength is not before[id(wrench)][1]["predict_strength"]
+        model = shipped_calibration()
+        # through the modules, whose names the tracer rebinds
+        assert wrench.predict_strength(GraspScenario(37.5), model) > 0.0
+        picksim.run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.FINGERS, trials=50,
+                             seed=0, retries=1)
+        assert tracer.missing == []
+        calls = {name: rec["calls"] for name, rec in tracer.summary()["spans"].items()}
+        assert calls["wrench.predict_strength"] == 1
+        assert calls["picksim.run_campaign"] == 1
+    finally:
+        tracer.uninstall()
+    for owner, names in before.values():
+        now = vars(owner)
+        changed = [k for k, v in names.items() if now.get(k) is not v]
+        assert changed == [], f"{getattr(owner, '__name__', owner)} not restored: {changed}"

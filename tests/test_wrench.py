@@ -23,7 +23,6 @@ from tandemgrip.wrench import (
     PullType,
     build_contacts,
     calibrate,
-    max_resistible_pull,
     predict_strength,
     predict_strengths,
     pull_wrench_for,
@@ -143,7 +142,7 @@ class TestAnalyticCases:
     def test_single_pad_opposing_pull(self):
         # normal exactly opposes the pull, no friction: alpha = capacity
         cs = ContactSet(37.5, (pad([0.0, 0.0, 37.5], cap=7.0, mu=0.0),))
-        assert max_resistible_pull(cs, Z, np.zeros(3)) == pytest.approx(7.0, abs=1e-9)
+        assert solve_pull(cs, Z, np.zeros(3)).alpha == pytest.approx(7.0, abs=1e-9)
 
     def test_single_cup_tension(self):
         c = Contact(
@@ -152,7 +151,7 @@ class TestAnalyticCases:
             tension_capacity=4.0, mu=0.0, cone_sides=8, shear_capacity=2.0,
         )
         cs = ContactSet(37.5, (c,))
-        assert max_resistible_pull(cs, Z, np.zeros(3)) == pytest.approx(4.0, abs=1e-9)
+        assert solve_pull(cs, Z, np.zeros(3)).alpha == pytest.approx(4.0, abs=1e-9)
 
     def test_opposed_pads_friction_only(self):
         # two pads squeezing across the equator, pull along the axis:
@@ -162,7 +161,7 @@ class TestAnalyticCases:
             pad([37.5, 0.0, 0.0], cap, mu, sides=8),
             pad([-37.5, 0.0, 0.0], cap, mu, sides=8),
         ))
-        assert max_resistible_pull(cs, Z, np.zeros(3)) == pytest.approx(
+        assert solve_pull(cs, Z, np.zeros(3)).alpha == pytest.approx(
             2.0 * mu * cap, rel=1e-6
         )
 
@@ -196,7 +195,7 @@ class TestOracleEquivalence:
             cs = ContactSet(37.5, tuple(contacts))
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            lp = max_resistible_pull(cs, d, np.zeros(3))
+            lp = solve_pull(cs, d, np.zeros(3)).alpha
             oracle = enumeration_oracle(cs, d, np.zeros(3))
             assert lp == pytest.approx(oracle, rel=0.02, abs=1e-6)
 
@@ -221,7 +220,7 @@ class TestOracleEquivalence:
                 ))
             cs = ContactSet(37.5, tuple(contacts))
             d = unit_vec(rng)
-            lp = max_resistible_pull(cs, d, np.zeros(3))
+            lp = solve_pull(cs, d, np.zeros(3)).alpha
             oracle = enumeration_oracle(cs, d, np.zeros(3))
             assert lp == pytest.approx(oracle, rel=0.02, abs=2e-3)
 
@@ -266,8 +265,8 @@ class TestInvariants:
             m = np.array([[math.cos(rot), -math.sin(rot), 0.0],
                           [math.sin(rot), math.cos(rot), 0.0],
                           [0.0, 0.0, 1.0]])
-            a0 = max_resistible_pull(cs, d, np.zeros(3))
-            a1 = max_resistible_pull(cs, m @ d, np.zeros(3))
+            a0 = solve_pull(cs, d, np.zeros(3)).alpha
+            a1 = solve_pull(cs, m @ d, np.zeros(3)).alpha
             assert a1 == pytest.approx(a0, rel=1e-6, abs=1e-9)
 
     def test_mode_monotonicity(self):
@@ -718,6 +717,25 @@ class TestBatchedPull:
         got = predict_strengths(queries, model)
         ref = [predict_strength(s, model, cup_indices=cups) for s, cups in queries]
         assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+    def test_predict_strength_builds_no_contacts(self, monkeypatch):
+        # one query is predict_strengths' stack of one: no Contact objects,
+        # no ContactSet, and the same values and errors
+        def refuse(*args, **kwargs):
+            raise AssertionError("predict_strength built contact objects")
+        monkeypatch.setattr(wrench, "build_contacts", refuse)
+        monkeypatch.setattr(wrench, "ContactSet", refuse)
+        model = shipped_calibration()
+        queries = random_queries(48, 30) + [(GraspScenario(37.5, mode=ActuationMode.SUCTION), ())]
+        assert {s.mode for s, _ in queries} == set(ActuationMode)
+        got = [predict_strength(s, model, cup_indices=cups) for s, cups in queries]
+        assert np.array(got).tobytes() == np.array(predict_strengths(queries, model)).tobytes()
+        assert got[-1] == 0.0
+        with pytest.raises(OffsetExceedsRadius):
+            predict_strength(GraspScenario(37.5, fruit_offset=40.0), model)
+        with pytest.raises(ValueError, match="suction cups need positive tension"):
+            predict_strength(GraspScenario(37.5, mode=ActuationMode.SUCTION),
+                             GraspModelParams(suction_axial=0.0))
 
 
 class TestStackedBuild:
