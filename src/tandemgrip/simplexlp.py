@@ -19,9 +19,12 @@ scalar scan's row order can matter, is scanned row by row.
 
 ``solve_from_basis_batch`` re-solves a stack of problems, each from a basis
 that was optimal for a nearby one (LP sensitivity analysis; Chvatal, *Linear
-Programming*, 1983, ch. 10): one stacked factorisation of the basis matrices
-gives the primal and dual values, and a basis is accepted only if both are
-feasible. ``solve_from_basis`` is its one-problem case.
+Programming*, 1983, ch. 10): ``standard_form``, then the basis kernel
+``_from_basis``, whose stacked inverse of the basis matrices gives the primal
+and dual values; a basis is accepted only if both are feasible.
+``solve_from_basis`` is its one-problem case. ``restart_batch`` runs the
+kernel on a kept standard form, restarts each basis it rejects (``_restart``)
+and re-checks the restarted ones in one stacked call.
 """
 
 from __future__ import annotations
@@ -148,36 +151,29 @@ def solve_lp(
     return _solve(*_one(c, a_eq, b_eq, a_ub, b_ub), _iterate_one, _pivot_one)[0]
 
 
-def solve_from_basis_batch(
-    c: np.ndarray,
-    a_eq: np.ndarray | None,
-    b_eq: np.ndarray | None,
-    a_ub: np.ndarray | None,
-    b_ub: np.ndarray | None,
-    basis,
-) -> list[LpResult | None]:
-    """``solve_lp``'s optimum of each problem of a stack from a given basis, or
-    None where that basis is not optimal and the problem must be solved cold.
-
-    The arguments carry a leading batch axis, as ``solve_lp_batch``'s do, and
-    ``basis`` holds one ``LpResult.basis`` per problem. In the standard form
-    [A_eq 0; A_ub I], one stacked inverse of the basis matrices B gives
-    x_B = B^-1 b and the duals y = c_B B^-1; a basis is accepted only if
-    x_B >= -tol and every reduced cost c - y A <= tol. A basis of another
-    length, with an artificial or with a singular B rejects only its own
-    problem. The inverse and the matmuls make one problem's LAPACK and BLAS
-    calls per problem, so each result is that of the problem alone.
-    """
+def standard_form(c, a_eq, b_eq, a_ub, b_ub) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack of problems (``solve_lp_batch``'s arguments) as max cost.x st
+    a x = b, x >= 0: a = [A_eq 0; A_ub I], b = [b_eq; b_ub], cost = [c 0]."""
     c = np.asarray(c, dtype=float)
     nb, n = c.shape
-
     (a_eq, b_eq), (a_ub, b_ub) = _block("eq", a_eq, b_eq, nb, n), _block("ub", a_ub, b_ub, nb, n)
     m_eq, n_slack = b_eq.shape[1], b_ub.shape[1]
-    m, ncols = m_eq + n_slack, n + n_slack
-    a = np.zeros((nb, m, ncols))
-    a[:, :, :n] = np.concatenate([a_eq, a_ub], axis=1)
-    a[:, m_eq:, n:] = np.eye(n_slack)
-    b = np.concatenate([b_eq, b_ub], axis=1)
+    a = np.zeros((nb, m_eq + n_slack, n + n_slack))
+    a[:, :m_eq, :n], a[:, m_eq:, :n], a[:, m_eq:, n:] = a_eq, a_ub, np.eye(n_slack)
+    return a, np.concatenate([b_eq, b_ub], 1), np.concatenate([c, np.zeros((nb, n_slack))], 1)
+
+
+def _from_basis(a, b, cost, basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis kernel: where each standard-form problem's basis (one
+    ``LpResult.basis`` each) is optimal, x and the basis inverses B^-1.
+
+    x_B = B^-1 b and the duals y = c_B B^-1; a basis is accepted only if
+    x_B >= -tol and every reduced cost c - y A <= tol. A basis of another
+    length, with an artificial or with a singular B is rejected alone, and
+    its inverse reads NaN. The inverse and the matmuls make one problem's
+    LAPACK and BLAS calls per problem, so each result is the problem's alone.
+    """
+    nb, m, ncols = a.shape
     # a rejected basis reads column 0 and gets B = I: no index out of range, no singular stack
     ok = np.array([len(bk) == m > 0 and 0 <= min(bk) <= max(bk) < ncols for bk in basis], bool)
     bas = np.array([bk if good else [0] * m for bk, good in zip(basis, ok)], int).reshape(nb, m)
@@ -192,16 +188,83 @@ def solve_from_basis_batch(
             try:
                 b_inv[i] = np.linalg.inv(mat[i])
             except np.linalg.LinAlgError:
-                b_inv[i], ok[i] = np.eye(m), False
+                ok[i] = False
+    b_inv[~ok] = np.nan
     x_b = (b_inv @ b[:, :, None])[:, :, 0]
-    cost = np.concatenate([c, np.zeros((nb, n_slack))], axis=1)
     reduced = cost - ((cost[k, bas][:, None] @ b_inv) @ a)[:, 0]
     # (NaN fails both tests)
     ok &= np.all(x_b >= -_TOL, axis=1) & np.all(reduced <= _TOL, axis=1)
     x = np.zeros((nb, ncols))
     x[k, bas] = x_b
-    return [LpResult("optimal", float(c[i] @ x[i, :n]), x[i, :n], tuple(bas[i].tolist()))
-            if ok[i] else None for i in range(nb)]
+    return ok, x, b_inv
+
+
+def solve_from_basis_batch(c, a_eq, b_eq, a_ub, b_ub, basis) -> list[LpResult | None]:
+    """``solve_lp``'s optimum of each problem of a stack from a given basis, or
+    None where that basis is not optimal and the problem must be solved cold.
+
+    The arguments carry a leading batch axis, as ``solve_lp_batch``'s do, and
+    ``basis`` holds one ``LpResult.basis`` per problem.
+    """
+    c = np.asarray(c, dtype=float)
+    ok, x, _ = _from_basis(*standard_form(c, a_eq, b_eq, a_ub, b_ub), basis)
+    x = x[:, :c.shape[1]]
+    return [LpResult("optimal", float(c[i] @ x[i]), x[i], tuple(map(int, basis[i])))
+            if ok[i] else None for i in range(len(c))]
+
+
+def _restart(a, b, cost, basis, b_inv: np.ndarray) -> tuple[int, ...] | None:
+    """The basis one standard-form problem reaches from a basis ``_from_basis``
+    rejected, on the tableau B^-1 [A | b] and reduced costs d of that basis'
+    ``b_inv``; None where it must be solved cold.
+
+    A dual feasible basis runs the dual simplex (Lemke, *Naval Res. Logist.
+    Q.* 1(1), 1954) with Bland's rule: the row of the smallest basic index
+    with x_B < -tol leaves, and the smallest ratio d_j / T_rj over
+    T_rj < -tol enters, ties to the smaller j. A primal feasible one runs
+    phase 2 with the scalar kernel. Neither, or an LP found infeasible or
+    unbounded, goes cold.
+    """
+    m, ncols = a.shape
+    bas = list(basis)
+    tab = b_inv @ np.concatenate([a, b[:, None]], axis=1)
+    d = np.append(cost, 0.0) - cost[bas] @ tab
+    maxiter = 200 * (ncols + m + 1)
+    if np.all(d[:ncols] <= _TOL):
+        for _ in range(maxiter):
+            short = np.flatnonzero(tab[:, -1] < -_TOL)
+            if not short.size:
+                return tuple(bas)
+            r = min(short, key=bas.__getitem__)
+            enter = np.flatnonzero(tab[r, :ncols] < -_TOL)
+            if not enter.size:
+                return None
+            j = int(enter[np.argmin(d[enter] / tab[r, enter])])
+            _pivot(tab, bas, r, j)
+            d -= d[j] * tab[r]
+        raise LpNumericalFailure(f"dual simplex exceeded {maxiter} iterations; basis={bas}")
+    if np.all(tab[:, -1] >= -_TOL) and _bland_iterate(tab, bas, d, ncols, maxiter) == "optimal":
+        return tuple(bas)
+    return None
+
+
+def restart_batch(a, b, cost, basis) -> tuple[np.ndarray, np.ndarray, list]:
+    """``_from_basis`` on a stack of standard-form problems, with each
+    rejected basis restarted (``_restart``) and the restarted bases re-checked
+    in one stacked call. Returns where a basis was accepted, x and the bases;
+    where none was, the problem must be solved cold."""
+    ok, x, b_inv = _from_basis(a, b, cost, basis)
+    basis, again = list(basis), []
+    # (a basis the kernel could not invert at all has a NaN inverse)
+    for k in np.flatnonzero(~ok & np.isfinite(b_inv).all(axis=(1, 2))):
+        new = _restart(a[k], b[k], cost[k], basis[k], b_inv[k])
+        if new is not None:
+            basis[k] = new
+            again.append(k)
+    if again:
+        ok[again], x[again], _ = _from_basis(a[again], b[again], cost[again],
+                                             [basis[k] for k in again])
+    return ok, x, basis
 
 
 def solve_from_basis(c, a_eq, b_eq, a_ub, b_ub, basis: tuple[int, ...]) -> LpResult | None:

@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     require_finite,
 )
-from .simplexlp import solve_from_basis_batch, solve_lp, solve_lp_batch
+from .simplexlp import restart_batch, solve_lp, solve_lp_batch, standard_form
 from .vectors import FRUIT_RADIUS_RANGE_MM, _cross, _dot, _norm, _unit
 
 _Z = np.array([0.0, 0.0, 1.0])
@@ -128,6 +128,8 @@ class ReferenceRow:
 
     def __post_init__(self):
         require_finite(strength=self.strength, stdev=self.stdev)
+        if self.stdev < 0.0:
+            raise ValueError(f"stdev must be >= 0, got {self.stdev!r}")
 
 
 @dataclass(frozen=True)
@@ -316,6 +318,14 @@ class _PullLp:
             a_eq[:, :, self.pads] = cols.reshape(len(a_eq), -1, 6).transpose(0, 2, 1)
         self.lp[4][:] = caps
         return self.lp
+
+    def standard_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stack as ``simplexlp.standard_form`` (a, b, cost), built once; the
+        stack's arrays become views into it, so each later fill writes there."""
+        a, b, cost = standard_form(*self.lp)
+        m_eq, nv = self.lp[1].shape[1:]
+        self.lp = (self.lp[0], a[:, :m_eq, :nv], b[:, :m_eq], a[:, m_eq:, :nv], b[:, m_eq:])
+        return a, b, cost
 
     def refresh(self, model: GraspModelParams) -> tuple:
         """``fill`` from grasp-model parameters, with the capacities
@@ -509,6 +519,10 @@ def reference_from_csv(text: str, fruit_radius: float = 37.5) -> ReferenceMeasur
     rows: list[ReferenceRow] = []
     for i, rec in enumerate(reader, start=2):
         try:
+            # without a source (no column, or a short row) a row is authoritative
+            source = "authoritative" if rec.get("source") is None else rec["source"]
+            if source not in ("authoritative", "approximate"):
+                raise ValueError(f"source must be authoritative or approximate, got {source!r}")
             scenario = GraspScenario(
                 fruit_radius=fruit_radius,
                 fruit_offset=float(rec["offset_mm"]),
@@ -521,7 +535,7 @@ def reference_from_csv(text: str, fruit_radius: float = 37.5) -> ReferenceMeasur
                     scenario=scenario,
                     strength=float(rec["strength_N"]),
                     stdev=float(rec["stdev_N"]),
-                    authoritative=rec.get("source", "authoritative") == "authoritative",
+                    authoritative=source == "authoritative",
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -634,12 +648,13 @@ def calibrate(
 
     A row's geometry is fixed; between two evaluations only ``mu_pad`` and
     the capacities move. So the fitted rows of each layout (mode) are one
-    pull-LP stack, built at the first evaluation; every later evaluation
-    rewrites its pad columns and capacities in place and solves it from its
-    rows' previous bases with one stacked inverse (``solve_from_basis_batch``),
-    solving a row cold only when its basis no longer holds. The residuals are
-    one cold ``predict_strengths`` pass at the fitted point, and the reported
-    error is the loss over the fitted rows' residuals.
+    pull-LP stack with its standard form, built at the first evaluation;
+    every later evaluation rewrites its pad columns and capacities in place
+    and solves it from its rows' previous bases (``simplexlp.restart_batch``).
+    A rejected basis restarts, and a row is solved cold only when its basis
+    neither holds nor restarts. The residuals are one cold
+    ``predict_strengths`` pass at the fitted point, and the reported error
+    is the loss over the fitted rows' residuals.
     """
     if not reference.rows:
         raise ValueError("reference measurements must be nonempty")
@@ -657,23 +672,25 @@ def calibrate(
     layouts: dict[ActuationMode, list[int]] = {}
     for i, row in enumerate(rows):
         layouts.setdefault(row.scenario.mode, []).append(i)
-    # layout -> its rows' pull-LP stack and each row's last cold basis
-    stacks: dict[ActuationMode, tuple[_PullLp, list[tuple[int, ...]]]] = {}
+    # layout -> its rows' pull-LP stack, its standard form and each row's last basis
+    stacks: dict[ActuationMode, tuple[_PullLp, tuple, list[tuple[int, ...]]]] = {}
 
     def strengths(params: GraspModelParams) -> list[float]:
         preds = [0.0] * len(rows)
         for mode, members in layouts.items():
             if mode not in stacks:
                 scenarios = [rows[i].scenario for i in members]
-                stacks[mode] = (_strength_stack(scenarios, [(0, 1, 2)] * len(members), params),
-                                [()] * len(members))
-            stack, bases = stacks[mode]
+                stack = _strength_stack(scenarios, [(0, 1, 2)] * len(members), params)
+                stacks[mode] = (stack, stack.standard_form(), [()] * len(members))
+            stack, std, bases = stacks[mode]
             lp = stack.refresh(params)
-            for k, res in enumerate(solve_from_basis_batch(*lp, bases)):
-                if res is None:
-                    res = solve_lp(*(a[k] for a in lp))
-                    bases[k] = res.basis
-                preds[members[k]] = _alpha(res)
+            ok, x, bases[:] = restart_batch(*std, bases)
+            for k, i in enumerate(members):
+                if ok[k]:   # alpha, the last LP variable, read off the basis
+                    preds[i] = float(x[k, lp[0].shape[1] - 1])
+                    continue
+                res = solve_lp(*(a[k] for a in lp))
+                bases[k], preds[i] = res.basis, _alpha(res)
         return preds
 
     def loss(preds) -> float:

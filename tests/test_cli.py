@@ -457,6 +457,20 @@ class TestCalibrateCommand:
         assert out == ""
         assert f"{name} must be finite" in err and "row 2" in err
 
+    @pytest.mark.parametrize("row,message", [
+        ("suction,0,0,axial,12,-1,authoritative", "stdev must be >= 0, got -1.0"),
+        ("suction,0,0,axial,12,1,authorative", "source must be authoritative or approximate"),
+    ])
+    def test_bad_reference_row_usage_error(self, capsys, tmp_path, row, message):
+        data = tmp_path / "ref.csv"
+        data.write_text("mode,offset_mm,angle_deg,pull_type,strength_N,stdev_N,source\n"
+                        "dual,0,0,axial,34.3,1.6,authoritative\n"
+                        f"{row}\n")
+        code, out, err = run(capsys, tmp_path, "calibrate", "--data", str(data))
+        assert code == 2
+        assert out == ""
+        assert message in err and "row 3" in err
+
     def test_unfitted_row_sharing_a_scenario_is_not_fitted(self, capsys, tmp_path):
         # an approximate row that repeats an authoritative row's scenario is
         # left out of the fit and of its error check

@@ -1,6 +1,7 @@
 """Dense simplex solver vs known solutions and an independent solver; the
 batched solver vs the scalar one, the pivot and the stacked basis solve vs
-one-problem references, byte for byte; the phase hooks a tracer uses."""
+one-problem references, byte for byte; restarts from a rejected basis vs
+cold solves; the phase hooks a tracer uses."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tandemgrip.simplexlp import (
     solve_from_basis_batch,
     solve_lp,
     solve_lp_batch,
+    standard_form,
 )
 from tandemgrip.wrench import ActuationMode, GraspModelParams
 
@@ -381,6 +383,129 @@ class TestSolveFromBasisBatch:
             else:
                 assert_identical(res, want)
         assert sum(res is not None for res in got) == len(got) - len(bad)
+
+
+def classify(a, b, cost, basis):
+    """(primal, dual) feasibility of a basis of one standard-form problem,
+    from solves of its own basis matrix."""
+    mat = a[:, list(basis)]
+    primal = np.all(np.linalg.solve(mat, b) >= -_TOL)
+    dual = np.all(cost - np.linalg.solve(mat.T, cost[list(basis)]) @ a <= _TOL)
+    return bool(primal), bool(dual)
+
+
+def perturbed_bases(perturb, kind, points=8):
+    """(pull LP, its standard form, basis) of calibration-stack rows whose
+    basis is optimal at a random point and, after ``perturb`` moved the
+    point, has the (primal, dual) feasibility ``kind``."""
+    rng = np.random.default_rng(1954)
+    found = []
+    for stack in calibration_stacks().values():
+        for _ in range(points):
+            x = random_params(rng)
+            lp = stack.refresh(as_params(x))
+            bases = [solve_lp(*(a[k] for a in lp)).basis for k in range(len(lp[0]))]
+            y = perturb(rng, x.copy())
+            y[3] = min(y[3], 1.0)   # a shear fraction stays in (0, 1]
+            lp = stack.refresh(as_params(y))
+            std = standard_form(*lp)
+            for k, basis in enumerate(bases):
+                prob = tuple(v[k] for v in std)
+                if classify(*prob, basis) == kind:
+                    found.append((tuple(a[k].copy() for a in lp), prob, basis))
+    return found
+
+
+def scale_capacities(rng, x):
+    # pad force, cup tension and shear fraction set every capacity; the
+    # constraint matrix and so every reduced cost stay as they were
+    x[[0, 2, 3]] *= rng.uniform(0.2, 5.0, 3)
+    return x
+
+
+def scale_friction(rng, x):
+    x[1] *= rng.uniform(0.2, 5.0)
+    return x
+
+
+def scale_all(rng, x):
+    x *= rng.uniform(0.2, 5.0, 4)
+    x[3] = min(x[3], 1.0)
+    return x
+
+
+class TestRestart:
+    """A basis the kernel rejects restarts from its own tableau: the dual
+    simplex when it is still dual feasible, phase 2 when it is still primal
+    feasible, and a cold solve when it is neither."""
+
+    @pytest.fixture
+    def phase2_calls(self, monkeypatch):
+        calls = []
+        real = simplexlp._bland_iterate
+
+        def iterate(tab, basis, cost, ncols, maxiter):
+            calls.append(tab.shape[1] - 1 > ncols)
+            return real(tab, basis, cost, ncols, maxiter)
+        monkeypatch.setattr(simplexlp, "_bland_iterate", iterate)
+        return calls
+
+    def restarted(self, prob, basis):
+        """The kernel's verdict on ``basis``, and on the basis a restart from it reaches."""
+        ok, _, b_inv = simplexlp._from_basis(*(v[None] for v in prob), [basis])
+        new = simplexlp._restart(*prob, basis, b_inv[0])
+        if new is None:
+            return ok[0], None, None
+        ok2, x, _ = simplexlp._from_basis(*(v[None] for v in prob), [new])
+        return ok[0], ok2[0], prob[2] @ x[0]
+
+    @pytest.mark.parametrize("perturb,kind,iterates", [
+        (scale_capacities, (False, True), 0),   # primal infeasible: the dual simplex
+        (scale_friction, (True, False), 1),     # dual infeasible: phase 2
+    ])
+    def test_restart_ends_at_the_cold_optimum(self, phase2_calls, perturb, kind, iterates):
+        cases = perturbed_bases(perturb, kind)
+        assert len(cases) >= 10
+        for lp, prob, basis in cases:
+            phase2_calls.clear()
+            was_ok, ok, alpha = self.restarted(prob, basis)
+            assert not was_ok and ok
+            assert phase2_calls == [False] * iterates
+            cold = solve_lp(*lp)
+            assert abs(alpha - cold.objective) <= 1e-10 * max(1.0, cold.objective)
+
+    def test_neither_goes_cold(self, phase2_calls):
+        cases = perturbed_bases(scale_all, (False, False), points=24)
+        assert len(cases) >= 10
+        phase2_calls.clear()
+        for lp, prob, basis in cases:
+            was_ok, ok, _ = self.restarted(prob, basis)
+            assert not was_ok and ok is None
+            ok, _, bases = simplexlp.restart_batch(*(v[None] for v in prob), [basis])
+            assert not ok[0] and bases == [basis]
+        assert phase2_calls == []
+
+    def test_batch_equals_one_at_a_time(self):
+        # accepted, restarted and cold rows of one stack: the kernel, the
+        # restarts and the stacked re-check give each row its own result
+        rng = np.random.default_rng(1956)
+        restarted = cold = 0
+        for stack in calibration_stacks().values():
+            for _ in range(6):
+                x = random_params(rng)
+                lp = stack.refresh(as_params(x))
+                bases = [solve_lp(*(a[k] for a in lp)).basis for k in range(len(lp[0]))]
+                std = standard_form(*stack.refresh(as_params(scale_all(rng, x.copy()))))
+                ok, x_all, new = simplexlp.restart_batch(*std, bases)
+                first, _, _ = simplexlp._from_basis(*std, bases)
+                for k, basis in enumerate(bases):
+                    one = tuple(v[k:k + 1] for v in std)
+                    ok1, x1, new1 = simplexlp.restart_batch(*one, [basis])
+                    assert ok[k] == ok1[0] and new[k] == new1[0]
+                    assert x_all[k].tobytes() == x1[0].tobytes()
+                    restarted += bool(ok[k] and not first[k])
+                    cold += not ok[k]
+        assert restarted > 10 and cold > 0
 
 
 def reference_pivot(tab, basis, row, col):

@@ -8,10 +8,10 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 from scipy.spatial import ConvexHull
 
-from tandemgrip import wrench
+from tandemgrip import simplexlp, wrench
 from tandemgrip.config import data_text, shipped_calibration
 from tandemgrip.errors import OffsetExceedsRadius, ParseError
-from tandemgrip.simplexlp import solve_lp
+from tandemgrip.simplexlp import _TOL, solve_lp, standard_form
 from tandemgrip.wrench import (
     ActuationMode,
     Contact,
@@ -320,6 +320,35 @@ class TestCalibration:
         with pytest.raises(ParseError, match=f"{name} must be finite, got .* row 3"):
             reference_from_csv(text)
 
+    def test_negative_stdev_rejected(self):
+        with pytest.raises(ValueError, match="stdev must be >= 0"):
+            wrench.ReferenceRow(GraspScenario(37.5), 12.0, -1.0)
+        text = "\n".join([wrench.REFERENCE_CSV_HEADER,
+                          "dual,0,0,axial,20.0,1.0,authoritative",
+                          "suction,0,0,axial,12,-1,authoritative"])
+        with pytest.raises(ParseError, match="stdev must be >= 0, got -1.0 row 3"):
+            reference_from_csv(text)
+
+    @pytest.mark.parametrize("source", ["authorative", "Authoritative", "approx", ""])
+    def test_unknown_source_rejected(self, source):
+        # any other value would silently drop the row from the default fit
+        text = "\n".join([wrench.REFERENCE_CSV_HEADER,
+                          "dual,0,0,axial,20.0,1.0,approximate",
+                          f"suction,0,0,axial,12.0,0.3,{source}"])
+        with pytest.raises(ParseError, match=f"source must be .* got {source!r} row 3"):
+            reference_from_csv(text)
+
+    def test_source_values(self):
+        rows = ["suction,0,0,axial,12.0,0.3,authoritative",
+                "suction,5,0,axial,12.0,0.3,approximate",
+                "suction,10,0,axial,12.0,0.3"]   # no source in this row
+        ref = reference_from_csv("\n".join([wrench.REFERENCE_CSV_HEADER, *rows]))
+        assert [r.authoritative for r in ref.rows] == [True, False, True]
+        # without the column every row is authoritative
+        header = wrench.REFERENCE_CSV_HEADER.rsplit(",", 1)[0]
+        ref = reference_from_csv("\n".join([header, "suction,0,0,axial,12.0,0.3"]))
+        assert [r.authoritative for r in ref.rows] == [True]
+
     def test_one_cold_strength_per_reference_row(self, monkeypatch):
         # the search runs warm; only the residual pass solves cold, once per
         # row of the dataset, fitted or not, in one predict_strengths call
@@ -405,15 +434,16 @@ class TestNelderMead:
 
 def cold_fit(rows, start=GraspModelParams()):
     """The search ``calibrate`` makes, from the same start with the same
-    options and loss, but with every strength a cold ``predict_strength``."""
+    options and loss, but with every strength cold, from ``predict_strengths``
+    (byte for byte ``predict_strength``'s)."""
     def objective(x):
         pad, mu, suc, kap = (float(v) for v in x)
         if pad <= 0 or mu <= 0 or suc <= 0 or not 0.0 < kap <= 1.0:
             return 1e9
         params = GraspModelParams(pad, mu, suc, kap)
         err = 0.0
-        for row in rows:
-            pred = predict_strength(row.scenario, params)
+        preds = predict_strengths([(row.scenario, (0, 1, 2)) for row in rows], params)
+        for pred, row in zip(preds, rows):
             err += ((pred - row.strength) / row.strength) ** 2
         return err / len(rows)
 
@@ -439,28 +469,40 @@ def _strength_lp(scenario, model, cup_indices=(0, 1, 2)):
     return tuple(a[0] for a in lp.refresh(model))
 
 
+def pull_lp_of(a, b, cost):
+    """The pull LP (c, a_eq, b_eq, a_ub, b_ub) of one standard-form pull LP:
+    six balance rows, then one capacity row per slack column."""
+    n = a.shape[1] - (a.shape[0] - 6)
+    return cost[:n], a[:6, :n], b[:6], a[6:, :n], b[6:]
+
+
+def stacked_standard_form(lp):
+    """``standard_form`` of one pull LP, as a stack of one problem."""
+    return tuple(v[0] for v in standard_form(*(np.asarray(v)[None] for v in lp)))
+
+
 class TestWarmCalibration:
     """``calibrate`` restarts each layout's stack of LPs from their previous
     optimal bases; its fit is still the cold fit, byte for byte."""
 
     @pytest.fixture(scope="class")
     def authoritative_fit(self):
-        """The 13-row fit, with every warm-started LP also solved cold."""
+        """The 13-row fit, with every LP read off a basis also solved cold."""
         calls, gaps = [], []
-        real = wrench.solve_from_basis_batch
+        real = wrench.restart_batch
 
-        def checked(*args):
-            results = real(*args)
-            for k, warm in enumerate(results):
-                calls.append(warm is not None)
-                if warm is not None:
-                    alpha = solve_lp(*(a[k] for a in args[:5])).x[-1]
-                    gaps.append(abs(warm.x[-1] - alpha) / max(1.0, alpha))
-            return results
+        def checked(a, b, cost, bases):
+            ok, x, new = real(a, b, cost, bases)
+            for k, warm in enumerate(ok):
+                calls.append(bool(warm))
+                if warm:
+                    alpha = solve_lp(*pull_lp_of(a[k], b[k], cost[k])).x[-1]
+                    gaps.append(abs(cost[k] @ x[k] - alpha) / max(1.0, alpha))
+            return ok, x, new
 
         reference = reference_from_csv(data_text("grasp_reference.csv"))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wrench, "solve_from_basis_batch", checked)
+            mp.setattr(wrench, "restart_batch", checked)
             result = calibrate(reference, authoritative_only=True)
         return reference, result, calls, gaps
 
@@ -487,6 +529,50 @@ class TestWarmCalibration:
             rel = (pred - row.strength) / row.strength
             assert np.float64(r.rel_error).tobytes() == np.float64(rel).tobytes()
 
+    @pytest.mark.parametrize("authoritative_only", [True, False])
+    def test_cold_only_where_the_old_basis_is_neither(self, monkeypatch, authoritative_only):
+        # after a row's first solve, a rejected basis restarts and the
+        # restart is accepted; only a basis that is neither primal nor dual
+        # feasible is solved cold again
+        first, neither, warm, cold, restarts = [], [], [0], [0], []
+        real_batch, real_cold, real_restart = wrench.restart_batch, wrench.solve_lp, simplexlp._restart
+
+        def checked(a, b, cost, bases):
+            ok, x, new = real_batch(a, b, cost, bases)
+            warm[0] += int(ok.sum())
+            for k in np.flatnonzero(~ok):
+                if bases[k] == ():
+                    first.append(k)
+                    continue
+                basis = list(bases[k])
+                mat = a[k][:, basis]
+                primal = np.all(np.linalg.solve(mat, b[k]) >= -_TOL)
+                dual = np.all(cost[k] - np.linalg.solve(mat.T, cost[k][basis]) @ a[k] <= _TOL)
+                neither.append(not primal and not dual)
+            return ok, x, new
+
+        def restart(*args):
+            new = real_restart(*args)
+            restarts.append(new is not None)
+            return new
+
+        def counted(*args):
+            cold[0] += 1
+            return real_cold(*args)
+
+        monkeypatch.setattr(wrench, "restart_batch", checked)
+        monkeypatch.setattr(wrench, "solve_lp", counted)
+        monkeypatch.setattr(simplexlp, "_restart", restart)
+        reference = reference_from_csv(data_text("grasp_reference.csv"))
+        calibrate(reference, authoritative_only=authoritative_only)
+        rows = sum(r.authoritative or not authoritative_only for r in reference.rows)
+        assert len(first) == rows
+        assert all(neither)
+        assert cold[0] == rows + len(neither)
+        # every rejected basis that is not "neither" restarts, and its restart is accepted
+        assert restarts.count(False) == len(neither) and restarts.count(True) > 0
+        assert warm[0] >= 0.9 * (warm[0] + cold[0])
+
 
 class TestRowLps:
     """``calibrate`` builds each layout's fitted rows as one pull-LP stack
@@ -504,11 +590,9 @@ class TestRowLps:
         def lp_bytes(lp):
             return tuple(a.tobytes() for a in lp)
 
-        def spy_batch(*args):
-            results = real_batch(*args)
-            stacked.extend((point[0], lp_bytes(a[k] for a in args[:5]))
-                           for k in range(len(results)))
-            return results
+        def spy_batch(a, b, cost, bases):
+            stacked.extend((point[0], lp_bytes((a[k], b[k], cost[k]))) for k in range(len(a)))
+            return real_batch(a, b, cost, bases)
 
         def spy_cold(*args):
             cold.append((point[0], lp_bytes(args)))
@@ -526,19 +610,24 @@ class TestRowLps:
                 x=np.array([p.pad_force, p.mu_pad, p.suction_axial, p.shear_fraction]),
                 fun=0.0, nit=1)
 
-        real_batch, real_cold = wrench.solve_from_basis_batch, wrench.solve_lp
-        monkeypatch.setattr(wrench, "solve_from_basis_batch", spy_batch)
+        real_batch, real_cold = wrench.restart_batch, wrench.solve_lp
+        monkeypatch.setattr(wrench, "restart_batch", spy_batch)
         monkeypatch.setattr(wrench, "solve_lp", spy_cold)
         monkeypatch.setattr(wrench, "minimize", visit)
         calibrate(reference)
         assert len(cold) < len(stacked) == len(points) * len(reference.rows)
         for k, x in enumerate(points):
             params = GraspModelParams(*(float(v) for v in x))
-            want = [lp_bytes(_strength_lp(row.scenario, params)) for row in reference.rows]
+            lps = [_strength_lp(row.scenario, params) for row in reference.rows]
+            want = [lp_bytes(stacked_standard_form(lp)) for lp in lps]
             got = [lp for p, lp in stacked if p == k]
             assert sorted(got) == sorted(want), k
+            # every row is solved cold at the first point, and later only
+            # where its basis neither holds nor restarts
             solved_cold = [lp for p, lp in cold if p == k]
-            assert solved_cold and all(lp in want for lp in solved_cold), k
+            assert all(lp in map(lp_bytes, lps) for lp in solved_cold), k
+            if k == 0:
+                assert sorted(solved_cold) == sorted(map(lp_bytes, lps))
 
     def test_one_stack_per_layout_in_the_search(self, monkeypatch):
         reference = reference_from_csv(data_text("grasp_reference.csv"))
