@@ -29,7 +29,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import PoseUnsolvable, SynthesisFailed, require_finite
+from .errors import PoseUnsolvable, SynthesisFailed, json_number, require_finite
 from .vectors import FRUIT_RADIUS_RANGE_MM, _dot, _norm
 
 Point = tuple[float, float]
@@ -152,14 +152,9 @@ class CamTrackSpec:
                 raise ValueError(f"{name} must be a list of {n} {what}")
             return value
 
-        def number(value, name) -> float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            return float(value)
-
         def point(p, name) -> Point:
             x, z = items(p, 2, name, "coordinates")
-            return number(x, f"{name}[0]"), number(z, f"{name}[1]")
+            return json_number(x, f"{name}[0]"), json_number(z, f"{name}[1]")
 
         def seg(s, name) -> CubicBezier:
             return CubicBezier(*(point(p, f"{name}[{j}]")
@@ -171,15 +166,15 @@ class CamTrackSpec:
         return cls(
             outer_path=tuple(seg(s, f"outer_path[{k}]") for k, s in enumerate(outer)),
             inner_path=seg(d["inner_path"], "inner_path"),
-            pin_separation=number(d["pin_separation_mm"], "pin_separation_mm"),
-            inner_hard_stop=number(d["inner_hard_stop"], "inner_hard_stop"),
-            fruit_radius=number(d["fruit_radius_mm"], "fruit_radius_mm"),
+            pin_separation=json_number(d["pin_separation_mm"], "pin_separation_mm"),
+            inner_hard_stop=json_number(d["inner_hard_stop"], "inner_hard_stop"),
+            fruit_radius=json_number(d["fruit_radius_mm"], "fruit_radius_mm"),
             fruit_center=point(d["fruit_center_mm"], "fruit_center_mm"),
-            palm_plane_z=number(d["palm_plane_z_mm"], "palm_plane_z_mm"),
-            tip_extension=number(d["tip_extension_mm"], "tip_extension_mm"),
-            pad_halfwidth=number(d["pad_halfwidth_mm"], "pad_halfwidth_mm"),
-            contact_latitude_max_deg=number(d.get("contact_latitude_max_deg", 6.0),
-                                            "contact_latitude_max_deg"),
+            palm_plane_z=json_number(d["palm_plane_z_mm"], "palm_plane_z_mm"),
+            tip_extension=json_number(d["tip_extension_mm"], "tip_extension_mm"),
+            pad_halfwidth=json_number(d["pad_halfwidth_mm"], "pad_halfwidth_mm"),
+            contact_latitude_max_deg=json_number(d.get("contact_latitude_max_deg", 6.0),
+                                                 "contact_latitude_max_deg"),
         )
 
 

@@ -13,12 +13,17 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, require_finite
+from .errors import ParseError, json_number, require_finite
 from .leadscrew import ScrewParams
 from .linkage import LinkageParams, TravelRange
 
 if TYPE_CHECKING:
     from .campath import CamTrackSpec
+
+
+def _number(section: dict, key: str) -> float:
+    """A numeric config field, named by its key (see ``json_number``)."""
+    return json_number(section[key], key)
 
 
 @dataclass(frozen=True)
@@ -47,12 +52,8 @@ class GraspModelParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraspModelParams":
-        return cls(
-            pad_force=float(d["pad_force_N"]),
-            mu_pad=float(d["mu_pad"]),
-            suction_axial=float(d["suction_axial_N"]),
-            shear_fraction=float(d["shear_fraction"]),
-        )
+        return cls(*(_number(d, key) for key in (
+            "pad_force_N", "mu_pad", "suction_axial_N", "shear_fraction")))
 
 
 @dataclass(frozen=True)
@@ -72,19 +73,19 @@ class GripperConfig:
             raise ParseError(f"config is not valid JSON: {exc}") from exc
         try:
             lk = d["linkage"]
-            linkage = LinkageParams(
-                p_x=float(lk["p_x_mm"]), l_b=float(lk["l_b_mm"]),
-                l_k=float(lk["l_k_mm"]), l_f=float(lk["l_f_mm"]),
-                p_y=float(lk["p_y_mm"]), l_n=float(lk["l_n_mm"]),
-            )
+            linkage = LinkageParams(*(_number(lk, key) for key in (
+                "p_x_mm", "l_b_mm", "l_k_mm", "l_f_mm", "p_y_mm", "l_n_mm")))
             sc = d["screw"]
+            n_starts = _number(sc, "n_starts")
+            if not n_starts.is_integer():
+                raise ValueError(f"n_starts must be a whole number, got {n_starts!r}")
             screw = ScrewParams(
-                pitch=float(sc["pitch_mm"]), n_starts=int(sc["n_starts"]),
-                thread_angle=math.radians(float(sc["thread_angle_deg"])),
-                d_outer=float(sc["d_outer_mm"]), mu=float(sc["mu"]),
+                pitch=_number(sc, "pitch_mm"), n_starts=int(n_starts),
+                thread_angle=math.radians(_number(sc, "thread_angle_deg")),
+                d_outer=_number(sc, "d_outer_mm"), mu=_number(sc, "mu"),
             )
             tr = d["travel"]
-            travel = TravelRange(x_min=float(tr["x_min_mm"]), x_max=float(tr["x_max_mm"]))
+            travel = TravelRange(x_min=_number(tr, "x_min_mm"), x_max=_number(tr, "x_max_mm"))
             grasp_model = GraspModelParams.from_dict(d["grasp_model"])
             cam_ref = d.get("cam", "default")
             if cam_ref == "default":
@@ -97,7 +98,7 @@ class GripperConfig:
                     raise ParseError(f"cam track file not found: {cam_path}")
                 from .campath import CamTrackSpec
                 cam = CamTrackSpec.from_json(cam_path.read_text())
-            bruise = float(d.get("bruise_threshold_N", 30.0))
+            bruise = json_number(d.get("bruise_threshold_N", 30.0), "bruise_threshold_N")
             require_finite(bruise_threshold_N=bruise)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ParseError):

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the gripper toolkit, and its finite-value guard.
+"""Exception hierarchy for the gripper toolkit, and its input value guards.
 
 Every domain failure raises a subclass of ToolkitError so callers (and the
 CLI) can separate usage problems from geometry/numerical ones.
@@ -18,6 +18,15 @@ def require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def json_number(value, name: str) -> float:
+    """A number read from JSON as a float, or ``ValueError`` naming ``name``
+    when it is not one: ``json`` gives strings as ``str`` and ``true`` and
+    ``false`` as ``bool``, which ``float`` would silently convert."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 class ToolkitError(Exception):

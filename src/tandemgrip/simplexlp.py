@@ -17,14 +17,13 @@ ratio test is one min/argmin per iteration over the whole stack; only a
 problem whose ratios lie within a few tolerances of each other, where the
 scalar scan's row order can matter, is scanned row by row.
 
-``solve_from_basis_batch`` re-solves a stack of problems, each from a basis
-that was optimal for a nearby one (LP sensitivity analysis; Chvatal, *Linear
-Programming*, 1983, ch. 10): ``standard_form``, then the basis kernel
-``_from_basis``, whose stacked inverse of the basis matrices gives the primal
-and dual values; a basis is accepted only if both are feasible.
-``solve_from_basis`` is its one-problem case. ``restart_batch`` runs the
-kernel on a kept standard form, restarts each basis it rejects (``_restart``)
-and re-checks the restarted ones in one stacked call.
+``restart_batch`` re-solves a stack of problems, kept in ``standard_form``,
+each from a basis that was optimal for a nearby one (LP sensitivity analysis;
+Chvatal, *Linear Programming*, 1983, ch. 10). The basis kernel
+``_from_basis`` takes one stacked inverse of the basis matrices, which gives
+the primal and dual values, and accepts a basis only if both are feasible;
+each basis it rejects restarts (``_restart``), and the restarted ones are
+re-checked in one stacked call.
 """
 
 from __future__ import annotations
@@ -199,20 +198,6 @@ def _from_basis(a, b, cost, basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ok, x, b_inv
 
 
-def solve_from_basis_batch(c, a_eq, b_eq, a_ub, b_ub, basis) -> list[LpResult | None]:
-    """``solve_lp``'s optimum of each problem of a stack from a given basis, or
-    None where that basis is not optimal and the problem must be solved cold.
-
-    The arguments carry a leading batch axis, as ``solve_lp_batch``'s do, and
-    ``basis`` holds one ``LpResult.basis`` per problem.
-    """
-    c = np.asarray(c, dtype=float)
-    ok, x, _ = _from_basis(*standard_form(c, a_eq, b_eq, a_ub, b_ub), basis)
-    x = x[:, :c.shape[1]]
-    return [LpResult("optimal", float(c[i] @ x[i]), x[i], tuple(map(int, basis[i])))
-            if ok[i] else None for i in range(len(c))]
-
-
 def _restart(a, b, cost, basis, b_inv: np.ndarray) -> tuple[int, ...] | None:
     """The basis one standard-form problem reaches from a basis ``_from_basis``
     rejected, on the tableau B^-1 [A | b] and reduced costs d of that basis'
@@ -265,11 +250,6 @@ def restart_batch(a, b, cost, basis) -> tuple[np.ndarray, np.ndarray, list]:
         ok[again], x[again], _ = _from_basis(a[again], b[again], cost[again],
                                              [basis[k] for k in again])
     return ok, x, basis
-
-
-def solve_from_basis(c, a_eq, b_eq, a_ub, b_ub, basis: tuple[int, ...]) -> LpResult | None:
-    """``solve_from_basis_batch`` for one problem."""
-    return solve_from_basis_batch(*_one(c, a_eq, b_eq, a_ub, b_ub), [basis])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,8 @@ class ReferenceRow:
 
     def __post_init__(self):
         require_finite(strength=self.strength, stdev=self.stdev)
+        if self.strength <= 0.0:
+            raise ValueError(f"strength must be > 0, got {self.strength!r}")
         if self.stdev < 0.0:
             raise ValueError(f"stdev must be >= 0, got {self.stdev!r}")
 
@@ -135,11 +137,6 @@ class ReferenceRow:
 @dataclass(frozen=True)
 class ReferenceMeasurements:
     rows: tuple[ReferenceRow, ...]
-
-    def __post_init__(self):
-        for r in self.rows:
-            if r.strength <= 0.0:
-                raise ValueError("reference strengths must be positive")
 
 
 def _tangent_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,13 +209,13 @@ def _contact_arrays(contacts: tuple[Contact, ...]):
 def build_contacts(
     scenario: GraspScenario,
     model: GraspModelParams,
-    cone_sides: int = DEFAULT_CONE_SIDES,
     cup_indices: tuple[int, ...] = (0, 1, 2),
 ) -> ContactSet:
-    """Place the contact set for a scenario (see ``_place``)."""
+    """Place the contact set for a scenario (see ``_place``), with
+    ``DEFAULT_CONE_SIDES``-sided friction pyramids and shear polygons."""
     positions, normals, kinds = _place([scenario], [cup_indices])
     return ContactSet(fruit_radius=scenario.fruit_radius, contacts=tuple(
-        Contact(position=p, normal=n, kind=kind, cone_sides=cone_sides,
+        Contact(position=p, normal=n, kind=kind, cone_sides=DEFAULT_CONE_SIDES,
                 **(dict(normal_capacity=model.pad_force, tension_capacity=0.0, mu=model.mu_pad)
                    if kind is ContactKind.FINGER_PAD else
                    dict(normal_capacity=CUP_BACKING_N, tension_capacity=model.suction_axial,
@@ -356,18 +353,6 @@ def _alpha(res) -> float:
     return float(res.x[-1])
 
 
-def _pull_solution(contacts: ContactSet, d: np.ndarray, app: np.ndarray, res,
-                   a_eq: np.ndarray, owner: list[int]) -> PullSolution:
-    alpha = _alpha(res)
-    forces = [np.zeros(3) for _ in contacts.contacts]
-    for j in np.flatnonzero(res.x[:-1] > 0.0):
-        forces[owner[j]] += res.x[j] * a_eq[:3, j]
-    return PullSolution(
-        alpha=alpha, forces=tuple(forces),
-        pull_direction=d, application_point=app,
-    )
-
-
 def _pull_inputs(pull_direction, application_point) -> tuple[np.ndarray, np.ndarray]:
     return (_unit(np.asarray(pull_direction, dtype=float)),
             np.asarray(application_point, dtype=float))
@@ -384,21 +369,26 @@ def solve_pull(
         return PullSolution(0.0, (), d, app)
     lp = _pull_lp(contacts.contacts, d, app)
     res = solve_lp(*(a[0] for a in lp.lp))
-    return _pull_solution(contacts, d, app, res, lp.lp[1][0], lp.owner)
+    alpha = _alpha(res)
+    # each contact's force: its variables times their force directions
+    forces = [np.zeros(3) for _ in contacts.contacts]
+    for j in np.flatnonzero(res.x[:-1] > 0.0):
+        forces[lp.owner[j]] += res.x[j] * lp.lp[1][0, :3, j]
+    return PullSolution(alpha, tuple(forces), d, app)
 
 
-def verify_witness(contacts: ContactSet, sol: PullSolution, tol: float = WITNESS_TOL) -> list[str]:
+def verify_witness(contacts: ContactSet, sol: PullSolution) -> list[str]:
     """Re-check the witness against every constraint; return violations.
 
-    Scale-aware tolerance: capacities and balance residuals are checked to
-    ``tol`` in absolute N / N*mm terms relative to the problem scale. A
-    non-finite alpha or force is reported on its own, since no comparison
-    with NaN can fail.
+    Scale-aware tolerance: capacities and the force balance are checked to
+    ``WITNESS_TOL`` x max(1, alpha) in N, the moment balance to that times
+    max(1, fruit radius) in N*mm. A non-finite alpha or force is reported on
+    its own, since no comparison with NaN can fail.
     """
     if not math.isfinite(sol.alpha) or not all(np.isfinite(f).all() for f in sol.forces):
         return [f"non-finite alpha or contact force (alpha {sol.alpha})"]
     problems: list[str] = []
-    scale = max(1.0, sol.alpha)
+    tol = WITNESS_TOL * max(1.0, sol.alpha)
     f_tot = np.zeros(3)
     m_tot = np.zeros(3)
     for i, (c, f) in enumerate(zip(contacts.contacts, sol.forces)):
@@ -407,28 +397,28 @@ def verify_witness(contacts: ContactSet, sol: PullSolution, tol: float = WITNESS
         if c.kind is ContactKind.FINGER_PAD:
             fn = float(np.dot(f, c.normal))
             ft = f - fn * c.normal
-            if fn < -tol * scale:
+            if fn < -tol:
                 problems.append(f"contact {i}: pad normal force negative ({fn:.3e})")
-            if fn > c.normal_capacity + tol * scale:
+            if fn > c.normal_capacity + tol:
                 problems.append(f"contact {i}: pad normal capacity exceeded ({fn:.6f})")
             # linearized pyramid is inside the exact cone, so the exact cone check is valid
-            if np.linalg.norm(ft) > c.mu * max(fn, 0.0) + tol * scale:
+            if np.linalg.norm(ft) > c.mu * max(fn, 0.0) + tol:
                 problems.append(f"contact {i}: pad friction cone violated")
         else:
             axial = float(np.dot(f, _Z))
             shear = f - axial * _Z
-            if axial < -(c.tension_capacity + tol * scale):
+            if axial < -(c.tension_capacity + tol):
                 problems.append(f"contact {i}: cup tension capacity exceeded ({-axial:.6f})")
-            if axial > c.normal_capacity + tol * scale:
+            if axial > c.normal_capacity + tol:
                 problems.append(f"contact {i}: cup seat compression exceeded ({axial:.6f})")
-            if np.linalg.norm(shear) > c.shear_capacity + tol * scale:
+            if np.linalg.norm(shear) > c.shear_capacity + tol:
                 problems.append(f"contact {i}: cup shear capacity exceeded")
     pull = sol.alpha * sol.pull_direction
     resid_f = np.linalg.norm(f_tot + pull)
     resid_m = np.linalg.norm(m_tot + np.cross(sol.application_point, pull))
-    if resid_f > tol * scale:
+    if resid_f > tol:
         problems.append(f"force balance residual {resid_f:.3e}")
-    if resid_m > tol * scale * max(1.0, contacts.fruit_radius):
+    if resid_m > tol * max(1.0, contacts.fruit_radius):
         problems.append(f"moment balance residual {resid_m:.3e}")
     return problems
 

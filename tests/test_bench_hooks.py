@@ -4,7 +4,8 @@
 a renamed function or a changed ``_bland_iterate`` signature lands in
 ``Tracer.missing`` and fails a traced run. This loads that file as it is
 and checks that installing, tracing a strength query and a small campaign,
-and uninstalling leave nothing missing and every name as it was.
+and uninstalling leave nothing missing and every name as it was; and that
+the benchmark's calibration, traced, leaves nothing missing either.
 """
 
 import importlib.util
@@ -60,3 +61,21 @@ def test_hooks_install_trace_and_uninstall():
         now = vars(owner)
         changed = [k for k, v in names.items() if now.get(k) is not v]
         assert changed == [], f"{getattr(owner, '__name__', owner)} not restored: {changed}"
+
+
+def test_traced_calibration_misses_no_hook():
+    # the benchmark's calibrate workload, the 13 authoritative rows: its
+    # restarts are all dual simplex ones, which call no _bland_iterate, so
+    # the phase hook sees at most two calls per solve_lp (the 27-row fit's
+    # phase-2 restarts would trip it)
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, [])
+        reference = wrench.reference_from_csv(config.data_text("grasp_reference.csv"))
+        wrench.calibrate(reference, authoritative_only=True)
+        assert tracer.missing == []
+        calls = {name: rec["calls"] for name, rec in tracer.summary()["spans"].items()}
+        assert calls["wrench.calibrate"] == 1
+    finally:
+        tracer.uninstall()

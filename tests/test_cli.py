@@ -471,6 +471,17 @@ class TestCalibrateCommand:
         assert out == ""
         assert message in err and "row 3" in err
 
+    @pytest.mark.parametrize("strength", ["0", "-3"])
+    def test_non_positive_strength_names_its_row(self, capsys, tmp_path, strength):
+        data = tmp_path / "ref.csv"
+        data.write_text("mode,offset_mm,angle_deg,pull_type,strength_N,stdev_N,source\n"
+                        f"suction,0,0,axial,{strength},0.3,authoritative\n"
+                        "dual,0,0,axial,34.3,1.6,authoritative\n")
+        code, out, err = run(capsys, tmp_path, "calibrate", "--data", str(data))
+        assert code == 2
+        assert out == ""
+        assert "strength must be > 0" in err and "row 2" in err
+
     def test_unfitted_row_sharing_a_scenario_is_not_fitted(self, capsys, tmp_path):
         # an approximate row that repeats an authoritative row's scenario is
         # left out of the fit and of its error check

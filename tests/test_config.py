@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -60,3 +61,36 @@ class TestLoad:
         params = shipped_calibration()
         assert params.pad_force > 0
         assert 0 < params.shear_fraction <= 1
+
+
+class TestFieldTypes:
+    """Every numeric field must be a JSON number; ``float`` and ``int`` would
+    silently read ``true`` as 1, a numeric string as its value and 2.5 starts
+    as 2."""
+
+    FIELDS = [("linkage", "p_x_mm"), ("screw", "n_starts"), ("screw", "mu"),
+              ("travel", "x_max_mm"), ("grasp_model", "pad_force_N"),
+              ("grasp_model", "shear_fraction"), (None, "bruise_threshold_N")]
+
+    @pytest.mark.parametrize("section,field", FIELDS)
+    @pytest.mark.parametrize("value", [True, "4", None])
+    def test_non_number_rejected(self, section, field, value):
+        doc = config_doc()
+        (doc[section] if section else doc)[field] = value
+        with pytest.raises(ParseError, match=re.escape(f"{field} must be a number, got {value!r}")):
+            GripperConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("starts", [2.5, 4.000001, 1e-9])
+    def test_fractional_starts_rejected(self, starts):
+        doc = config_doc()
+        doc["screw"]["n_starts"] = starts
+        with pytest.raises(ParseError, match="n_starts must be a whole number"):
+            GripperConfig.from_json(json.dumps(doc))
+
+    def test_whole_numbers_load_as_before(self):
+        doc = config_doc()
+        doc["screw"]["n_starts"], doc["linkage"]["p_x_mm"] = 4.0, 12
+        cfg = GripperConfig.from_json(json.dumps(doc))
+        assert cfg.screw.n_starts == 4 and type(cfg.screw.n_starts) is int
+        assert cfg.linkage.p_x == 12.0 and type(cfg.linkage.p_x) is float
+        assert cfg == default_config()

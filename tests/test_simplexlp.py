@@ -1,5 +1,5 @@
 """Dense simplex solver vs known solutions and an independent solver; the
-batched solver vs the scalar one, the pivot and the stacked basis solve vs
+batched solver vs the scalar one, the pivot and the basis kernel vs
 one-problem references, byte for byte; restarts from a rejected basis vs
 cold solves; the phase hooks a tracer uses."""
 
@@ -13,8 +13,6 @@ from tandemgrip.picksim import DEFAULT_FIELD_STATS, LEAF_OCCLUSION_FAIL_PROB, ru
 from tandemgrip.simplexlp import (
     _TOL,
     LpResult,
-    solve_from_basis,
-    solve_from_basis_batch,
     solve_lp,
     solve_lp_batch,
     standard_form,
@@ -56,8 +54,7 @@ class TestKnownProblems:
         # 0 <= 1 holds and 0 <= -1 does not
         assert solve_lp(np.zeros(0), a_ub=np.zeros((1, 0)), b_ub=np.array([1.0])).status == "optimal"
         assert solve_lp(np.zeros(0), a_ub=np.zeros((1, 0)), b_ub=np.array([-1.0])).status == "infeasible"
-        assert solve_from_basis(np.zeros(0), None, None, np.zeros((1, 0)), np.array([1.0]),
-                                (0,)).status == "optimal"
+        assert kernel_one(np.zeros(0), None, None, np.zeros((1, 0)), np.array([1.0]), (0,))[0]
 
     def test_degenerate_no_cycling(self):
         # classic degenerate corner; Bland's rule must terminate
@@ -221,7 +218,29 @@ class TestBatch:
         assert count > 0 and len(solved) > 1
 
 
+def kernel(c, a_eq, b_eq, a_ub, b_ub, bases):
+    """The basis kernel on a stack of problems in ``solve_lp_batch``'s
+    arguments: where each basis is accepted, and x of the original variables."""
+    ok, x, _ = simplexlp._from_basis(*standard_form(c, a_eq, b_eq, a_ub, b_ub), bases)
+    return ok, x[:, :np.shape(c)[1]]
+
+
+def kernel_one(c, a_eq, b_eq, a_ub, b_ub, basis):
+    """``kernel`` on one problem in ``solve_lp``'s arguments."""
+    ok, x = kernel(*simplexlp._one(c, a_eq, b_eq, a_ub, b_ub), [basis])
+    return ok[0], x[0]
+
+
+def assert_kernel_matches(ok, x, want):
+    """One problem's kernel result is the reference's: rejected alike, or the same x bytes."""
+    assert ok == (want is not None)
+    if want is not None:
+        assert x.tobytes() == want.x.tobytes()
+
+
 class TestSolveFromBasis:
+    """The basis kernel, ``simplexlp._from_basis``, on one problem."""
+
     def test_own_optimal_basis(self):
         rng = np.random.default_rng(11)
         warm_optima = 0
@@ -232,18 +251,14 @@ class TestSolveFromBasis:
                 c, a_eq, b_eq, a_ub, b_ub = random_problem(rng, kind, n, m_eq, m_ub)
                 args = (c, *((a_eq, b_eq) if m_eq else (None, None)), a_ub, b_ub)
                 cold = solve_lp(*args)
-                warm = solve_from_basis(*args, cold.basis)
-                want = reference_solve_from_basis(*args, cold.basis)
-                assert (warm is None) == (want is None)
-                if want is not None:
-                    assert_identical(warm, want)
+                ok, x = kernel_one(*args, cold.basis)
+                assert_kernel_matches(ok, x, reference_solve_from_basis(*args, cold.basis))
                 if cold.status != "optimal" or max(cold.basis) >= n + m_ub:
                     # unbounded, infeasible, or an artificial left in the basis
-                    assert warm is None
+                    assert not ok
                     continue
-                assert warm.status == "optimal"
-                assert abs(warm.objective - cold.objective) <= 1e-12 * max(1.0, abs(cold.objective))
-                assert warm.basis == cold.basis
+                assert ok
+                assert abs(c @ x - cold.objective) <= 1e-12 * max(1.0, abs(cold.objective))
                 warm_optima += 1
         assert warm_optima > 100
 
@@ -253,10 +268,10 @@ class TestSolveFromBasis:
           np.array([[1.0, 2.0], [3.0, 1.0]]), np.array([4.0, 6.0]))
 
     def test_optimal_basis_accepted(self):
-        res = solve_from_basis(*self.LP, (1, 0))
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(2.8, abs=1e-12)
-        assert res.x == pytest.approx([1.6, 1.2], abs=1e-12)
+        ok, x = kernel_one(*self.LP, (1, 0))
+        assert ok
+        assert self.LP[0] @ x == pytest.approx(2.8, abs=1e-12)
+        assert x == pytest.approx([1.6, 1.2], abs=1e-12)
 
     @pytest.mark.parametrize("basis,why", [
         ((0, 3), "primal infeasible: x = 4 leaves slack 2 at -6"),
@@ -266,14 +281,13 @@ class TestSolveFromBasis:
         ((0,), "another shape"),
     ])
     def test_non_optimal_basis_rejected(self, basis, why):
-        assert solve_from_basis(*self.LP, basis) is None, why
+        assert not kernel_one(*self.LP, basis)[0], why
 
     def test_singular_columns_rejected(self):
         # x and y have parallel columns, so no basis holds both
-        res = solve_from_basis(np.array([1.0, 1.0]), None, None,
-                               np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([4.0, 8.0]),
-                               (0, 1))
-        assert res is None
+        ok, _ = kernel_one(np.array([1.0, 1.0]), None, None,
+                           np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([4.0, 8.0]), (0, 1))
+        assert not ok
 
 
 def reference_solve_from_basis(c, a_eq, b_eq, a_ub, b_ub, basis):
@@ -335,8 +349,8 @@ def as_params(x):
 
 
 class TestSolveFromBasisBatch:
-    """``solve_from_basis_batch`` equals the one-problem reference on every
-    problem of a stack: the same None pattern and the same bytes."""
+    """The basis kernel on a stack equals the one-problem reference on every
+    problem of it: the same rejections and the same bytes."""
 
     def test_calibration_stacks_match_reference(self):
         rng = np.random.default_rng(2024)
@@ -351,16 +365,13 @@ class TestSolveFromBasisBatch:
                 y = x * (1.0 + step * rng.uniform(-1.0, 1.0, 4))
                 y[3] = min(y[3], 1.0)
                 lp = stack.refresh(as_params(y))
-                got = solve_from_basis_batch(*lp, bases)
-                assert len(got) == len(bases)
-                for k, res in enumerate(got):
-                    want = reference_solve_from_basis(*(a[k] for a in lp), bases[k])
-                    assert (res is None) == (want is None)
-                    if want is None:
-                        rejected += 1
-                        continue
-                    assert_identical(res, want)
-                    accepted += 1
+                ok, x = kernel(*lp, bases)
+                assert len(ok) == len(bases)
+                for k in range(len(bases)):
+                    assert_kernel_matches(
+                        ok[k], x[k], reference_solve_from_basis(*(a[k] for a in lp), bases[k]))
+                accepted += int(ok.sum())
+                rejected += int((~ok).sum())
         assert accepted > 100 and rejected > 10
 
     def test_bad_problems_fail_alone(self):
@@ -375,14 +386,12 @@ class TestSolveFromBasisBatch:
         bases[5] = bases[5][:-1]
         lp[1][7, 0, bases[7][0]] = np.nan
         bad = {1, 3, 5, 7}
-        got = solve_from_basis_batch(*lp, bases)
-        for k, res in enumerate(got):
+        ok, x = kernel(*lp, bases)
+        for k in range(len(bases)):
             want = reference_solve_from_basis(*(a[k] for a in lp), bases[k])
-            if k in bad:
-                assert res is None and want is None, k
-            else:
-                assert_identical(res, want)
-        assert sum(res is not None for res in got) == len(got) - len(bad)
+            assert (want is None) == (k in bad), k
+            assert_kernel_matches(ok[k], x[k], want)
+        assert int(ok.sum()) == len(bases) - len(bad)
 
 
 def classify(a, b, cost, basis):
@@ -657,6 +666,19 @@ class TestArgumentShapes:
     def test_same_bytes_as_canonical(self, loose, canonical):
         assert_identical(solve_lp(*loose), solve_lp(*canonical))
 
+    @staticmethod
+    def raise_alike(blocks, message):
+        """``solve_lp``, ``solve_lp_batch`` and ``standard_form`` (two copies
+        stacked) all raise ``message`` on these constraint blocks."""
+        with pytest.raises(ValueError, match=message):
+            solve_lp([1, 1], **blocks)
+        stacked = {k: np.stack([np.asarray(v, dtype=float)] * 2) for k, v in blocks.items()}
+        with pytest.raises(ValueError, match=message):
+            solve_lp_batch(np.ones((2, 2)), **stacked)
+        with pytest.raises(ValueError, match=message):
+            standard_form(np.ones((2, 2)), *(stacked.get(k) for k in (
+                "a_eq", "b_eq", "a_ub", "b_ub")))
+
     @pytest.mark.parametrize("rows", [
         # more rows in a_ub than right-hand sides (once read as unbounded)
         dict(a_ub=[[1, 0], [0, 1]], b_ub=[1]),
@@ -664,14 +686,7 @@ class TestArgumentShapes:
         dict(a_eq=[[1, 1]], b_eq=[2, 3]),
     ])
     def test_row_count_mismatch_raises(self, rows):
-        with pytest.raises(ValueError, match="one row count"):
-            solve_lp([1, 1], **rows)
-        stacked = {k: np.stack([np.asarray(v, dtype=float)] * 2) for k, v in rows.items()}
-        with pytest.raises(ValueError, match="one row count"):
-            solve_lp_batch(np.ones((2, 2)), **stacked)
-        with pytest.raises(ValueError, match="one row count"):
-            solve_from_basis([1, 1], rows.get("a_eq"), rows.get("b_eq"),
-                             rows.get("a_ub"), rows.get("b_ub"), (0,))
+        self.raise_alike(rows, "one row count")
 
     @pytest.mark.parametrize("half,message", [
         # a_ub without b_ub (once read as no rows: unbounded)
@@ -684,11 +699,4 @@ class TestArgumentShapes:
         (dict(a_ub=np.zeros((0, 2)), b_ub=[1]), "b_ub has rows but a_ub has none"),
     ])
     def test_half_given_block_raises(self, half, message):
-        with pytest.raises(ValueError, match=message):
-            solve_lp([1, 1], **half)
-        stacked = {k: np.stack([np.asarray(v, dtype=float)] * 2) for k, v in half.items()}
-        with pytest.raises(ValueError, match=message):
-            solve_lp_batch(np.ones((2, 2)), **stacked)
-        with pytest.raises(ValueError, match=message):
-            solve_from_basis_batch(np.ones((2, 2)), *(stacked.get(k) for k in (
-                "a_eq", "b_eq", "a_ub", "b_ub")), [(0,), (0,)])
+        self.raise_alike(half, message)

@@ -1,5 +1,6 @@
 """Grasp wrench LP: analytic cases, enumeration oracle, invariants."""
 
+import dataclasses
 import itertools
 import math
 
@@ -287,6 +288,110 @@ class TestInvariants:
             assert dual >= single - 1e-9
 
 
+def pad_floor(c, f):
+    # a pad pushes: its normal force is >= 0
+    return -float(f @ c.normal), 0.0, -c.normal
+
+
+def pad_capacity(c, f):
+    return float(f @ c.normal), c.normal_capacity, c.normal
+
+
+def friction_cone(c, f):
+    fn = float(f @ c.normal)
+    ft = f - fn * c.normal
+    return float(np.linalg.norm(ft)), c.mu * fn, ft / np.linalg.norm(ft)
+
+
+def cup_tension(c, f):
+    return -float(f[2]), c.tension_capacity, -Z
+
+
+def cup_seat(c, f):
+    return float(f[2]), c.normal_capacity, Z
+
+
+def cup_shear(c, f):
+    shear = f - f[2] * Z
+    return float(np.linalg.norm(shear)), c.shear_capacity, shear / np.linalg.norm(shear)
+
+
+WITNESS_CHECKS = ["pad normal force negative", "pad normal capacity exceeded",
+                  "pad friction cone violated", "cup tension capacity exceeded",
+                  "cup seat compression exceeded", "cup shear capacity exceeded",
+                  "force balance residual", "moment balance residual"]
+BALANCE = {"force balance residual", "moment balance residual"}
+
+
+def failed_checks(problems):
+    return {check for check in WITNESS_CHECKS if any(check in p for p in problems)}
+
+
+class TestWitnessTolerance:
+    """``verify_witness`` pins ``WITNESS_TOL``: a default dual grasp's witness
+    with one quantity moved k x WITNESS_TOL x max(1, alpha) past a bound that
+    binds there fails that check at k = 1.01 and passes whole at k = 0.99.
+    A moved force also leaves a balance residual of that size, which must
+    fail only alongside the check it moved past."""
+
+    PAST, INSIDE = 1.01, 0.99
+
+    @staticmethod
+    def grasp(pull_type, zeroed=None):
+        """The default dual grasp's contacts and witness; ``zeroed`` is a
+        (contact, capacity field) set to 0 first, so that the bound binds."""
+        scenario = GraspScenario(37.5, pull_type=pull_type)
+        cs = build_contacts(scenario, GraspModelParams())
+        if zeroed:
+            i, name = zeroed
+            cs = ContactSet(cs.fruit_radius, tuple(
+                dataclasses.replace(c, **{name: 0.0}) if k == i else c
+                for k, c in enumerate(cs.contacts)))
+        sol = solve_pull(cs, *pull_wrench_for(scenario))
+        assert verify_witness(cs, sol) == []
+        return cs, sol, wrench.WITNESS_TOL * max(1.0, sol.alpha)
+
+    @pytest.mark.parametrize("check,bound,pull_type,contact,zeroed", [
+        ("pad normal force negative", pad_floor, PullType.AXIAL, 0, "normal_capacity"),
+        ("pad normal capacity exceeded", pad_capacity, PullType.AXIAL, 0, None),
+        ("pad friction cone violated", friction_cone, PullType.AXIAL, 0, None),
+        ("cup tension capacity exceeded", cup_tension, PullType.AXIAL, 3, None),
+        ("cup seat compression exceeded", cup_seat, PullType.ROTATIONAL, 3, "normal_capacity"),
+        ("cup shear capacity exceeded", cup_shear, PullType.ROTATIONAL, 3, None),
+    ])
+    def test_contact_force(self, check, bound, pull_type, contact, zeroed):
+        cs, sol, tol = self.grasp(pull_type, zeroed and (contact, zeroed))
+        c, f = cs.contacts[contact], sol.forces[contact]
+        value, limit, outward = bound(c, f)
+        assert abs(value - limit) <= 1e-6 * tol   # the bound binds
+        for k in (self.PAST, self.INSIDE):
+            forces = list(sol.forces)
+            forces[contact] = f + (limit + k * tol - value) * outward
+            problems = verify_witness(cs, dataclasses.replace(sol, forces=tuple(forces)))
+            failed = failed_checks(problems)
+            if k < 1.0:
+                assert problems == [], k
+            else:
+                assert check in failed and failed <= {check} | BALANCE, problems
+
+    def test_force_balance(self):
+        # a smaller alpha leaves the pull short of the contact forces
+        cs, sol, tol = self.grasp(PullType.AXIAL)
+        for k in (self.PAST, self.INSIDE):
+            problems = verify_witness(cs, dataclasses.replace(sol, alpha=sol.alpha - k * tol))
+            assert failed_checks(problems) == ({"force balance residual"} if k > 1.0 else set())
+
+    def test_moment_balance(self):
+        # the pull moved off the center, across the axial pull: a pure moment
+        cs, sol, tol = self.grasp(PullType.AXIAL)
+        assert sol.pull_direction.tolist() == [0.0, 0.0, 1.0]
+        for k in (self.PAST, self.INSIDE):
+            shift = np.array([k * tol * cs.fruit_radius / sol.alpha, 0.0, 0.0])
+            moved = dataclasses.replace(sol, application_point=sol.application_point + shift)
+            problems = verify_witness(cs, moved)
+            assert failed_checks(problems) == ({"moment balance residual"} if k > 1.0 else set())
+
+
 class TestCalibration:
     def test_fixed_point_dataset(self):
         # dataset rows generated by the model itself: zero residual, params hold
@@ -328,6 +433,18 @@ class TestCalibration:
                           "suction,0,0,axial,12,-1,authoritative"])
         with pytest.raises(ParseError, match="stdev must be >= 0, got -1.0 row 3"):
             reference_from_csv(text)
+
+    @pytest.mark.parametrize("strength", ["0", "-3", "-0.0"])
+    def test_non_positive_strength_names_its_row(self, strength):
+        # the loss divides by each strength
+        text = "\n".join([wrench.REFERENCE_CSV_HEADER,
+                          f"suction,0,0,axial,{strength},0.3,authoritative",
+                          "dual,0,0,axial,20.0,1.0,authoritative"])
+        with pytest.raises(ParseError, match="strength must be > 0") as err:
+            reference_from_csv(text)
+        assert err.value.row == 2
+        with pytest.raises(ValueError, match="strength must be > 0"):
+            wrench.ReferenceRow(GraspScenario(37.5), float(strength), 1.0)
 
     @pytest.mark.parametrize("source", ["authorative", "Authoritative", "approx", ""])
     def test_unknown_source_rejected(self, source):
@@ -462,7 +579,7 @@ def _strength_lp(scenario, model, cup_indices=(0, 1, 2)):
     """Single-build oracle: the pull LP (c, a_eq, b_eq, a_ub, b_ub) of one
     strength query, built from its own ``Contact`` objects, or None when no
     contact is present."""
-    contacts = build_contacts(scenario, model, wrench.DEFAULT_CONE_SIDES, cup_indices).contacts
+    contacts = build_contacts(scenario, model, cup_indices).contacts
     if not contacts:
         return None
     lp = wrench._pull_lp(contacts, *wrench._pull_inputs(*pull_wrench_for(scenario)))
@@ -788,7 +905,7 @@ class TestBatchedPull:
         rng = np.random.default_rng(41)
         model = shipped_calibration()
         for scenario, cups in random_queries(41, 150):
-            contacts = build_contacts(scenario, model, int(rng.integers(3, 12)), cups).contacts
+            contacts = loop_build_contacts(scenario, model, int(rng.integers(3, 12)), cups).contacts
             if not contacts:
                 continue
             ref_cols, ref_caps, ref_owner = loop_lp_columns(contacts)
