@@ -42,6 +42,7 @@ ARC_SAMPLES = 2048        # arc-length table resolution
 SCAN_SAMPLES = 129        # coarse scan of the inner parameter
 SCAN_BLOCK = 512          # samples scanned together (a 1 MB distance table)
 MAX_SAMPLES = 100_000     # most poses one validate_path pass may solve
+SYNTHESIS_SAMPLES = 500   # poses build_default_tracks validates each candidate at
 # largest cam-spec coordinate or length: far past any gripper, and far
 # below where the pose solver's squared distances overflow
 MAX_TRACK_MM = 1e6
@@ -253,11 +254,8 @@ def _build_candidate(fruit_radius: float, deepen: float) -> CamTrackSpec:
     )
 
 
-def build_default_tracks(
-    fruit_radius: float,
-    clearance: float,
-    samples: int = 500,
-) -> tuple[CamTrackSpec, PathReport]:
+def build_default_tracks(fruit_radius: float,
+                         clearance: float) -> tuple[CamTrackSpec, PathReport]:
     """Synthesize the default track pair for a fruit sphere.
 
     The sweeping region keeps the (pad-widened) finger at least ``clearance``
@@ -284,7 +282,7 @@ def build_default_tracks(
     for _ in range(4):
         spec = _build_candidate(fruit_radius, deepen)
         try:
-            report = validate_path(spec, samples)
+            report = validate_path(spec, SYNTHESIS_SAMPLES)
         except PoseUnsolvable as exc:
             raise SynthesisFailed("pose solvability", str(exc)) from exc
         _, pose0 = report.poses[0]

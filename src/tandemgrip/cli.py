@@ -19,12 +19,8 @@ from . import svgplot
 from .config import GripperConfig, data_text, default_config, shipped_calibration
 from .errors import (
     CalibrationDiverged,
-    GeometryInfeasible,
     LpNumericalFailure,
-    OffsetExceedsRadius,
     ParseError,
-    PoseUnsolvable,
-    SynthesisFailed,
     ToolkitError,
     require_finite,
 )
@@ -360,10 +356,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (GeometryInfeasible, OffsetExceedsRadius, PoseUnsolvable,
-            SynthesisFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
     except (LpNumericalFailure, CalibrationDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

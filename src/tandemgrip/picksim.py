@@ -5,8 +5,9 @@ A single pick follows the protocol of the physical trials: approach up to
 detachment threshold or grasp failure. Its outcome tells where it ended:
 ``no_engage`` before the pull, ``grasp_slip`` during it. Campaigns
 Monte-Carlo the same protocol with per-trial draws from field-statistics
-quantile models; both use the same engagement rule and the same
-strength-vs-detachment compare.
+quantile models; both use the same engagement rule (a suction grasp needs
+``SUCTION_ENGAGE_CUPS`` of the three cups, fingers funnel the fruit in from
+within ``FINGER_CAPTURE_TOL_MM``) and the same strength-vs-detachment compare.
 Each trial derives its own RNG stream from (seed, trial index), so results
 are bit-identical regardless of execution order.
 
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, require_finite
+from .errors import ParseError, json_number, require_finite
 from .quantiles import QuantileModel
 from .vectors import _norm
 from .wrench import (
@@ -61,6 +62,7 @@ from .wrench import (
 APPROACH_LIMIT_MM = 50.0
 CUP_ENGAGE_TOL_MM = 15.0        # per-cup lateral slack beyond the ring radius
 FINGER_CAPTURE_TOL_MM = 30.0    # lateral offset the sweeping fingers can funnel in
+SUCTION_ENGAGE_CUPS = 2         # cups a suction-only grasp needs (of three)
 LEAF_OCCLUSION_FAIL_PROB = 1.0 / 25.0   # preset for leaf-cluttered scenes
 CAMPAIGN_BLOCK = 1024           # trials run through their rounds together; bounds
                                 # the trials held open at once
@@ -130,16 +132,16 @@ def _trial_strength(mode: ActuationMode, radius: float, angle_deg: float,
                             cup_indices=cups)
 
 
-def _engage(mode: ActuationMode, offsets, azimuths, engage_rule: int) -> list[tuple]:
+def _engage(mode: ActuationMode, offsets, azimuths) -> list[tuple]:
     """Engaged cups of each offset fruit and whether its grasp engaged at all.
 
-    Suction needs ``engage_rule`` cups; with fingers, the sweeping fingers
+    Suction needs ``SUCTION_ENGAGE_CUPS`` cups; with fingers, the sweeping fingers
     funnel the fruit in only from close enough.
     """
     fingers = mode is ActuationMode.FINGERS
     cup_sets = [()] * len(offsets) if fingers else _cup_sets(offsets, azimuths)
     if mode is ActuationMode.SUCTION:
-        return [(cups, len(cups) >= engage_rule) for cups in cup_sets]
+        return [(cups, len(cups) >= SUCTION_ENGAGE_CUPS) for cups in cup_sets]
     return [(cups, d <= FINGER_CAPTURE_TOL_MM) for cups, d in zip(cup_sets, offsets)]
 
 
@@ -147,16 +149,10 @@ def _pull_outcome(strength: float, detachment_force: float) -> PickOutcome:
     return PickOutcome.PICKED if strength >= detachment_force else PickOutcome.GRASP_SLIP
 
 
-def _check_engage_rule(engage_rule: int) -> None:
-    if engage_rule not in (1, 2, 3):
-        raise ValueError("engage_rule must be 1..3")
-
-
 def run_pick(
     proxy: ProxyModel,
     scenario: GraspScenario,
     model: GraspModelParams,
-    engage_rule: int = 2,
     misalignment_azimuth: float = 0.0,
 ) -> PickState:
     """Execute one pick: approach, engage, then pull.
@@ -164,11 +160,10 @@ def run_pick(
     The scenario's fruit offset doubles as the lateral misalignment for cup
     engagement (lab usage). All failure paths are outcomes, not errors.
     """
-    _check_engage_rule(engage_rule)
     require_finite(misalignment_azimuth=misalignment_azimuth)
     # approach: advance until the palm meets the fruit (placed 50 mm away)
     mode, offset = scenario.mode, scenario.fruit_offset
-    [(cups, engaged)] = _engage(mode, [offset], [misalignment_azimuth], engage_rule)
+    [(cups, engaged)] = _engage(mode, [offset], [misalignment_azimuth])
     if not engaged:
         return PickState(len(cups), APPROACH_LIMIT_MM, PickOutcome.NO_ENGAGE)
     strength = _trial_strength(mode, scenario.fruit_radius, scenario.pull_angle, cups, model)
@@ -216,11 +211,16 @@ class TrialStats:
             raise ParseError("TrialStats JSON must be an object of five-number lists")
         fields = {}
         for name in cls.__dataclass_fields__:
+            if name not in d:
+                raise ParseError(f"TrialStats field {name!r} is missing")
+            values = d[name]
             try:
-                fields[name] = QuantileModel(*d[name])
-            except KeyError as exc:
-                raise ParseError(f"TrialStats field {name!r} is missing") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
+                if not isinstance(values, list) or len(values) != 5:
+                    raise ValueError(f"must be a list of five numbers, got {values!r}")
+                # through json_number: float() would read true and false as 1 and 0
+                fields[name] = QuantileModel(*map(json_number, values,
+                                                  QuantileModel.__dataclass_fields__))
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(f"bad TrialStats field {name!r}: {exc}") from exc
         return cls(**fields)
 
@@ -304,7 +304,7 @@ def trials_to_csv(log: tuple[TrialRecord, ...]) -> str:
 
 
 def _first_attempts(stats: TrialStats, mode: ActuationMode, seed: int, block: range,
-                    engage_rule: int, occlusion_fail_prob: float):
+                    occlusion_fail_prob: float):
     """(index, rng, draws, first attempt's (cups, engaged)) of each trial of
     ``block``, drawn, sampled and engaged as arrays that die with this call."""
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in block]
@@ -315,11 +315,11 @@ def _first_attempts(stats: TrialStats, mode: ActuationMode, seed: int, block: ra
     azimuth = (2.0 * math.pi * u[:, 5]).tolist()
     draws = zip(net, tan, diameter, offset, stiffness, azimuth,
                 (u[:, 6] < occlusion_fail_prob).tolist())
-    return zip(block, rngs, draws, _engage(mode, offset, azimuth, engage_rule))
+    return zip(block, rngs, draws, _engage(mode, offset, azimuth))
 
 
-def _run_trial(stats: TrialStats, mode: ActuationMode, engage_rule: int, retries: int,
-               index: int, rng: np.random.Generator, draws: tuple,
+def _run_trial(stats: TrialStats, mode: ActuationMode, retries: int, index: int,
+               rng: np.random.Generator, draws: tuple,
                first: tuple) -> Generator[tuple, float, TrialRecord]:
     """One trial as a generator, from its stream, its draws and its first
     attempt's (cups, engaged): it yields a (scenario, cups) strength query
@@ -336,7 +336,7 @@ def _run_trial(stats: TrialStats, mode: ActuationMode, engage_rule: int, retries
     for attempt in range(retries + 1):
         if attempt:
             offset = float(stats.gripper_offset.sample(rng.random()))
-            [(cups, engaged)] = _engage(mode, [offset], [azimuth], engage_rule)
+            [(cups, engaged)] = _engage(mode, [offset], [azimuth])
         if engaged:
             if cups not in strengths:
                 strengths[cups] = yield (_trial_scenario(mode, diameter / 2.0, angle, cups), cups)
@@ -355,7 +355,6 @@ def run_campaign(
     mode: ActuationMode,
     trials: int,
     seed: int,
-    engage_rule: int = 2,
     occlusion_fail_prob: float = 0.0,
     retries: int = 0,
     threads: int = 1,
@@ -385,12 +384,11 @@ def run_campaign(
         raise ValueError("seed must be >= 0")
     if not 0.0 <= occlusion_fail_prob <= 1.0:   # (NaN fails both)
         raise ValueError(f"occlusion_fail_prob must be in [0, 1], got {occlusion_fail_prob!r}")
-    _check_engage_rule(engage_rule)
     records: dict[int, TrialRecord] = {}
     for start in range(0, trials, CAMPAIGN_BLOCK):
         block = range(start, min(start + CAMPAIGN_BLOCK, trials))
-        running = {i: _run_trial(stats, mode, engage_rule, retries, i, *trial) for i, *trial
-                   in _first_attempts(stats, mode, seed, block, engage_rule, occlusion_fail_prob)}
+        running = {i: _run_trial(stats, mode, retries, i, *trial) for i, *trial
+                   in _first_attempts(stats, mode, seed, block, occlusion_fail_prob)}
         # each round advances every unfinished trial of the block to its next
         # strength query (or its record), then solves the round's queries
         # as one batch

@@ -501,10 +501,12 @@ def predict_strengths(
 # ---------------------------------------------------------------------------
 
 REFERENCE_CSV_HEADER = "mode,offset_mm,angle_deg,pull_type,strength_N,stdev_N,source"
+REFERENCE_FRUIT_RADIUS_MM = 37.5   # the reference rows were measured on a 75 mm fruit
 
 
-def reference_from_csv(text: str, fruit_radius: float = 37.5) -> ReferenceMeasurements:
-    """Parse the reference measurement CSV (see REFERENCE_CSV_HEADER)."""
+def reference_from_csv(text: str) -> ReferenceMeasurements:
+    """Parse the reference measurement CSV (see REFERENCE_CSV_HEADER); every
+    row's scenario is on a fruit of ``REFERENCE_FRUIT_RADIUS_MM``."""
     reader = csv.DictReader(io.StringIO(text))
     rows: list[ReferenceRow] = []
     for i, rec in enumerate(reader, start=2):
@@ -514,7 +516,7 @@ def reference_from_csv(text: str, fruit_radius: float = 37.5) -> ReferenceMeasur
             if source not in ("authoritative", "approximate"):
                 raise ValueError(f"source must be authoritative or approximate, got {source!r}")
             scenario = GraspScenario(
-                fruit_radius=fruit_radius,
+                fruit_radius=REFERENCE_FRUIT_RADIUS_MM,
                 fruit_offset=float(rec["offset_mm"]),
                 pull_angle=min(float(rec["angle_deg"]), 90.0),
                 pull_type=PullType(rec["pull_type"]),

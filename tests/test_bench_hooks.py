@@ -4,11 +4,15 @@
 a renamed function or a changed ``_bland_iterate`` signature lands in
 ``Tracer.missing`` and fails a traced run. This loads that file as it is
 and checks that installing, tracing a strength query and a small campaign,
-and uninstalling leave nothing missing and every name as it was; and that
-the benchmark's calibration, traced, leaves nothing missing either.
+and uninstalling leave nothing missing and every name as it was; that
+the benchmark's calibration, traced, leaves nothing missing either; and
+that every toolkit call ``perfbench/child.py`` makes still binds to the
+signature it calls.
 """
 
+import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -21,6 +25,7 @@ from tandemgrip.picksim import DEFAULT_FIELD_STATS
 from tandemgrip.wrench import ActuationMode, GraspScenario
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+CHILD = SPANS.with_name("child.py")
 
 
 def load_spans():
@@ -79,3 +84,23 @@ def test_traced_calibration_misses_no_hook():
         assert calls["wrench.calibrate"] == 1
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_calls_bind_to_the_toolkit():
+    # the benchmark is frozen: an option it passes that the toolkit no
+    # longer takes would fail only in a benchmark run
+    modules = {"picksim": picksim, "wrench": wrench, "config": config, "cli": cli}
+    calls = []
+    for node in ast.walk(ast.parse(CHILD.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules):
+            calls.append((f"{node.func.value.id}.{node.func.attr}", node))
+    assert {"picksim.run_campaign", "wrench.calibrate", "wrench.reference_from_csv",
+            "cli.main"} <= {name for name, _ in calls}
+    for name, node in calls:
+        owner, attr = name.split(".")
+        fn = getattr(modules[owner], attr)
+        try:
+            inspect.signature(fn).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{name} (line {node.lineno}): {exc}") from None

@@ -14,6 +14,7 @@ from tandemgrip.campath import (
     HARD_STOP_TOL_MM,
     MAX_SAMPLES,
     SNAP_TOL_MM,
+    SYNTHESIS_SAMPLES,
     CamTrackSpec,
     CubicBezier,
     FingerPose,
@@ -150,8 +151,8 @@ class TestSynthesis:
             assert report.min_clearance >= 2.0
 
     def test_returns_the_report_of_its_pass(self):
-        spec, report = build_default_tracks(37.5, 3.0, samples=50)
-        again = validate_path(spec, 50)
+        spec, report = build_default_tracks(37.5, 3.0)
+        again = validate_path(spec, SYNTHESIS_SAMPLES)
         assert report == again
         assert [u for u, _ in report.poses] == [u for u, _ in again.poses]
         assert report.poses[0][0] == 0.0

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tandemgrip
-from tandemgrip import campath, picksim
+from tandemgrip import campath, cli, errors, picksim
 from tandemgrip.cli import main
 from tandemgrip.config import data_text
 
@@ -29,7 +29,7 @@ def run(capsys, tmp_path, *argv):
 
 @pytest.fixture(scope="module")
 def cam_doc():
-    spec, _ = campath.build_default_tracks(37.5, 3.0, samples=100)
+    spec, _ = campath.build_default_tracks(37.5, 3.0)
     return json.loads(spec.to_json())
 
 
@@ -512,6 +512,44 @@ class TestUsage:
         assert "'--' is not an option value" in err
 
 
+def toolkit_errors(cls=errors.ToolkitError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from toolkit_errors(sub)
+
+
+# the exit code each error class is decided to give; a new ToolkitError
+# subclass must be added here
+EXIT_CODES = {
+    ValueError: 2,
+    OSError: 2,
+    errors.ParseError: 2,
+    errors.LpNumericalFailure: 4,
+    errors.CalibrationDiverged: 4,
+    errors.GeometryInfeasible: 3,
+    errors.NegativeY: 3,
+    errors.DenominatorNonpositive: 3,
+    errors.SynthesisFailed: 3,
+    errors.PoseUnsolvable: 3,
+    errors.OffsetExceedsRadius: 3,
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc_type", [*toolkit_errors(), ValueError, OSError],
+                             ids=lambda cls: cls.__name__)
+    def test_error_class_exit_code(self, capsys, tmp_path, monkeypatch, exc_type):
+        def fail(args):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(cli, "cmd_stats", fail)
+        assert exc_type in EXIT_CODES, f"{exc_type.__name__} has no decided exit code"
+        code, out, err = run(capsys, tmp_path, "stats")
+        assert code == EXIT_CODES[exc_type]
+        assert out == ""
+        assert err.startswith("error: ") and "boom" in err
+
+
 class TestNonFiniteConfig:
     """``json`` reads NaN and Infinity; such a config is a usage error."""
 
@@ -679,6 +717,9 @@ class TestSimulateStats:
         (lambda d: {**d, "net_fdf": [-40, -30, -20, -10, -5]}, [], "field 'net_fdf' must be >= 0"),
         (lambda d: {**d, "branch_stiffness": [-400, -300, -200, -100, -50]}, [],
          "field 'branch_stiffness' must be >= 0"),
+        # float() read false and true as 0 and 1, and the campaign ran
+        (lambda d: {**d, "net_fdf": [False, True, True, True, True]}, [],
+         "field 'net_fdf': q_min must be a number, got False"),
     ])
     def test_bad_trial_stats_usage_error(self, capsys, tmp_path, edit, argv, message):
         from tandemgrip.picksim import DEFAULT_FIELD_STATS

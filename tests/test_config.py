@@ -34,7 +34,7 @@ class TestLoad:
         assert cfg.bruise_threshold == 30.0
 
     def test_cam_file_reference(self, tmp_path):
-        spec, _ = build_default_tracks(37.5, 3.0, samples=100)
+        spec, _ = build_default_tracks(37.5, 3.0)
         (tmp_path / "tracks.json").write_text(spec.to_json())
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config_doc(cam="tracks.json")))

@@ -36,8 +36,8 @@ def proxy():
     return ProxyModel()
 
 
-def reference_trial(stats, model, mode, seed, index, engage_rule, occlusion_fail_prob,
-                    retries, engaged_attempts=None):
+def reference_trial(stats, model, mode, seed, index, occlusion_fail_prob, retries,
+                    engaged_attempts=None):
     """One trial on its own, attempt by attempt, with scalar strength solves."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     u = rng.random(7)
@@ -56,7 +56,7 @@ def reference_trial(stats, model, mode, seed, index, engage_rule, occlusion_fail
             offset = float(stats.gripper_offset.sample(rng.random()))
         cups = () if mode is ActuationMode.FINGERS else cups_engaged_at(offset, azimuth)
         if mode is ActuationMode.SUCTION:
-            engaged = len(cups) >= engage_rule
+            engaged = len(cups) >= picksim.SUCTION_ENGAGE_CUPS
         else:
             engaged = offset <= picksim.FINGER_CAPTURE_TOL_MM
         if not engaged:
@@ -96,9 +96,25 @@ class TestRunPick:
         )
         assert state.outcome is PickOutcome.NO_ENGAGE
 
-    def test_engage_rule_validation(self, proxy, model):
-        with pytest.raises(ValueError):
-            run_pick(proxy, GraspScenario(37.5), model, engage_rule=0)
+    def test_two_of_three_cups_engage_suction(self, proxy, model):
+        # one side of SUCTION_ENGAGE_CUPS: two cups reach the pull
+        assert picksim.SUCTION_ENGAGE_CUPS == 2
+        state = run_pick(proxy, GraspScenario(37.5, fruit_offset=25.0,
+                                              mode=ActuationMode.SUCTION), model,
+                         misalignment_azimuth=0.0)
+        assert cups_engaged_at(25.0, 0.0) == (0, 2)
+        assert state.cups_engaged == 2
+        assert state.outcome is not PickOutcome.NO_ENGAGE
+        assert state.travel == pytest.approx(16.0 / 455.0 * 1000.0)
+
+    def test_one_cup_does_not_engage_suction(self, proxy, model):
+        # the other side: one cup stops before the pull
+        state = run_pick(proxy, GraspScenario(37.5, fruit_offset=36.0,
+                                              mode=ActuationMode.SUCTION), model,
+                         misalignment_azimuth=math.radians(60.0))
+        assert cups_engaged_at(36.0, math.radians(60.0)) == (0,)
+        assert state.cups_engaged == 1
+        assert state.outcome is PickOutcome.NO_ENGAGE
 
     @pytest.mark.parametrize("diameter", [16.0, 240.0])
     def test_fruit_without_default_cam_tracks(self, proxy, model, diameter):
@@ -246,12 +262,6 @@ class TestCampaign:
             run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 1, seed=0,
                          retries=-1)
 
-    @pytest.mark.parametrize("rule", [0, 4])
-    def test_engage_rule_validation(self, model, rule):
-        with pytest.raises(ValueError):
-            run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.SUCTION, 1, seed=0,
-                         engage_rule=rule)
-
     @pytest.mark.parametrize("mode", [ActuationMode.SUCTION, ActuationMode.FINGERS])
     def test_retry_log_independent_of_earlier_campaigns(self, model, mode):
         def campaign():
@@ -273,7 +283,7 @@ class TestCampaign:
         engaged_attempts = []
         monkeypatch.setattr(wrench, "solve_lp_batch", solve_lp_batch)
         batched = run_campaign(DEFAULT_FIELD_STATS, model, mode, 30, seed=29, retries=3)
-        reference = [reference_trial(DEFAULT_FIELD_STATS, model, mode, 29, i, 2, 0.0, 3,
+        reference = [reference_trial(DEFAULT_FIELD_STATS, model, mode, 29, i, 0.0, 3,
                                      engaged_attempts) for i in range(30)]
         assert batched.log == tuple(reference)
         assert sum(solves) == len(set(engaged_attempts)) > 0
@@ -286,8 +296,8 @@ class TestCampaign:
     def test_matches_one_trial_at_a_time(self, model, mode, retries, occlusion):
         batched = run_campaign(DEFAULT_FIELD_STATS, model, mode, 80, seed=37,
                                occlusion_fail_prob=occlusion, retries=retries)
-        reference = tuple(reference_trial(DEFAULT_FIELD_STATS, model, mode, 37, i, 2,
-                                          occlusion, retries) for i in range(80))
+        reference = tuple(reference_trial(DEFAULT_FIELD_STATS, model, mode, 37, i, occlusion,
+                                          retries) for i in range(80))
         assert batched.log == reference
 
     def test_block_size_does_not_change_log(self, model, monkeypatch):
@@ -308,8 +318,8 @@ class TestCampaign:
         draws = (20.0, 5.0, 76.0, 4.0, 400.0, 0.0, False)
         tracemalloc.start()
         try:
-            trial = picksim._run_trial(DEFAULT_FIELD_STATS, ActuationMode.DUAL, 2, 10**6,
-                                       0, rng, draws, ((0, 1, 2), True))
+            trial = picksim._run_trial(DEFAULT_FIELD_STATS, ActuationMode.DUAL, 10**6, 0,
+                                       rng, draws, ((0, 1, 2), True))
             next(trial)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -398,6 +408,15 @@ class TestTrialStats:
         (lambda d: {**d, "gripper_offset": [math.nan] * 5},
          "field 'gripper_offset': q_min must be finite"),
         (lambda d: {**d, "fruit_weight": [10 ** 400] * 5}, "field 'fruit_weight'"),
+        # float() took true and false as 1 and 0, so booleans parsed as quantiles
+        (lambda d: {**d, "net_fdf": [False, True, True, True, True]},
+         "field 'net_fdf': q_min must be a number, got False"),
+        (lambda d: {**d, "net_fdf": [7, 11, 15, 28, "38"]},
+         "field 'net_fdf': q_max must be a number, got '38'"),
+        (lambda d: {**d, "net_fdf": [7, 11, 15, 28, 38, 40]},
+         "field 'net_fdf': must be a list of five numbers"),
+        (lambda d: {**d, "net_fdf": "71528"},
+         "field 'net_fdf': must be a list of five numbers, got '71528'"),
     ])
     def test_bad_json_names_the_field(self, edit, message):
         doc = edit(json.loads(DEFAULT_FIELD_STATS.to_json()))
