@@ -5,6 +5,9 @@ the piecewise-linear inverse CDF through those five points, the natural
 nonparametric choice when only the summary is known. Summaries use the
 linear-interpolation quantile definition, so summarize(sample(model))
 converges back to the model.
+
+Summaries are pure Python, so summarizing a log (``tandemgrip stats``)
+loads no numpy; sampling uses numpy, which ``sample`` imports when called.
 """
 
 from __future__ import annotations
@@ -13,12 +16,14 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParseError, require_finite
 
-_PROBS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+if TYPE_CHECKING:
+    import numpy as np
+
+_PROBS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -46,31 +51,64 @@ class QuantileModel:
 
     def sample(self, u) -> np.ndarray | float:
         """Inverse-CDF transform of uniform variates ``u`` in [0, 1]."""
-        return np.interp(u, _PROBS, np.array(self.as_tuple()))
+        import numpy as np
+
+        return np.interp(u, _PROBS, self.as_tuple())
 
 
 def summarize(values) -> QuantileModel:
-    """Five-number summary with linear-interpolation quantiles."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+    """Five-number summary with linear-interpolation quantiles.
+
+    Hyndman & Fan's method 7 ("Sample quantiles in statistical packages",
+    *Am. Stat.* 50(4), 1996), in the IEEE operations of numpy's
+    ``np.quantile(values, p, method="linear")`` and in their order (its
+    ``_lerp``), so every quantile has numpy's bits. The one exception: when
+    the values hold both -0.0 and 0.0, numpy's partition may put either zero
+    first, so the sign of a zero quantile can differ.
+    """
+    s = sorted(map(float, values))
+    n = len(s)
+    if n == 0:
         raise ValueError("cannot summarize an empty sample")
+    if not all(map(math.isfinite, s)):
+        raise ValueError("cannot summarize non-finite values")
+    q = []
+    for p in _PROBS:
+        idx = (n - 1) * p
+        if idx >= n - 1:
+            # numpy reads the last value through index -1 and takes the
+            # weight against that index, so it is idx + 1, not 0
+            lo = hi = n - 1
+            g = idx + 1
+        else:
+            lo = math.floor(idx)
+            hi = lo + 1
+            g = idx - lo
+        a, b = s[lo], s[hi]
+        d = b - a
+        q.append(b - d * (1 - g) if g >= 0.5 else a + d * g)
     # interpolating between values of opposite sign near the float limit
-    # overflows; say so instead of warning and returning inf or NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = np.quantile(arr, _PROBS, method="linear")
-    if not np.all(np.isfinite(q)):
+    # overflows; say so instead of returning inf or NaN
+    if not all(map(math.isfinite, q)):
         raise ValueError("values span more than the float range; cannot summarize")
-    return QuantileModel(*[float(v) for v in q])
+    return QuantileModel(*q)
 
 
 def summarize_csv_text(text: str) -> dict[str, QuantileModel]:
     """Per-column five-number summaries of a numeric CSV."""
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    names = reader.fieldnames
+    if names is None:
         raise ParseError("CSV has no header row")
-    columns: dict[str, list[float]] = {name: [] for name in reader.fieldnames}
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ParseError(f"duplicate column name {name!r} in the header row")
+    columns: dict[str, list[float]] = {name: [] for name in names}
     for i, rec in enumerate(reader, start=2):
-        for name in reader.fieldnames:
+        # DictReader gathers the cells past the header under the key None
+        if any(cell.strip() for cell in rec.get(None, ())):
+            raise ParseError(f"more cells than the {len(names)} header columns", row=i)
+        for name in names:
             raw = (rec.get(name) or "").strip()
             if raw == "":
                 continue

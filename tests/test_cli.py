@@ -420,6 +420,18 @@ class TestStats:
         assert out == ""
         assert "non-finite value 'nan'" in err
 
+    @pytest.mark.parametrize("text,message", [
+        ("a,a\n1,2\n3,4\n", "duplicate column name 'a'"),
+        ("a,b\n1,2,3\n4\n", "more cells than the 2 header columns row 2"),
+    ])
+    def test_malformed_table_usage_error(self, capsys, tmp_path, text, message):
+        p = tmp_path / "log.csv"
+        p.write_text(text)
+        code, out, err = run(capsys, tmp_path, "stats", "--csv", str(p))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_directory_as_csv_usage_error(self, capsys, tmp_path):
         code, out, _ = run(capsys, tmp_path, "stats", "--csv", str(tmp_path))
         assert code == 2
@@ -645,7 +657,7 @@ class TestColdStart:
         "bruise": {"numpy"},
         "grasp-dual": {"tandemgrip.campath", "tandemgrip.picksim", "tandemgrip.quantiles"},
         "grasp-suction": {"tandemgrip.campath", "tandemgrip.picksim", "tandemgrip.quantiles"},
-        "stats": {"tandemgrip.wrench", "tandemgrip.campath"},
+        "stats": {"numpy", "tandemgrip.wrench", "tandemgrip.campath"},
         "campath": {"tandemgrip.wrench", "tandemgrip.simplexlp", "tandemgrip.picksim"},
     }
 
@@ -691,6 +703,13 @@ class TestPackageSurface:
 
     def test_bare_import_loads_no_numpy(self):
         fresh_python("import sys, tandemgrip\nassert 'numpy' not in sys.modules\n")
+
+    def test_summaries_load_no_numpy(self):
+        # summaries are pure Python; only QuantileModel.sample imports numpy
+        fresh_python("import sys\n"
+                     "from tandemgrip.quantiles import summarize_csv_text\n"
+                     "summarize_csv_text('a,b\\n1,2\\n3,4.5\\n')\n"
+                     "assert 'numpy' not in sys.modules\n")
 
 
 class TestSimulateStats:

@@ -457,6 +457,16 @@ class TestSummarizeCsv:
         with pytest.raises(ParseError):
             summarize_csv(p)
 
+    def test_duplicate_column(self, tmp_path):
+        from tandemgrip.config import data_text
+        from tandemgrip.errors import ParseError
+        from tandemgrip.picksim import summarize_csv
+        header, rest = data_text("field_log_sample.csv").split("\n", 1)
+        p = tmp_path / "log.csv"
+        p.write_text(header.replace("fruit_height_mm", "net_fdf_N") + "\n" + rest)
+        with pytest.raises(ParseError, match="duplicate column name 'net_fdf_N'"):
+            summarize_csv(p)
+
     def test_single_row_log(self, tmp_path):
         from tandemgrip.picksim import summarize_csv
         p = tmp_path / "log.csv"
