@@ -98,7 +98,7 @@ def summarize_csv_text(text: str) -> dict[str, QuantileModel]:
     """Per-column five-number summaries of a numeric CSV."""
     reader = csv.DictReader(io.StringIO(text))
     names = reader.fieldnames
-    if names is None:
+    if not names:  # no text at all, or a blank first line
         raise ParseError("CSV has no header row")
     for k, name in enumerate(names):
         if name in names[:k]:

@@ -150,6 +150,11 @@ class TestCsvSummary:
         with pytest.raises(ParseError, match="more cells than the 2 header columns row 2"):
             summarize_csv_text("a,b\n1,2,3\n4\n")
 
+    @pytest.mark.parametrize("text", ["", "\na\n1\n"])
+    def test_no_header_row(self, text):
+        with pytest.raises(ParseError, match="CSV has no header row"):
+            summarize_csv_text(text)
+
     def test_blank_extra_cells_and_short_rows_skip(self):
         out = summarize_csv_text("a,b\n1,2,, \n4\n")
         assert out["a"].as_tuple() == (1.0, 1.75, 2.5, 3.25, 4.0)
