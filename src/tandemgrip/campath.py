@@ -24,7 +24,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -241,9 +240,7 @@ def _build_candidate(fruit_radius: float, deepen: float) -> CamTrackSpec:
     o1 = outer_of(hard, 0.0)
     a1 = math.atan2(*(o1 - hard)[::-1])
     clamp = _arc(hard, s, a0, a1)
-    arc_t0 = np.array([-math.sin(a0), math.cos(a0)])
-    if a1 < a0:
-        arc_t0 = -arc_t0
+    arc_t0 = np.array([-math.sin(a0), math.cos(a0)])   # a0 = -110 deg < a1 = -90 deg
     chord = float(np.linalg.norm(o_star - o0))
     sweep = _hermite(o0, e * chord, o_star, arc_t0 * chord * 0.9)
 
@@ -307,7 +304,6 @@ def build_default_tracks(fruit_radius: float,
 # pose solving
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
 def _outer_table(spec: CamTrackSpec) -> tuple[np.ndarray, np.ndarray]:
     """Dense polyline + cumulative arc length of the full outer path."""
     ts = np.linspace(0.0, 1.0, ARC_SAMPLES)
@@ -330,12 +326,6 @@ def _outer_points(spec: CamTrackSpec, us: np.ndarray) -> np.ndarray:
     step = seg_len > 0.0
     f[step] = (target[step] - cum[i - 1][step]) / seg_len[step]
     return pts[i - 1] + f[:, None] * (pts[i] - pts[i - 1])
-
-
-@lru_cache(maxsize=32)
-def _inner_scan_grid(spec: CamTrackSpec) -> tuple[np.ndarray, np.ndarray]:
-    ts = np.linspace(0.0, spec.inner_hard_stop, SCAN_SAMPLES)
-    return ts, spec.inner_path.eval(ts)
 
 
 def solve_finger_poses(spec: CamTrackSpec, us) -> list[FingerPose]:
@@ -362,7 +352,8 @@ def solve_finger_poses(spec: CamTrackSpec, us) -> list[FingerPose]:
     # bounded: each sample's smallest |grid - outer| - s, its value at the
     # hard stop (the last grid point) and the rightmost grid index within
     # pin distance (-1 for none)
-    ts, grid = _inner_scan_grid(spec)
+    ts = np.linspace(0.0, spec.inner_hard_stop, SCAN_SAMPLES)
+    grid = spec.inner_path.eval(ts)
     f_min, f_end, k = np.empty(len(us)), np.empty(len(us)), np.empty(len(us), dtype=int)
     for a in range(0, len(us), SCAN_BLOCK):
         block = slice(a, a + SCAN_BLOCK)

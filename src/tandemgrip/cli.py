@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage/config error, 3 domain/geometry error,
+Exit codes: 0 success, 1 stdout closed before the output was written
+(for example by ``| head``), 2 usage/config error, 3 domain/geometry error,
 4 numerical failure.
 
 Each command imports the layers it runs in its own body, so a short
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -184,7 +186,7 @@ def cmd_campath(args) -> int:
 
 def cmd_grasp(args) -> int:
     from .wrench import (ActuationMode, GraspScenario, PullType, build_contacts,
-                         pull_wrench_for, solve_pull, verify_witness)
+                         pull_direction_for, solve_pull, verify_witness)
 
     cfg = _load_config(args)
     model = cfg.grasp_model if args.config_model else shipped_calibration()
@@ -196,8 +198,7 @@ def cmd_grasp(args) -> int:
         mode=ActuationMode(args.mode),
     )
     contacts = build_contacts(scenario, model)
-    d, app = pull_wrench_for(scenario)
-    sol = solve_pull(contacts, d, app)
+    sol = solve_pull(contacts, pull_direction_for(scenario))
     problems = verify_witness(contacts, sol)
     if problems:
         print("witness verification failed: " + "; ".join(problems), file=sys.stderr)
@@ -352,7 +353,14 @@ def main(argv: list[str] | None = None) -> int:
         print("error: '--' is not an option value", file=sys.stderr)
         return USAGE_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left: exit quietly, and send what is still buffered to
+        # devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

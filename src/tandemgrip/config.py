@@ -101,8 +101,6 @@ class GripperConfig:
             bruise = json_number(d.get("bruise_threshold_N", 30.0), "bruise_threshold_N")
             require_finite(bruise_threshold_N=bruise)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, ParseError):
-                raise
             raise ParseError(f"bad config field: {exc}") from exc
         return cls(linkage=linkage, screw=screw, travel=travel,
                    grasp_model=grasp_model, cam=cam, bruise_threshold=bruise)

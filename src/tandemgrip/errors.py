@@ -80,7 +80,8 @@ class CalibrationDiverged(ToolkitError):
 
 
 class ParseError(ToolkitError):
-    """CSV/JSON input could not be parsed; carries row/column location."""
+    """CSV/JSON input could not be parsed; carries row/column location (a
+    CSV row is its physical line number, the header's being 1)."""
 
     def __init__(self, message: str, row: int | None = None, column: str | None = None):
         self.row = row

@@ -104,7 +104,8 @@ def summarize_csv_text(text: str) -> dict[str, QuantileModel]:
         if name in names[:k]:
             raise ParseError(f"duplicate column name {name!r} in the header row")
     columns: dict[str, list[float]] = {name: [] for name in names}
-    for i, rec in enumerate(reader, start=2):
+    for rec in reader:
+        i = reader.line_num   # the record's last physical line: blank lines count
         # DictReader gathers the cells past the header under the key None
         if any(cell.strip() for cell in rec.get(None, ())):
             raise ParseError(f"more cells than the {len(names)} header columns", row=i)

@@ -8,10 +8,10 @@ compression, and seal shear acts in the palm plane with a constant cap of
 shear_fraction * tension_capacity per cup.
 
 The maximum resistible pull is the largest alpha such that contact forces
-inside their capacity sets balance the wrench of alpha * pull_direction
-applied at the application point. Positions are expressed in a frame at the
-fruit center with +z along the gripper axis pointing away from the palm, so
-moments are taken about the origin.
+inside their capacity sets balance the wrench of alpha * pull_direction.
+Every pull acts through the fruit center. Positions are expressed in a frame
+at the fruit center with +z along the gripper axis pointing away from the
+palm, so moments are taken about the origin and the pull has none.
 
 Conventions fixed by the test geometry:
   - finger contacts at longitudes 0/120/240 deg, cups at 60/180/300 deg;
@@ -230,7 +230,6 @@ class PullSolution:
     alpha: float                       # N, maximum resistible pull
     forces: tuple[np.ndarray, ...]     # per-contact force vectors, N
     pull_direction: np.ndarray
-    application_point: np.ndarray
 
 
 class _PullLp:
@@ -240,18 +239,19 @@ class _PullLp:
     force direction.
 
     The geometry step (the constructor) takes the contact positions and
-    normals (B x nc x 3), the layout's kinds and cone sides and the pulls
-    (B x 3): every suction-cup column, each pad generator's tangent pattern
-    T = cos * t1 + sin * t2, a_ub, c, b_eq and the pull column. The
-    parameter step (``fill``) writes the rest in place: the pad generators
-    normal + mu * T with their moments, and the capacities b_ub. Both use
-    one build's elementwise operations in its order, so every LP of a stack
-    or a refill is byte-identical to a new build of it alone.
+    normals (B x nc x 3), the layout's kinds and cone sides and the unit pulls
+    (B x 3), which act through the fruit center: every suction-cup column,
+    each pad generator's tangent pattern T = cos * t1 + sin * t2, a_ub, c,
+    b_eq and the pull column. The parameter step (``fill``) writes the rest
+    in place: the pad generators normal + mu * T with their moments, and the
+    capacities b_ub. Both use one build's elementwise operations in its
+    order, so every LP of a stack or a refill is byte-identical to a new
+    build of it alone.
     """
 
     def __init__(self, positions: np.ndarray, normals: np.ndarray,
                  kinds: tuple[ContactKind, ...], sides: tuple[int, ...],
-                 d: np.ndarray, app: np.ndarray):
+                 d: np.ndarray):
         self.kinds = kinds
         self.cap_row: list[int] = []   # capacity row of every contact variable
         self.owner: list[int] = []     # contact index of every contact variable
@@ -284,11 +284,12 @@ class _PullLp:
             self._pattern = (cos * t1 + sin * t2).reshape(-1, 3)
             self._normals = normals.reshape(-1, 3)
             self._pad_points = positions[:, self.pad_owner].reshape(-1, 3)
-        # the cup generators and the pull, with their moments in one step; the
+        # the cup generators and the pull, with their moments in one step (the
+        # pull's about an origin row: _cross(0, d) holds signed zeros); the
         # shear polygon is anchored to the cup's own azimuth so the contact set
         # stays exactly threefold-symmetric after linearization
         cols = np.append(np.flatnonzero(~is_pad), nv - 1)
-        points = np.concatenate([positions[:, owner[cols[:-1]]], app[:, None]], axis=1)
+        points = np.concatenate([positions[:, owner[cols[:-1]]], np.zeros((nb, 1, 3))], axis=1)
         anchor = map(math.atan2, *(points[:, :-1, i].ravel().tolist() for i in (1, 0)))
         ph = (np.reshape(list(anchor), (nb, -1)) + np.array(phase)[cols[:-1]]).ravel().tolist()
         g = np.zeros((nb, nv, 3))
@@ -334,10 +335,10 @@ class _PullLp:
                                                     else cup)])
 
 
-def _pull_lp(contacts: tuple[Contact, ...], d: np.ndarray, app: np.ndarray) -> _PullLp:
-    """The pull LP of a contact set (a stack of one), with each contact's
-    own friction and capacities."""
-    lp = _PullLp(*_contact_arrays(contacts), d[None], app[None])
+def _pull_lp(contacts: tuple[Contact, ...], d: np.ndarray) -> _PullLp:
+    """The pull LP of a contact set (a stack of one) along the unit pull
+    ``d``, with each contact's own friction and capacities."""
+    lp = _PullLp(*_contact_arrays(contacts), d[None])
     caps = []
     for c in contacts:
         caps += ([c.normal_capacity] if c.kind is ContactKind.FINGER_PAD
@@ -353,28 +354,20 @@ def _alpha(res) -> float:
     return float(res.x[-1])
 
 
-def _pull_inputs(pull_direction, application_point) -> tuple[np.ndarray, np.ndarray]:
-    return (_unit(np.asarray(pull_direction, dtype=float)),
-            np.asarray(application_point, dtype=float))
-
-
-def solve_pull(
-    contacts: ContactSet,
-    pull_direction: np.ndarray,
-    application_point: np.ndarray,
-) -> PullSolution:
-    """Maximum resistible pull along ``pull_direction`` with a force witness."""
-    d, app = _pull_inputs(pull_direction, application_point)
+def solve_pull(contacts: ContactSet, pull_direction: np.ndarray) -> PullSolution:
+    """Maximum resistible pull along ``pull_direction``, through the fruit
+    center, with a force witness."""
+    d = _unit(np.asarray(pull_direction, dtype=float))
     if not contacts.contacts:
-        return PullSolution(0.0, (), d, app)
-    lp = _pull_lp(contacts.contacts, d, app)
+        return PullSolution(0.0, (), d)
+    lp = _pull_lp(contacts.contacts, d)
     res = solve_lp(*(a[0] for a in lp.lp))
     alpha = _alpha(res)
     # each contact's force: its variables times their force directions
     forces = [np.zeros(3) for _ in contacts.contacts]
     for j in np.flatnonzero(res.x[:-1] > 0.0):
         forces[lp.owner[j]] += res.x[j] * lp.lp[1][0, :3, j]
-    return PullSolution(alpha, tuple(forces), d, app)
+    return PullSolution(alpha, tuple(forces), d)
 
 
 def verify_witness(contacts: ContactSet, sol: PullSolution) -> list[str]:
@@ -415,7 +408,7 @@ def verify_witness(contacts: ContactSet, sol: PullSolution) -> list[str]:
                 problems.append(f"contact {i}: cup shear capacity exceeded")
     pull = sol.alpha * sol.pull_direction
     resid_f = np.linalg.norm(f_tot + pull)
-    resid_m = np.linalg.norm(m_tot + np.cross(sol.application_point, pull))
+    resid_m = np.linalg.norm(m_tot)   # the pull acts through the center
     if resid_f > tol:
         problems.append(f"force balance residual {resid_f:.3e}")
     if resid_m > tol * max(1.0, contacts.fruit_radius):
@@ -423,20 +416,19 @@ def verify_witness(contacts: ContactSet, sol: PullSolution) -> list[str]:
     return problems
 
 
-def pull_wrench_for(scenario: GraspScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Pull direction and application point for a scenario (fruit frame).
+def pull_direction_for(scenario: GraspScenario) -> np.ndarray:
+    """Pull direction for a scenario (fruit frame); every pull acts through
+    the fruit center.
 
-    Both pulls act through the fruit center. An angled axial pull tilts
-    toward the mid-gap between fingers (longitude 60 deg); a rotational
-    pull drags orthogonal to the axis toward longitude 0, the weakest
-    direction of the cup ring (conservative convention).
+    An angled axial pull tilts toward the mid-gap between fingers (longitude
+    60 deg); a rotational pull drags orthogonal to the axis toward longitude
+    0, the weakest direction of the cup ring (conservative convention).
     """
     if scenario.pull_type is PullType.ROTATIONAL:
-        return np.array([1.0, 0.0, 0.0]), np.zeros(3)
+        return np.array([1.0, 0.0, 0.0])
     w = math.radians(scenario.pull_angle)
     az = math.radians(PULL_TILT_LONGITUDE_DEG)
-    d = np.array([math.sin(w) * math.cos(az), math.sin(w) * math.sin(az), math.cos(w)])
-    return d, np.zeros(3)
+    return np.array([math.sin(w) * math.cos(az), math.sin(w) * math.sin(az), math.cos(w)])
 
 
 def _strength_stack(scenarios: list[GraspScenario], cup_indices: list[tuple[int, ...]],
@@ -450,8 +442,8 @@ def _strength_stack(scenarios: list[GraspScenario], cup_indices: list[tuple[int,
     _check_contacts(np.array([s.fruit_radius for s in scenarios]), positions, normals, kinds,
                     [0.0 if kind is ContactKind.FINGER_PAD else model.suction_axial
                      for kind in kinds])
-    d, app = _pull_inputs(*zip(*map(pull_wrench_for, scenarios)))
-    return _PullLp(positions, normals, kinds, (DEFAULT_CONE_SIDES,) * len(kinds), d, app)
+    d = _unit(np.array([pull_direction_for(s) for s in scenarios]))
+    return _PullLp(positions, normals, kinds, (DEFAULT_CONE_SIDES,) * len(kinds), d)
 
 
 def predict_strength(
@@ -509,7 +501,7 @@ def reference_from_csv(text: str) -> ReferenceMeasurements:
     row's scenario is on a fruit of ``REFERENCE_FRUIT_RADIUS_MM``."""
     reader = csv.DictReader(io.StringIO(text))
     rows: list[ReferenceRow] = []
-    for i, rec in enumerate(reader, start=2):
+    for rec in reader:
         try:
             # without a source (no column, or a short row) a row is authoritative
             source = "authoritative" if rec.get("source") is None else rec["source"]
@@ -531,7 +523,7 @@ def reference_from_csv(text: str) -> ReferenceMeasurements:
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad reference row: {exc}", row=i) from exc
+            raise ParseError(f"bad reference row: {exc}", row=reader.line_num) from exc
     if not rows:
         raise ParseError("reference CSV has no data rows")
     return ReferenceMeasurements(rows=tuple(rows))

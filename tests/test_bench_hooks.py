@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` wraps toolkit functions from outside the package;
 a renamed function or a changed ``_bland_iterate`` signature lands in
 ``Tracer.missing`` and fails a traced run. This loads that file as it is
-and checks that installing, tracing a strength query and a small campaign,
-and uninstalling leave nothing missing and every name as it was; that
+and checks that installing, tracing a strength query, a small campaign and
+a ``grasp`` command (whose one LP witness the tracer keeps), and
+uninstalling leave nothing missing and every name as it was; that
 the benchmark's calibration, traced, leaves nothing missing either; and
 that every toolkit call ``perfbench/child.py`` makes still binds to the
 signature it calls.
@@ -43,12 +44,13 @@ def bound_names():
     return {id(owner): (owner, dict(vars(owner))) for owner in owners}
 
 
-def test_hooks_install_trace_and_uninstall():
+def test_hooks_install_trace_and_uninstall(capsys, tmp_path):
     spans = load_spans()
     before = bound_names()
     tracer = spans.Tracer()
+    witnesses = []
     try:
-        spans.install(tracer, [])
+        spans.install(tracer, witnesses)
         assert tracer.missing == []
         assert wrench.predict_strength is not before[id(wrench)][1]["predict_strength"]
         model = shipped_calibration()
@@ -56,10 +58,17 @@ def test_hooks_install_trace_and_uninstall():
         assert wrench.predict_strength(GraspScenario(37.5), model) > 0.0
         picksim.run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.FINGERS, trials=50,
                              seed=0, retries=1)
+        assert witnesses == []
+        # the benchmark's traced cli run: grasp's solve_pull keeps its witness
+        assert cli.main(["--out", str(tmp_path), "grasp", "--mode", "dual", "--angle", "45"]) == 0
+        assert '"strength_N"' in capsys.readouterr().out
+        assert len(witnesses) == 1
+        assert wrench.verify_witness(*witnesses[0]) == []
         assert tracer.missing == []
         calls = {name: rec["calls"] for name, rec in tracer.summary()["spans"].items()}
         assert calls["wrench.predict_strength"] == 1
         assert calls["picksim.run_campaign"] == 1
+        assert calls["wrench.solve_pull"] == 1
     finally:
         tracer.uninstall()
     for owner, names in before.values():

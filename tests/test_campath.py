@@ -144,6 +144,28 @@ class TestSynthesis:
         with pytest.raises(SynthesisFailed, match="envelope"):
             build_default_tracks(1e300, 3.0)
 
+    @staticmethod
+    def candidates(monkeypatch) -> list[float]:
+        """The ``deepen`` of every candidate track the synthesis builds."""
+        tried, build = [], campath._build_candidate
+        monkeypatch.setattr(campath, "_build_candidate",
+                            lambda radius, deepen: tried.append(deepen) or build(radius, deepen))
+        return tried
+
+    def test_deepens_the_rail_until_the_clearance_holds(self, monkeypatch):
+        # the first candidate misses 5 mm; the second, deepened, keeps 5.46 mm
+        tried = self.candidates(monkeypatch)
+        _, report = build_default_tracks(37.5, 5.0)
+        assert len(tried) == 2 and tried[0] == 0.0 < tried[1]
+        assert 5.0 <= report.min_clearance < 5.5
+
+    def test_unmet_clearance_fails_after_four_candidates(self, monkeypatch):
+        tried = self.candidates(monkeypatch)
+        with pytest.raises(SynthesisFailed,
+                           match=r"sweep clearance \(min clearance 5\.81 mm < 10\.00 mm\)"):
+            build_default_tracks(37.5, 10.0)
+        assert len(tried) == 4 and tried == sorted(tried)
+
     def test_other_fruit_sizes(self):
         for radius in (30.0, 42.5):
             spec, _ = build_default_tracks(radius, 2.0)

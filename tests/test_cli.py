@@ -225,6 +225,13 @@ class TestCampath:
         assert out == ""
         assert "fruit_radius must be >= 1 mm" in err
 
+    def test_unmet_clearance_domain_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, tmp_path, "campath", "--fruit-diameter", "75",
+                             "--clearance", "10")
+        assert code == 3
+        assert out == ""
+        assert "cam synthesis failed: sweep clearance" in err
+
 
 class TestCampathPoseSolves:
     """Each sampled pose is solved once: synthesis samples 500 poses, and a
@@ -494,6 +501,25 @@ class TestCalibrateCommand:
         assert out == ""
         assert "strength must be > 0" in err and "row 2" in err
 
+    @pytest.mark.parametrize("rows,message", [
+        # no admissible point fits a 1e6 N suction grasp and a 1e-6 N finger grasp
+        (["suction,0,0,axial,1e6,1,authoritative", "fingers,0,0,axial,1e-6,1,authoritative"],
+         "search left the admissible parameter region"),
+        # one scenario measured at 1, 100 and 100 N: no fit comes within 50%
+        (["dual,0,0,axial,1,1,authoritative", "dual,0,0,axial,100,1,authoritative",
+          "dual,0,0,axial,100,1,authoritative"],
+         "mean relative error 66.6% >= 50%"),
+    ])
+    def test_diverged_fit_numerical_error(self, capsys, tmp_path, rows, message):
+        data = tmp_path / "ref.csv"
+        data.write_text("\n".join(
+            ["mode,offset_mm,angle_deg,pull_type,strength_N,stdev_N,source", *rows, ""]))
+        code, out, err = run(capsys, tmp_path, "calibrate", "--data", str(data))
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "calibrated_params.json").exists()
+
     def test_unfitted_row_sharing_a_scenario_is_not_fitted(self, capsys, tmp_path):
         # an approximate row that repeats an authoritative row's scenario is
         # left out of the fit and of its error check
@@ -560,6 +586,18 @@ class TestExitCodes:
         assert code == EXIT_CODES[exc_type]
         assert out == ""
         assert err.startswith("error: ") and "boom" in err
+
+    def test_closed_stdout_exits_one_quietly(self, tmp_path):
+        # the read end is closed before the child writes, as when
+        # ``tandemgrip grasp | head -1`` has read its line; no usage error
+        script = ("import sys\nfrom tandemgrip.cli import main\n"
+                  f"sys.exit(main(['--out', {str(tmp_path)!r}, 'grasp']))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(tandemgrip.__file__).parents[1])}
+        with subprocess.Popen([sys.executable, "-c", script], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 class TestNonFiniteConfig:

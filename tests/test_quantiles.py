@@ -138,6 +138,11 @@ class TestCsvSummary:
             summarize_csv_text("a\n1\nbogus\n")
         assert "row 3" in str(err.value)
 
+    def test_parse_error_counts_blank_lines(self):
+        # the row is the physical line: the blank line 2 is skipped but counts
+        with pytest.raises(ParseError, match="non-numeric value 'bogus' row 4 column 'a'"):
+            summarize_csv_text("a\n\n1\nbogus\n")
+
     def test_no_numeric_columns(self):
         with pytest.raises(ParseError):
             summarize_csv_text("a\nfoo\nbar\n")

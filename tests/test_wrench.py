@@ -13,6 +13,7 @@ from tandemgrip import simplexlp, wrench
 from tandemgrip.config import data_text, shipped_calibration
 from tandemgrip.errors import OffsetExceedsRadius, ParseError
 from tandemgrip.simplexlp import _TOL, solve_lp, standard_form
+from tandemgrip.vectors import _unit
 from tandemgrip.wrench import (
     ActuationMode,
     Contact,
@@ -26,7 +27,7 @@ from tandemgrip.wrench import (
     calibrate,
     predict_strength,
     predict_strengths,
-    pull_wrench_for,
+    pull_direction_for,
     reference_from_csv,
     solve_pull,
     verify_witness,
@@ -50,9 +51,10 @@ def unit_vec(rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def enumeration_oracle(contacts: ContactSet, d, app) -> float:
+def enumeration_oracle(contacts: ContactSet, d) -> float:
     """Independent route: per-contact wrench polytope vertices, Minkowski sum,
-    convex hull, then a ray cast from the origin along the negated pull wrench.
+    convex hull, then a ray cast from the origin along the negated pull wrench
+    [d, 0] of a pull through the center.
 
     A pad's force set has one shared capacity over its cone-edge weights, so
     its vertices are {0} plus the saturated edges. A cup's set is the
@@ -84,7 +86,7 @@ def enumeration_oracle(contacts: ContactSet, d, app) -> float:
         vertex_sets.append(verts)
     points = np.array([sum(combo) for combo in itertools.product(*vertex_sets)])
     d = np.asarray(d, float) / np.linalg.norm(d)
-    w = np.concatenate([d, np.cross(np.asarray(app, float), d)])
+    w = np.concatenate([d, np.zeros(3)])
     # reduce to the affine span to keep qhull happy
     _, s, vt = np.linalg.svd(points - points.mean(axis=0), full_matrices=False)
     keep = s > 1e-8 * max(s[0], 1.0)
@@ -143,7 +145,7 @@ class TestAnalyticCases:
     def test_single_pad_opposing_pull(self):
         # normal exactly opposes the pull, no friction: alpha = capacity
         cs = ContactSet(37.5, (pad([0.0, 0.0, 37.5], cap=7.0, mu=0.0),))
-        assert solve_pull(cs, Z, np.zeros(3)).alpha == pytest.approx(7.0, abs=1e-9)
+        assert solve_pull(cs, Z).alpha == pytest.approx(7.0, abs=1e-9)
 
     def test_single_cup_tension(self):
         c = Contact(
@@ -152,7 +154,7 @@ class TestAnalyticCases:
             tension_capacity=4.0, mu=0.0, cone_sides=8, shear_capacity=2.0,
         )
         cs = ContactSet(37.5, (c,))
-        assert solve_pull(cs, Z, np.zeros(3)).alpha == pytest.approx(4.0, abs=1e-9)
+        assert solve_pull(cs, Z).alpha == pytest.approx(4.0, abs=1e-9)
 
     def test_opposed_pads_friction_only(self):
         # two pads squeezing across the equator, pull along the axis:
@@ -162,7 +164,7 @@ class TestAnalyticCases:
             pad([37.5, 0.0, 0.0], cap, mu, sides=8),
             pad([-37.5, 0.0, 0.0], cap, mu, sides=8),
         ))
-        assert solve_pull(cs, Z, np.zeros(3)).alpha == pytest.approx(
+        assert solve_pull(cs, Z).alpha == pytest.approx(
             2.0 * mu * cap, rel=1e-6
         )
 
@@ -196,8 +198,8 @@ class TestOracleEquivalence:
             cs = ContactSet(37.5, tuple(contacts))
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            lp = solve_pull(cs, d, np.zeros(3)).alpha
-            oracle = enumeration_oracle(cs, d, np.zeros(3))
+            lp = solve_pull(cs, d).alpha
+            oracle = enumeration_oracle(cs, d)
             assert lp == pytest.approx(oracle, rel=0.02, abs=1e-6)
 
     def test_mixed_contacts_match_enumeration(self):
@@ -221,8 +223,8 @@ class TestOracleEquivalence:
                 ))
             cs = ContactSet(37.5, tuple(contacts))
             d = unit_vec(rng)
-            lp = solve_pull(cs, d, np.zeros(3)).alpha
-            oracle = enumeration_oracle(cs, d, np.zeros(3))
+            lp = solve_pull(cs, d).alpha
+            oracle = enumeration_oracle(cs, d)
             assert lp == pytest.approx(oracle, rel=0.02, abs=2e-3)
 
 
@@ -238,8 +240,7 @@ class TestInvariants:
                 mode=ActuationMode(rng.choice(["suction", "fingers", "dual"])),
             )
             cs = build_contacts(scenario, model)
-            d, app = pull_wrench_for(scenario)
-            sol = solve_pull(cs, d, app)
+            sol = solve_pull(cs, pull_direction_for(scenario))
             assert verify_witness(cs, sol) == []
 
     def test_capacity_monotonicity(self):
@@ -266,8 +267,8 @@ class TestInvariants:
             m = np.array([[math.cos(rot), -math.sin(rot), 0.0],
                           [math.sin(rot), math.cos(rot), 0.0],
                           [0.0, 0.0, 1.0]])
-            a0 = solve_pull(cs, d, np.zeros(3)).alpha
-            a1 = solve_pull(cs, m @ d, np.zeros(3)).alpha
+            a0 = solve_pull(cs, d).alpha
+            a1 = solve_pull(cs, m @ d).alpha
             assert a1 == pytest.approx(a0, rel=1e-6, abs=1e-9)
 
     def test_mode_monotonicity(self):
@@ -347,7 +348,7 @@ class TestWitnessTolerance:
             cs = ContactSet(cs.fruit_radius, tuple(
                 dataclasses.replace(c, **{name: 0.0}) if k == i else c
                 for k, c in enumerate(cs.contacts)))
-        sol = solve_pull(cs, *pull_wrench_for(scenario))
+        sol = solve_pull(cs, pull_direction_for(scenario))
         assert verify_witness(cs, sol) == []
         return cs, sol, wrench.WITNESS_TOL * max(1.0, sol.alpha)
 
@@ -382,13 +383,14 @@ class TestWitnessTolerance:
             assert failed_checks(problems) == ({"force balance residual"} if k > 1.0 else set())
 
     def test_moment_balance(self):
-        # the pull moved off the center, across the axial pull: a pure moment
+        # an axial couple, +v on pad 0 and -v on pad 1: no net force, a pure moment
         cs, sol, tol = self.grasp(PullType.AXIAL)
-        assert sol.pull_direction.tolist() == [0.0, 0.0, 1.0]
+        p0, p1 = cs.contacts[0].position, cs.contacts[1].position
+        assert (p0 - p1)[2] == 0.0   # so the couple's moment is |p0 - p1| |v|
         for k in (self.PAST, self.INSIDE):
-            shift = np.array([k * tol * cs.fruit_radius / sol.alpha, 0.0, 0.0])
-            moved = dataclasses.replace(sol, application_point=sol.application_point + shift)
-            problems = verify_witness(cs, moved)
+            v = k * tol * cs.fruit_radius / np.linalg.norm(p0 - p1) * Z
+            forces = (sol.forces[0] + v, sol.forces[1] - v) + sol.forces[2:]
+            problems = verify_witness(cs, dataclasses.replace(sol, forces=forces))
             assert failed_checks(problems) == ({"moment balance residual"} if k > 1.0 else set())
 
 
@@ -445,6 +447,13 @@ class TestCalibration:
         assert err.value.row == 2
         with pytest.raises(ValueError, match="strength must be > 0"):
             wrench.ReferenceRow(GraspScenario(37.5), float(strength), 1.0)
+
+    def test_bad_row_names_its_physical_line(self):
+        text = "\n".join([wrench.REFERENCE_CSV_HEADER,
+                          "dual,0,0,axial,20.0,1.0,authoritative", "",
+                          "suction,0,0,axial,12,-1,authoritative"])
+        with pytest.raises(ParseError, match="stdev must be >= 0, got -1.0 row 4"):
+            reference_from_csv(text)
 
     @pytest.mark.parametrize("source", ["authorative", "Authoritative", "approx", ""])
     def test_unknown_source_rejected(self, source):
@@ -582,7 +591,7 @@ def _strength_lp(scenario, model, cup_indices=(0, 1, 2)):
     contacts = build_contacts(scenario, model, cup_indices).contacts
     if not contacts:
         return None
-    lp = wrench._pull_lp(contacts, *wrench._pull_inputs(*pull_wrench_for(scenario)))
+    lp = wrench._pull_lp(contacts, _unit(pull_direction_for(scenario)))
     return tuple(a[0] for a in lp.refresh(model))
 
 
@@ -909,7 +918,7 @@ class TestBatchedPull:
             if not contacts:
                 continue
             ref_cols, ref_caps, ref_owner = loop_lp_columns(contacts)
-            lp = wrench._pull_lp(contacts, Z, np.zeros(3))
+            lp = wrench._pull_lp(contacts, Z)
             cols, caps = lp.lp[1][0, :, :-1].T, lp.lp[4][0].tolist()
             assert cols.tobytes() == ref_cols.tobytes()
             assert lp.owner == ref_owner
@@ -1049,10 +1058,10 @@ class TestNonFinite:
 
     def test_witness_reports_nonfinite_alpha(self):
         cs = ContactSet(37.5, (pad([0.0, 0.0, -37.5], 10.0, 0.5),))
-        sol = PullSolution(math.nan, (np.zeros(3),), Z, np.zeros(3))
+        sol = PullSolution(math.nan, (np.zeros(3),), Z)
         assert verify_witness(cs, sol)
 
     def test_witness_reports_nonfinite_force(self):
         cs = ContactSet(37.5, (pad([0.0, 0.0, -37.5], 10.0, 0.5),))
-        sol = PullSolution(0.0, (np.array([math.nan, 0.0, 0.0]),), Z, np.zeros(3))
+        sol = PullSolution(0.0, (np.array([math.nan, 0.0, 0.0]),), Z)
         assert verify_witness(cs, sol)
