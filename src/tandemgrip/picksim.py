@@ -42,7 +42,7 @@ import enum
 import json
 import math
 from collections.abc import Generator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,10 +126,11 @@ def _trial_scenario(mode: ActuationMode, radius: float, angle_deg: float,
                          mode=mode if cups else ActuationMode.FINGERS)
 
 
-def _trial_strength(mode: ActuationMode, radius: float, angle_deg: float,
-                    cups: tuple[int, ...], model: GraspModelParams) -> float:
-    return predict_strength(_trial_scenario(mode, radius, angle_deg, cups), model,
-                            cup_indices=cups)
+def _trial_strength(scenario: GraspScenario, cups: tuple[int, ...],
+                    model: GraspModelParams) -> float:
+    # the scenario's offset is a lateral misalignment: the query's axial offset is zero
+    trial = _trial_scenario(scenario.mode, scenario.fruit_radius, scenario.pull_angle, cups)
+    return predict_strength(replace(trial, pull_type=scenario.pull_type), model, cup_indices=cups)
 
 
 def _engage(mode: ActuationMode, offsets, azimuths) -> list[tuple]:
@@ -158,7 +159,8 @@ def run_pick(
     """Execute one pick: approach, engage, then pull.
 
     The scenario's fruit offset doubles as the lateral misalignment for cup
-    engagement (lab usage). All failure paths are outcomes, not errors.
+    engagement (lab usage); the strength query keeps the scenario's pull angle
+    and type at zero axial offset. All failure paths are outcomes, not errors.
     """
     require_finite(misalignment_azimuth=misalignment_azimuth)
     # approach: advance until the palm meets the fruit (placed 50 mm away)
@@ -166,7 +168,7 @@ def run_pick(
     [(cups, engaged)] = _engage(mode, [offset], [misalignment_azimuth])
     if not engaged:
         return PickState(len(cups), APPROACH_LIMIT_MM, PickOutcome.NO_ENGAGE)
-    strength = _trial_strength(mode, scenario.fruit_radius, scenario.pull_angle, cups, model)
+    strength = _trial_strength(scenario, cups, model)
     pull_travel = proxy.detachment_force / proxy.branch_stiffness * 1000.0
     return PickState(len(cups), pull_travel, _pull_outcome(strength, proxy.detachment_force),
                      strength)

@@ -97,10 +97,10 @@ class GraspScenario:
 
 @dataclass(frozen=True)
 class Contact:
-    """One contact on the fruit sphere, position relative to the center."""
+    """One contact on the fruit sphere, position relative to the center. It
+    faces the center: its inward unit normal is -position / |position|."""
 
     position: np.ndarray         # mm, |position| = fruit radius
-    normal: np.ndarray           # unit, inward
     kind: ContactKind
     normal_capacity: float       # N (pads: clamp preload; cups: seat compression)
     tension_capacity: float      # N (pads: 0)
@@ -115,8 +115,24 @@ class ContactSet:
     contacts: tuple[Contact, ...]
 
     def __post_init__(self):
-        _check_contacts(np.array([self.fruit_radius]), *_contact_arrays(self.contacts)[:3],
-                        [c.tension_capacity for c in self.contacts])
+        require_finite(fruit_radius=self.fruit_radius)
+        for c in self.contacts:
+            x, y, z = (float(v) for v in c.position)
+            require_finite(position_x=x, position_y=y, position_z=z, mu=c.mu,
+                           normal_capacity=c.normal_capacity, tension_capacity=c.tension_capacity,
+                           shear_capacity=c.shear_capacity)
+            if min(c.normal_capacity, c.tension_capacity, c.shear_capacity, c.mu) < 0.0:
+                raise ValueError("contact capacities and mu must be >= 0")
+            if not isinstance(c.kind, ContactKind):
+                raise ValueError(f"contact kind must be a ContactKind, got {c.kind!r}")
+            if not isinstance(c.cone_sides, int) or c.cone_sides < 3:
+                raise ValueError(f"cone_sides must be an int >= 3, got {c.cone_sides!r}")
+            if not abs(math.hypot(x, y, z) - self.fruit_radius) <= 1e-6:   # NaN fails
+                raise ValueError("contact position not on the sphere surface")
+            if c.kind is ContactKind.FINGER_PAD and c.tension_capacity != 0.0:
+                raise ValueError("finger pads cannot carry tension")
+            if c.kind is ContactKind.SUCTION_CUP and c.tension_capacity <= 0.0:
+                raise ValueError("suction cups need positive tension capacity")
 
 
 @dataclass(frozen=True)
@@ -149,8 +165,9 @@ def _tangent_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _place(scenarios: list[GraspScenario], cup_indices: list[tuple[int, ...]]):
-    """Contact positions and inward unit normals (B x nc x 3 each) of B scenarios
-    of one mode whose cup sets have one size, and the kind of each contact.
+    """Contact positions (B x nc x 3) of B scenarios of one mode whose cup sets
+    have one size, and the kind of each contact. Each position is a unit vector
+    scaled by its radius, so it lies on its sphere to rounding.
 
     Fingers contact at 120-deg longitudes, a latitude asin(offset/radius)
     below the equator. Cups sit in a ring around the axis on the palm side;
@@ -181,29 +198,7 @@ def _place(scenarios: list[GraspScenario], cup_indices: list[tuple[int, ...]]):
         parts.append(ring([(math.sin(v), math.cos(v)) for v in beta], CUP_LONGITUDES_DEG, cups))
         kinds += [ContactKind.SUCTION_CUP] * cups.shape[1]
     positions = np.array(radii)[:, None, None] * np.concatenate(parts, axis=1)
-    return positions, -_unit(positions), tuple(kinds)
-
-
-def _check_contacts(radii: np.ndarray, positions: np.ndarray, normals: np.ndarray,
-                    kinds: tuple[ContactKind, ...], tension) -> None:
-    """``ContactSet``'s checks on B contact sets of one layout, stacked on
-    the first axis; ``tension`` is each contact's tension capacity."""
-    if np.any(np.abs(_norm(positions) - radii[:, None]) > 1e-6):
-        raise ValueError("contact position not on the sphere surface")
-    if np.any(np.abs(_norm(normals) - 1.0) > 1e-9):
-        raise ValueError("contact normal not unit length")
-    for kind, t in zip(kinds, tension):
-        if kind is ContactKind.FINGER_PAD and t != 0.0:
-            raise ValueError("finger pads cannot carry tension")
-        if kind is ContactKind.SUCTION_CUP and t <= 0.0:
-            raise ValueError("suction cups need positive tension capacity")
-
-
-def _contact_arrays(contacts: tuple[Contact, ...]):
-    """Positions, normals (1 x nc x 3 each), kinds and sides of a contact set."""
-    return (np.array([c.position for c in contacts], dtype=float).reshape(1, -1, 3),
-            np.array([c.normal for c in contacts], dtype=float).reshape(1, -1, 3),
-            tuple(c.kind for c in contacts), tuple(c.cone_sides for c in contacts))
+    return positions, tuple(kinds)
 
 
 def build_contacts(
@@ -213,14 +208,14 @@ def build_contacts(
 ) -> ContactSet:
     """Place the contact set for a scenario (see ``_place``), with
     ``DEFAULT_CONE_SIDES``-sided friction pyramids and shear polygons."""
-    positions, normals, kinds = _place([scenario], [cup_indices])
+    positions, kinds = _place([scenario], [cup_indices])
     return ContactSet(fruit_radius=scenario.fruit_radius, contacts=tuple(
-        Contact(position=p, normal=n, kind=kind, cone_sides=DEFAULT_CONE_SIDES,
+        Contact(position=p, kind=kind, cone_sides=DEFAULT_CONE_SIDES,
                 **(dict(normal_capacity=model.pad_force, tension_capacity=0.0, mu=model.mu_pad)
                    if kind is ContactKind.FINGER_PAD else
                    dict(normal_capacity=CUP_BACKING_N, tension_capacity=model.suction_axial,
                         mu=0.0, shear_capacity=model.shear_fraction * model.suction_axial)))
-        for p, n, kind in zip(positions[0], normals[0], kinds)))
+        for p, kind in zip(positions[0], kinds)))
 
 
 @dataclass(frozen=True)
@@ -238,20 +233,19 @@ class _PullLp:
     variable is alpha; the first three rows of a_eq hold each variable's
     force direction.
 
-    The geometry step (the constructor) takes the contact positions and
-    normals (B x nc x 3), the layout's kinds and cone sides and the unit pulls
-    (B x 3), which act through the fruit center: every suction-cup column,
-    each pad generator's tangent pattern T = cos * t1 + sin * t2, a_ub, c,
-    b_eq and the pull column. The parameter step (``fill``) writes the rest
-    in place: the pad generators normal + mu * T with their moments, and the
-    capacities b_ub. Both use one build's elementwise operations in its
-    order, so every LP of a stack or a refill is byte-identical to a new
-    build of it alone.
+    The geometry step (the constructor) takes the contact positions (B x nc
+    x 3), each facing the center (its inward normal is -_unit(position)), the
+    layout's kinds and cone sides and the unit pulls (B x 3), which act
+    through the fruit center: every suction-cup column, each pad generator's
+    tangent pattern T = cos * t1 + sin * t2, a_ub, c, b_eq and the pull column.
+    The parameter step (``fill``) writes the rest in place: the pad generators
+    normal + mu * T with their moments, and the capacities b_ub. Both use one
+    build's elementwise operations in its order, so every LP of a stack or a
+    refill is byte-identical to a new build of it alone.
     """
 
-    def __init__(self, positions: np.ndarray, normals: np.ndarray,
-                 kinds: tuple[ContactKind, ...], sides: tuple[int, ...],
-                 d: np.ndarray):
+    def __init__(self, positions: np.ndarray, kinds: tuple[ContactKind, ...],
+                 sides: tuple[int, ...], d: np.ndarray):
         self.kinds = kinds
         self.cap_row: list[int] = []   # capacity row of every contact variable
         self.owner: list[int] = []     # contact index of every contact variable
@@ -277,7 +271,7 @@ class _PullLp:
         nv = len(self.owner) + 1
         a_eq = np.empty((nb, 6, nv))
         if len(self.pads):
-            normals = normals[:, self.pad_owner]
+            normals = -_unit(positions)[:, self.pad_owner]
             t1, t2 = _tangent_frame(normals)
             cos, sin = (np.array([f(phase[j]) for j in self.pads])[:, None]
                         for f in (math.cos, math.sin))
@@ -338,7 +332,8 @@ class _PullLp:
 def _pull_lp(contacts: tuple[Contact, ...], d: np.ndarray) -> _PullLp:
     """The pull LP of a contact set (a stack of one) along the unit pull
     ``d``, with each contact's own friction and capacities."""
-    lp = _PullLp(*_contact_arrays(contacts), d[None])
+    lp = _PullLp(np.array([c.position for c in contacts], dtype=float)[None],
+                 tuple(c.kind for c in contacts), tuple(c.cone_sides for c in contacts), d[None])
     caps = []
     for c in contacts:
         caps += ([c.normal_capacity] if c.kind is ContactKind.FINGER_PAD
@@ -388,8 +383,9 @@ def verify_witness(contacts: ContactSet, sol: PullSolution) -> list[str]:
         f_tot += f
         m_tot += np.cross(c.position, f)
         if c.kind is ContactKind.FINGER_PAD:
-            fn = float(np.dot(f, c.normal))
-            ft = f - fn * c.normal
+            n = -_unit(c.position)
+            fn = float(np.dot(f, n))
+            ft = f - fn * n
             if fn < -tol:
                 problems.append(f"contact {i}: pad normal force negative ({fn:.3e})")
             if fn > c.normal_capacity + tol:
@@ -434,16 +430,17 @@ def pull_direction_for(scenario: GraspScenario) -> np.ndarray:
 def _strength_stack(scenarios: list[GraspScenario], cup_indices: list[tuple[int, ...]],
                     model: GraspModelParams) -> _PullLp | None:
     """The geometry step of B strength queries' pull LPs, of one layout, as one
-    stack (no ``Contact`` objects, but ``ContactSet``'s checks), or None when
-    no contact is present (strength 0). ``refresh`` sets the parameters."""
-    positions, normals, kinds = _place(scenarios, cup_indices)
+    stack (no ``Contact`` objects), or None when no contact is present
+    (strength 0). ``refresh`` sets the parameters. Of ``ContactSet``'s checks
+    only the model's cup tension can fail here: ``_place`` puts every
+    position on its sphere and gives pads no tension."""
+    positions, kinds = _place(scenarios, cup_indices)
     if not kinds:
         return None
-    _check_contacts(np.array([s.fruit_radius for s in scenarios]), positions, normals, kinds,
-                    [0.0 if kind is ContactKind.FINGER_PAD else model.suction_axial
-                     for kind in kinds])
+    if ContactKind.SUCTION_CUP in kinds and model.suction_axial <= 0.0:
+        raise ValueError("suction cups need positive tension capacity")
     d = _unit(np.array([pull_direction_for(s) for s in scenarios]))
-    return _PullLp(positions, normals, kinds, (DEFAULT_CONE_SIDES,) * len(kinds), d)
+    return _PullLp(positions, kinds, (DEFAULT_CONE_SIDES,) * len(kinds), d)
 
 
 def predict_strength(
@@ -510,7 +507,7 @@ def reference_from_csv(text: str) -> ReferenceMeasurements:
             scenario = GraspScenario(
                 fruit_radius=REFERENCE_FRUIT_RADIUS_MM,
                 fruit_offset=float(rec["offset_mm"]),
-                pull_angle=min(float(rec["angle_deg"]), 90.0),
+                pull_angle=float(rec["angle_deg"]),
                 pull_type=PullType(rec["pull_type"]),
                 mode=ActuationMode(rec["mode"]),
             )

@@ -479,6 +479,7 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize("row,message", [
         ("suction,0,0,axial,12,-1,authoritative", "stdev must be >= 0, got -1.0"),
         ("suction,0,0,axial,12,1,authorative", "source must be authoritative or approximate"),
+        ("suction,0,450,axial,12,1,authoritative", "pull_angle must be in [0, 90] deg"),
     ])
     def test_bad_reference_row_usage_error(self, capsys, tmp_path, row, message):
         data = tmp_path / "ref.csv"
@@ -837,6 +838,39 @@ class TestFieldCampaignScript:
             assert (tmp_path / name / "campaign.json").read_text() == want.to_json()
             assert (tmp_path / name / "campaign_trials.csv").read_text() == \
                 trials_to_csv(want.log)
+
+
+class TestGraspStrengthStudyScript:
+    def test_main_writes_the_fit_and_the_sweeps(self, capsys, tmp_path, monkeypatch,
+                                                fresh_calibration):
+        from tandemgrip.wrench import calibration_to_json
+        path = Path(__file__).resolve().parents[1] / "scripts" / "grasp_strength_study.py"
+        spec = importlib.util.spec_from_file_location("grasp_strength_study", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "OUT", tmp_path)
+        fitted = []   # the script fits every bundled row, as fresh_calibration did
+
+        def calibrate(reference):
+            fitted.append(len(reference.rows))
+            return fresh_calibration
+        monkeypatch.setattr(script, "calibrate", calibrate)
+        script.main()
+        assert fitted == [27]
+        assert capsys.readouterr().out.splitlines() == [
+            "fitted: pad 8.51 N, mu 0.933, cup 4.45 N, shear fraction 0.686",
+            "mean |relative error| over the dataset: 12.7%",
+            "rotational suction: 4.51 N",
+            "rotational fingers: 13.76 N",
+            "rotational dual: 22.71 N",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "calibrated_params.json", "strength_vs_angle.svg", "strength_vs_offset.csv",
+            "strength_vs_offset.svg"]
+        assert (tmp_path / "calibrated_params.json").read_text() == \
+            calibration_to_json(fresh_calibration)
+        assert (tmp_path / "strength_vs_offset.csv").read_text().splitlines()[:2] == [
+            "offset_mm,suction,fingers,dual", "0,13.3508646,23.8275858,37.1784504"]
 
 
 # Fuzzing: every generated argv ends in exit 0, 2, 3 or 4, and a run that exits

@@ -1,5 +1,6 @@
 """Single picks and Monte-Carlo campaigns."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -23,7 +24,7 @@ from tandemgrip.picksim import (
     trials_to_csv,
 )
 from tandemgrip.quantiles import QuantileModel
-from tandemgrip.wrench import ActuationMode, GraspModelParams, GraspScenario
+from tandemgrip.wrench import ActuationMode, GraspModelParams, GraspScenario, PullType
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,19 @@ class TestRunPick:
         # clearance, palm envelope); the pick needs none and still picks
         state = run_pick(proxy, GraspScenario(diameter / 2.0, mode=ActuationMode.DUAL), model)
         assert state.outcome is PickOutcome.PICKED
+
+    @pytest.mark.parametrize("mode", list(ActuationMode))
+    def test_strength_keeps_the_pull_type(self, proxy, model, mode):
+        # a rotational pull stays rotational; the offset only misaligns the
+        # cups, and the strength query takes the axial offset as zero
+        scenario = GraspScenario(37.5, fruit_offset=10.0, pull_angle=90.0,
+                                 pull_type=PullType.ROTATIONAL, mode=mode)
+        state = run_pick(proxy, scenario, model)
+        want = wrench.predict_strength(dataclasses.replace(scenario, fruit_offset=0.0), model,
+                                       cup_indices=cups_engaged_at(10.0, 0.0))
+        assert state.strength == want
+        if mode is ActuationMode.SUCTION:
+            assert round(state.strength, 2) == 4.51   # 8.96 N as an axial pull
 
     @pytest.mark.parametrize("azimuth", [math.nan, math.inf])
     @pytest.mark.parametrize("mode", [ActuationMode.DUAL, ActuationMode.SUCTION])

@@ -40,10 +40,14 @@ Z = np.array([0.0, 0.0, 1.0])
 def pad(position, cap, mu, sides=4):
     position = np.asarray(position, dtype=float)
     return Contact(
-        position=position, normal=-position / np.linalg.norm(position),
-        kind=ContactKind.FINGER_PAD, normal_capacity=cap, tension_capacity=0.0,
-        mu=mu, cone_sides=sides,
+        position=position, kind=ContactKind.FINGER_PAD, normal_capacity=cap,
+        tension_capacity=0.0, mu=mu, cone_sides=sides,
     )
+
+
+def inward(c) -> np.ndarray:
+    """A contact's inward unit normal, through ``np.linalg.norm``."""
+    return -(c.position / np.linalg.norm(c.position))
 
 
 def unit_vec(rng) -> np.ndarray:
@@ -66,10 +70,11 @@ def enumeration_oracle(contacts: ContactSet, d) -> float:
         p = c.position
         if c.kind is ContactKind.FINGER_PAD:
             verts = [np.zeros(6)]
-            t1, t2 = _tangent_frame(c.normal)
+            n = inward(c)
+            t1, t2 = _tangent_frame(n)
             for j in range(c.cone_sides):
                 ph = 2.0 * math.pi * j / c.cone_sides
-                e = c.normal + c.mu * (math.cos(ph) * t1 + math.sin(ph) * t2)
+                e = n + c.mu * (math.cos(ph) * t1 + math.sin(ph) * t2)
                 verts.append(c.normal_capacity * np.concatenate([e, np.cross(p, e)]))
         else:
             tension = [np.zeros(6),
@@ -138,7 +143,6 @@ class TestBuildContacts:
         cs = build_contacts(GraspScenario(40.0, fruit_offset=8.0), GraspModelParams())
         for c in cs.contacts:
             assert np.linalg.norm(c.position) == pytest.approx(40.0, abs=1e-6)
-            assert np.linalg.norm(c.normal) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestAnalyticCases:
@@ -149,9 +153,8 @@ class TestAnalyticCases:
 
     def test_single_cup_tension(self):
         c = Contact(
-            position=np.array([0.0, 0.0, -37.5]), normal=Z.copy(),
-            kind=ContactKind.SUCTION_CUP, normal_capacity=60.0,
-            tension_capacity=4.0, mu=0.0, cone_sides=8, shear_capacity=2.0,
+            position=np.array([0.0, 0.0, -37.5]), kind=ContactKind.SUCTION_CUP,
+            normal_capacity=60.0, tension_capacity=4.0, mu=0.0, cone_sides=8, shear_capacity=2.0,
         )
         cs = ContactSet(37.5, (c,))
         assert solve_pull(cs, Z).alpha == pytest.approx(4.0, abs=1e-9)
@@ -216,8 +219,7 @@ class TestOracleEquivalence:
                     -math.cos(beta),
                 ])
                 contacts.append(Contact(
-                    position=pos, normal=-pos / np.linalg.norm(pos),
-                    kind=ContactKind.SUCTION_CUP, normal_capacity=15.0,
+                    position=pos, kind=ContactKind.SUCTION_CUP, normal_capacity=15.0,
                     tension_capacity=float(rng.uniform(2, 6)), mu=0.0,
                     cone_sides=4, shear_capacity=float(rng.uniform(1, 4)),
                 ))
@@ -291,16 +293,19 @@ class TestInvariants:
 
 def pad_floor(c, f):
     # a pad pushes: its normal force is >= 0
-    return -float(f @ c.normal), 0.0, -c.normal
+    n = inward(c)
+    return -float(f @ n), 0.0, -n
 
 
 def pad_capacity(c, f):
-    return float(f @ c.normal), c.normal_capacity, c.normal
+    n = inward(c)
+    return float(f @ n), c.normal_capacity, n
 
 
 def friction_cone(c, f):
-    fn = float(f @ c.normal)
-    ft = f - fn * c.normal
+    n = inward(c)
+    fn = float(f @ n)
+    ft = f - fn * n
     return float(np.linalg.norm(ft)), c.mu * fn, ft / np.linalg.norm(ft)
 
 
@@ -795,8 +800,7 @@ class TestRowLps:
 
 def loop_build_contacts(scenario, model, cone_sides=wrench.DEFAULT_CONE_SIDES,
                         cup_indices=(0, 1, 2)):
-    """Reference placement: one contact at a time, each normal through
-    ``np.linalg.norm``."""
+    """Reference placement: one contact at a time."""
     r = scenario.fruit_radius
     if scenario.fruit_offset > r:
         raise OffsetExceedsRadius("offset exceeds radius")
@@ -808,8 +812,7 @@ def loop_build_contacts(scenario, model, cone_sides=wrench.DEFAULT_CONE_SIDES,
             rhat = np.array([math.cos(az), math.sin(az), 0.0])
             pos = r * (math.cos(psi) * rhat - math.sin(psi) * Z)
             contacts.append(Contact(
-                position=pos, normal=-(pos / np.linalg.norm(pos)),
-                kind=ContactKind.FINGER_PAD, normal_capacity=model.pad_force,
+                position=pos, kind=ContactKind.FINGER_PAD, normal_capacity=model.pad_force,
                 tension_capacity=0.0, mu=model.mu_pad, cone_sides=cone_sides))
     if scenario.mode in (ActuationMode.SUCTION, ActuationMode.DUAL):
         ring = min(wrench.CUP_RING_MM, 0.95 * r)
@@ -819,8 +822,7 @@ def loop_build_contacts(scenario, model, cone_sides=wrench.DEFAULT_CONE_SIDES,
             rhat = np.array([math.cos(az), math.sin(az), 0.0])
             pos = r * (math.sin(beta) * rhat - math.cos(beta) * Z)
             contacts.append(Contact(
-                position=pos, normal=-(pos / np.linalg.norm(pos)),
-                kind=ContactKind.SUCTION_CUP, normal_capacity=wrench.CUP_BACKING_N,
+                position=pos, kind=ContactKind.SUCTION_CUP, normal_capacity=wrench.CUP_BACKING_N,
                 tension_capacity=model.suction_axial, mu=0.0, cone_sides=cone_sides,
                 shear_capacity=model.shear_fraction * model.suction_axial))
     return ContactSet(fruit_radius=r, contacts=tuple(contacts))
@@ -836,17 +838,19 @@ def loop_tangent_frame(n):
 
 
 def loop_lp_columns(contacts):
-    """Reference column builder: one generator and one np.cross per column."""
+    """Reference column builder: one generator and one np.cross per column,
+    each pad's normal through ``inward``."""
     cols, caps, owner = [], [], []
     nv = 0
     for ci, c in enumerate(contacts):
         p = c.position
         if c.kind is ContactKind.FINGER_PAD:
-            t1, t2 = loop_tangent_frame(c.normal)
+            n = inward(c)
+            t1, t2 = loop_tangent_frame(n)
             idx = []
             for j in range(c.cone_sides):
                 ph = 2.0 * math.pi * j / c.cone_sides
-                e = c.normal + c.mu * (math.cos(ph) * t1 + math.sin(ph) * t2)
+                e = n + c.mu * (math.cos(ph) * t1 + math.sin(ph) * t2)
                 cols.append(np.concatenate([e, np.cross(p, e)]))
                 owner.append(ci)
                 idx.append(nv)
@@ -962,12 +966,11 @@ class TestStackedBuild:
     def test_stacked_placement_matches_loop(self, size):
         model = shipped_calibration()
         for chunk in layout_chunks(random_queries(size, 300), size):
-            positions, normals, kinds = wrench._place(*map(list, zip(*chunk)))
+            positions, kinds = wrench._place(*map(list, zip(*chunk)))
             for k, (scenario, cups) in enumerate(chunk):
                 ref = loop_build_contacts(scenario, model, cup_indices=cups).contacts
                 assert kinds == tuple(c.kind for c in ref)
                 assert positions[k].tobytes() == np.array([c.position for c in ref]).tobytes()
-                assert normals[k].tobytes() == np.array([c.normal for c in ref]).tobytes()
 
     @pytest.mark.parametrize("size", [1, 7, wrench.LP_BATCH])
     def test_stacked_lps_match_single_builds(self, size):
@@ -1009,23 +1012,14 @@ class TestStackedBuild:
             with pytest.raises(OffsetExceedsRadius, match="fruit_offset 40.0 mm exceeds"):
                 predict_strengths(queries, model)
 
-    @pytest.mark.parametrize("field,scale,message", [
-        (0, 1.0 + 1e-6, "contact position not on the sphere surface"),
-        (1, 1.0 + 1e-8, "contact normal not unit length")], ids=["position", "normal"])
-    def test_contact_checks_run_on_the_stack(self, monkeypatch, field, scale, message):
-        # one contact of the seventh query leaves the sphere or the unit
-        # sphere of normals; the whole batch is refused, as ContactSet would
-        real = wrench._place
-
-        def place(*args):
-            placed = list(real(*args))
-            placed[field][6, 2] *= scale
-            return tuple(placed)
-        monkeypatch.setattr(wrench, "_place", place)
-        queries = [(GraspScenario(float(r), mode=ActuationMode.DUAL), (0, 1, 2))
-                   for r in range(30, 40)]
-        with pytest.raises(ValueError, match=message):
-            predict_strengths(queries, shipped_calibration())
+    def test_placed_contacts_lie_on_their_spheres(self):
+        # what ContactSet checks of a hand-built set holds for every placement
+        queries = random_queries(23, 600)
+        assert {s.fruit_offset == s.fruit_radius for s, _ in queries} == {True, False}
+        for chunk in layout_chunks(queries, wrench.LP_BATCH):
+            positions, _ = wrench._place(*map(list, zip(*chunk)))
+            radii = np.array([s.fruit_radius for s, _ in chunk])[:, None]
+            assert np.all(np.abs(np.linalg.norm(positions, axis=2) - radii) <= 1e-9 * radii)
 
     def test_cup_tension_checked_on_the_stack(self):
         model = GraspModelParams(suction_axial=0.0)
@@ -1065,3 +1059,48 @@ class TestNonFinite:
         cs = ContactSet(37.5, (pad([0.0, 0.0, -37.5], 10.0, 0.5),))
         sol = PullSolution(0.0, (np.array([math.nan, 0.0, 0.0]),), Z)
         assert verify_witness(cs, sol)
+
+
+def dual_set_with(contact, field, value):
+    """The default dual grasp's contact set (pads 0-2, cups 3-5) with one
+    contact's field, or with ``contact`` None the radius, set to ``value``."""
+    cs = build_contacts(GraspScenario(37.5), GraspModelParams())
+    if contact is None:
+        return ContactSet(**{field: value, "contacts": cs.contacts})
+    return ContactSet(cs.fruit_radius, tuple(
+        dataclasses.replace(c, **{field: value}) if k == contact else c
+        for k, c in enumerate(cs.contacts)))
+
+
+class TestContactSetChecks:
+    """``ContactSet`` checks a hand-built contact set: each case here would
+    otherwise solve to a wrong strength, or to 0 N with no witness problem."""
+
+    @pytest.mark.parametrize("contact,field,value,message", [
+        (None, "fruit_radius", math.nan, "fruit_radius must be finite"),
+        (0, "position", np.array([math.nan, 0.0, 0.0]), "position_x must be finite"),
+        (4, "position", np.array([0.0, math.inf, 0.0]), "position_y must be finite"),
+        (0, "mu", math.nan, "mu must be finite"),
+        (0, "mu", -0.5, "capacities and mu must be >= 0"),
+        (0, "normal_capacity", math.inf, "normal_capacity must be finite"),
+        (1, "normal_capacity", -1.0, "capacities and mu must be >= 0"),
+        (3, "tension_capacity", math.nan, "tension_capacity must be finite"),
+        (3, "shear_capacity", -math.inf, "shear_capacity must be finite"),
+        (5, "shear_capacity", -1.0, "capacities and mu must be >= 0"),
+        (0, "cone_sides", 0, "cone_sides must be an int >= 3, got 0"),
+        (3, "cone_sides", 2, "cone_sides must be an int >= 3, got 2"),
+        (1, "cone_sides", 8.0, "cone_sides must be an int >= 3, got 8.0"),
+        (0, "kind", "finger_pad", "kind must be a ContactKind, got 'finger_pad'"),
+        (0, "position", np.array([37.5 + 2e-6, 0.0, 0.0]), "position not on the sphere"),
+        (1, "tension_capacity", 1.0, "finger pads cannot carry tension"),
+        (4, "tension_capacity", 0.0, "suction cups need positive tension capacity"),
+    ])
+    def test_rejects_what_gives_a_wrong_strength(self, contact, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dual_set_with(contact, field, value)
+
+    def test_accepts_zero_capacities_and_rounding(self):
+        for contact, field, value in [(0, "normal_capacity", 0.0), (0, "mu", 0.0),
+                                      (3, "shear_capacity", 0.0), (3, "cone_sides", 3),
+                                      (0, "position", np.array([37.5 + 5e-7, 0.0, 0.0]))]:
+            assert dual_set_with(contact, field, value).contacts
