@@ -229,7 +229,7 @@ def _build_candidate(fruit_radius: float, deepen: float) -> CamTrackSpec:
         return inner - s * np.array([math.sin(psi), math.cos(psi)])
 
     rail = hard - i0
-    e = rail / np.linalg.norm(rail)
+    e = rail / _norm(rail)
     inner = CubicBezier(tuple(i0), tuple(i0 + rail / 3.0),
                         tuple(i0 + 2.0 * rail / 3.0), tuple(hard))
 
@@ -241,7 +241,7 @@ def _build_candidate(fruit_radius: float, deepen: float) -> CamTrackSpec:
     a1 = math.atan2(*(o1 - hard)[::-1])
     clamp = _arc(hard, s, a0, a1)
     arc_t0 = np.array([-math.sin(a0), math.cos(a0)])   # a0 = -110 deg < a1 = -90 deg
-    chord = float(np.linalg.norm(o_star - o0))
+    chord = float(_norm(o_star - o0))
     sweep = _hermite(o0, e * chord, o_star, arc_t0 * chord * 0.9)
 
     return CamTrackSpec(
@@ -338,8 +338,8 @@ def solve_finger_poses(spec: CamTrackSpec, us) -> list[FingerPose]:
     64-step bisection halves every bracket at once. Past the hard stop the
     inner pin is pinned there and the outer pin is snapped onto the exact
     pin circle (clamping rotation). The first unsolvable sample raises
-    ``PoseUnsolvable``. Norms are ``vectors._norm``'s, the bits of
-    ``np.linalg.norm`` on each vector.
+    ``PoseUnsolvable``. Each vector's norm is ``vectors._norm``'s in-order
+    sum; the coarse scan's are one numpy reduction over the grid axis.
     """
     us = np.asarray(us, dtype=float)
     if not np.all((us >= 0.0) & (us <= 1.0)):

@@ -104,7 +104,7 @@ _CUP_CENTERS = CUP_RING_MM * np.array([(math.cos(a), math.sin(a)) for a in map(
 
 def _cup_sets(offsets, azimuths) -> list[tuple[int, ...]]:
     """``cups_engaged_at`` of each (offset, azimuth) pair, from one trials x
-    cups mask; distances are ``np.linalg.norm``'s, bit for bit."""
+    cups mask; distances are ``vectors._norm``'s in-order sums."""
     fruit = np.array([(d * math.cos(az), d * math.sin(az)) for d, az in zip(offsets, azimuths)])
     mask = _norm(_CUP_CENTERS - fruit[:, None]) <= CUP_RING_MM + CUP_ENGAGE_TOL_MM
     return [tuple(i for i, hit in enumerate(row) if hit) for row in mask.tolist()]
@@ -189,10 +189,10 @@ class TrialStats:
 
     def __post_init__(self):
         # sizes, a weight, force magnitudes (a trial's pull angle is
-        # asin(tangential / net)) and a stiffness; normal_fdf is a signed
-        # component (the field data's minimum is -2 N)
+        # asin(tangential / net)), a stiffness and a lateral distance;
+        # normal_fdf is a signed component (the field data's minimum is -2 N)
         for name in ("fruit_diameter", "fruit_height", "fruit_weight", "net_fdf",
-                     "tangential_fdf", "branch_stiffness"):
+                     "tangential_fdf", "branch_stiffness", "gripper_offset"):
             lowest = getattr(self, name).q_min
             if lowest < 0.0:
                 raise ParseError(f"TrialStats field {name!r} must be >= 0, got {lowest!r}")

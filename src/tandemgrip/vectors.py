@@ -1,5 +1,6 @@
-"""Stacked 3-vector helpers (bit for bit numpy's own) and the fruit radius
-range, shared by wrench, campath and picksim without loading the LP layer."""
+"""Stacked 3-vector helpers and the fruit radius range, shared by wrench, campath
+and picksim without loading the LP layer. Dots and norms are in-order IEEE sums of
+elementwise products, so their bits depend on no CPU or BLAS kernel."""
 
 from __future__ import annotations
 
@@ -19,13 +20,15 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot`` of vectors stacked on the last axis, bit for bit: the stacked
-    matmul makes the same BLAS dot call per pair (an einsum or a sum does not)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """Dot of 2- or 3-vectors stacked on the last axis: a0*b0 + a1*b1 (+ a2*b2),
+    added in that order with no leading zero (so -0.0 only if every term is)."""
+    p = a * b
+    s = p[..., 0] + p[..., 1]
+    return s + p[..., 2] if p.shape[-1] == 3 else s
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` (sqrt of the dot) of vectors stacked on the last axis."""
+    """Euclidean norm (sqrt of ``_dot(v, v)``) of vectors stacked on the last axis."""
     return np.sqrt(_dot(v, v))
 
 

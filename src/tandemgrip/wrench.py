@@ -93,6 +93,10 @@ class GraspScenario:
             raise ValueError("fruit_offset must be >= 0")
         if not 0.0 <= self.pull_angle <= 90.0:
             raise ValueError("pull_angle must be in [0, 90] deg")
+        if not isinstance(self.pull_type, PullType):
+            raise ValueError(f"pull_type must be a PullType, got {self.pull_type!r}")
+        if not isinstance(self.mode, ActuationMode):
+            raise ValueError(f"mode must be an ActuationMode, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,7 @@ class ReferenceMeasurements:
 
 def _tangent_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tangent basis, t1 along the steepest descent (-z projected), of unit normals
-    stacked on the last axis; n's z is a dot with +z, which reads -0.0 as +0.0."""
+    stacked on the last axis; n's z is 0*n0 + 0*n1 + n2, so -0.0 only if each term is."""
     t1 = -_Z + _dot(_Z, n)[..., None] * n
     flat = _norm(t1)[..., None] < 1e-12   # a normal along the axis: project +x
     t1 = _unit(np.where(flat, np.array([1.0, 0.0, 0.0]) - n[..., :1] * n, t1))
@@ -171,7 +175,8 @@ def _place(scenarios: list[GraspScenario], cup_indices: list[tuple[int, ...]]):
 
     Fingers contact at 120-deg longitudes, a latitude asin(offset/radius)
     below the equator. Cups sit in a ring around the axis on the palm side;
-    ``cup_indices`` restricts which cups are present (partial engagement).
+    ``cup_indices`` restricts which cups are present (partial engagement): each
+    set distinct ints in 0..2, checked once for the stack; fingers place none.
     """
     for s in scenarios:
         if s.fruit_offset > s.fruit_radius:
@@ -194,7 +199,11 @@ def _place(scenarios: list[GraspScenario], cup_indices: list[tuple[int, ...]]):
         kinds += [ContactKind.FINGER_PAD] * len(FINGER_LONGITUDES_DEG)
     if mode in (ActuationMode.SUCTION, ActuationMode.DUAL):
         beta = [math.asin(min(CUP_RING_MM, 0.95 * r) / r) for r in radii]
-        cups = np.array(cup_indices, dtype=int).reshape(nb, -1)
+        cups = np.array(cup_indices).reshape(nb, -1)
+        if cups.size and not (cups.dtype.kind in "iu" and 0 <= cups.min() and cups.max() <= 2
+                              and (cups[:, :, None] == cups[:, None, :]).sum() == cups.size):
+            raise ValueError(f"cup indices must be distinct ints in 0..2, got {cup_indices!r}")
+        cups = cups.astype(int)
         parts.append(ring([(math.sin(v), math.cos(v)) for v in beta], CUP_LONGITUDES_DEG, cups))
         kinds += [ContactKind.SUCTION_CUP] * cups.shape[1]
     positions = np.array(radii)[:, None, None] * np.concatenate(parts, axis=1)
@@ -351,8 +360,14 @@ def _alpha(res) -> float:
 
 def solve_pull(contacts: ContactSet, pull_direction: np.ndarray) -> PullSolution:
     """Maximum resistible pull along ``pull_direction``, through the fruit
-    center, with a force witness."""
-    d = _unit(np.asarray(pull_direction, dtype=float))
+    center, with a force witness. The direction must be a 3-vector whose norm
+    is finite and nonzero."""
+    d = np.asarray(pull_direction, dtype=float)
+    with np.errstate(over="ignore"):   # a norm past the float range fails below
+        ok = d.shape == (3,) and 0.0 < _norm(d) < math.inf   # so does NaN
+    if not ok:
+        raise ValueError(f"pull direction must be a 3-vector of finite nonzero norm, got {d!r}")
+    d = _unit(d)
     if not contacts.contacts:
         return PullSolution(0.0, (), d)
     lp = _pull_lp(contacts.contacts, d)
@@ -384,27 +399,27 @@ def verify_witness(contacts: ContactSet, sol: PullSolution) -> list[str]:
         m_tot += np.cross(c.position, f)
         if c.kind is ContactKind.FINGER_PAD:
             n = -_unit(c.position)
-            fn = float(np.dot(f, n))
+            fn = float(_dot(f, n))
             ft = f - fn * n
             if fn < -tol:
                 problems.append(f"contact {i}: pad normal force negative ({fn:.3e})")
             if fn > c.normal_capacity + tol:
                 problems.append(f"contact {i}: pad normal capacity exceeded ({fn:.6f})")
             # linearized pyramid is inside the exact cone, so the exact cone check is valid
-            if np.linalg.norm(ft) > c.mu * max(fn, 0.0) + tol:
+            if _norm(ft) > c.mu * max(fn, 0.0) + tol:
                 problems.append(f"contact {i}: pad friction cone violated")
         else:
-            axial = float(np.dot(f, _Z))
+            axial = float(_dot(f, _Z))
             shear = f - axial * _Z
             if axial < -(c.tension_capacity + tol):
                 problems.append(f"contact {i}: cup tension capacity exceeded ({-axial:.6f})")
             if axial > c.normal_capacity + tol:
                 problems.append(f"contact {i}: cup seat compression exceeded ({axial:.6f})")
-            if np.linalg.norm(shear) > c.shear_capacity + tol:
+            if _norm(shear) > c.shear_capacity + tol:
                 problems.append(f"contact {i}: cup shear capacity exceeded")
     pull = sol.alpha * sol.pull_direction
-    resid_f = np.linalg.norm(f_tot + pull)
-    resid_m = np.linalg.norm(m_tot)   # the pull acts through the center
+    resid_f = _norm(f_tot + pull)
+    resid_m = _norm(m_tot)   # the pull acts through the center
     if resid_f > tol:
         problems.append(f"force balance residual {resid_f:.3e}")
     if resid_m > tol * max(1.0, contacts.fruit_radius):

@@ -27,6 +27,7 @@ from tandemgrip.campath import (
     POSES_CSV_HEADER,
 )
 from tandemgrip.errors import PoseUnsolvable, SynthesisFailed
+from test_wrench import ieee_dot, ieee_norm
 
 
 def reference_eval(seg: CubicBezier, t: float) -> np.ndarray:
@@ -55,7 +56,7 @@ def _reference_tables(spec: CamTrackSpec):
 
 
 def reference_solve_finger_pose(spec: CamTrackSpec, u: float) -> FingerPose:
-    """One pose at a time: a scalar 64-step bisection with ``np.linalg.norm``
+    """One pose at a time: a scalar 64-step bisection with ``ieee_norm``
     (the oracle of ``solve_finger_poses``)."""
     pts, cum, ts, grid = _reference_tables(spec)
     target = u * cum[-1]
@@ -67,7 +68,7 @@ def reference_solve_finger_pose(spec: CamTrackSpec, u: float) -> FingerPose:
     hard = reference_eval(spec.inner_path, spec.inner_hard_stop)
 
     def residual(t: float) -> float:
-        return float(np.linalg.norm(reference_eval(spec.inner_path, t) - outer)) - s
+        return ieee_norm(reference_eval(spec.inner_path, t) - outer) - s
 
     fs = np.linalg.norm(grid - outer, axis=1) - s
     f_end = fs[-1]
@@ -89,13 +90,13 @@ def reference_solve_finger_pose(spec: CamTrackSpec, u: float) -> FingerPose:
                 else:
                     hi = mid
             inner = reference_eval(spec.inner_path, 0.5 * (lo + hi))
-            if np.linalg.norm(inner - hard) <= HARD_STOP_TOL_MM:
+            if ieee_norm(inner - hard) <= HARD_STOP_TOL_MM:
                 region, inner = Region.CLAMPING, hard
             else:
                 region = Region.SWEEPING
     if region is Region.CLAMPING:
-        outer = hard + s * (outer - hard) / np.linalg.norm(outer - hard)
-    u_io = (outer - inner) / np.linalg.norm(outer - inner)
+        outer = hard + s * (outer - hard) / ieee_norm(outer - hard)
+    u_io = (outer - inner) / ieee_norm(outer - inner)
     tip = inner - spec.tip_extension * u_io
     tip_dir = (tip - inner) / spec.tip_extension
     return FingerPose(inner_pin=inner, outer_pin=outer, pad_tip=tip, region=region,
@@ -317,8 +318,8 @@ def _reference_report(spec: CamTrackSpec, poses) -> tuple[float, float, float]:
     for _, pose in poses:
         if pose.region is Region.SWEEPING:
             a, ab = pose.inner_pin, pose.pad_tip - pose.inner_pin
-            t = float(np.clip(np.dot(center - a, ab) / np.dot(ab, ab), 0.0, 1.0))
-            clear = (float(np.linalg.norm(a + t * ab - center))
+            t = float(np.clip(ieee_dot(center - a, ab) / ieee_dot(ab, ab), 0.0, 1.0))
+            clear = (ieee_norm(a + t * ab - center)
                      - spec.fruit_radius - spec.pad_halfwidth)
             min_clear = min(min_clear, clear)
             max_radius = max(max_radius, abs(float(pose.pad_tip[0])))

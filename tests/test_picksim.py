@@ -25,6 +25,7 @@ from tandemgrip.picksim import (
 )
 from tandemgrip.quantiles import QuantileModel
 from tandemgrip.wrench import ActuationMode, GraspModelParams, GraspScenario, PullType
+from test_wrench import ieee_norm
 
 
 @pytest.fixture(scope="module")
@@ -158,8 +159,8 @@ class TestEngagement:
 
     def test_block_mask_matches_one_trial_at_the_boundary(self):
         # fruit axes at the reach of each cup, nudged a few ulps either way:
-        # the block mask, the one-trial case and the per-cup np.linalg.norm
-        # rule agree on every one
+        # the block mask, the one-trial case and the per-cup ieee_norm rule
+        # agree on every one
         reach = picksim.CUP_RING_MM + picksim.CUP_ENGAGE_TOL_MM
         offsets, azimuths = [], []
         for lon in wrench.CUP_LONGITUDES_DEG:
@@ -175,9 +176,9 @@ class TestEngagement:
         def norm_rule(offset, azimuth):
             fruit = offset * np.array([math.cos(azimuth), math.sin(azimuth)])
             return tuple(i for i, lon in enumerate(wrench.CUP_LONGITUDES_DEG)
-                         if float(np.linalg.norm(picksim.CUP_RING_MM * np.array(
+                         if ieee_norm(picksim.CUP_RING_MM * np.array(
                              [math.cos(math.radians(lon)), math.sin(math.radians(lon))])
-                             - fruit)) <= reach)
+                             - fruit) <= reach)
 
         block = picksim._cup_sets(offsets, azimuths)
         one = [cups_engaged_at(o, a) for o, a in zip(offsets, azimuths)]

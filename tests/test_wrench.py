@@ -37,6 +37,19 @@ from tandemgrip.wrench import (
 Z = np.array([0.0, 0.0, 1.0])
 
 
+def ieee_dot(a, b) -> float:
+    """a0*b0 + a1*b1 (+ a2*b2) of two 2- or 3-vectors, in Python floats and in
+    that order: the sum ``vectors._dot`` promises, computed without numpy."""
+    a, b = [float(x) for x in a], [float(x) for x in b]
+    s = a[0] * b[0] + a[1] * b[1]
+    return s + a[2] * b[2] if len(a) == 3 else s
+
+
+def ieee_norm(v) -> float:
+    """``math.sqrt`` of ``ieee_dot(v, v)``: the norm ``vectors._norm`` promises."""
+    return math.sqrt(ieee_dot(v, v))
+
+
 def pad(position, cap, mu, sides=4):
     position = np.asarray(position, dtype=float)
     return Contact(
@@ -46,8 +59,8 @@ def pad(position, cap, mu, sides=4):
 
 
 def inward(c) -> np.ndarray:
-    """A contact's inward unit normal, through ``np.linalg.norm``."""
-    return -(c.position / np.linalg.norm(c.position))
+    """A contact's inward unit normal, through ``ieee_norm``."""
+    return -(c.position / ieee_norm(c.position))
 
 
 def unit_vec(rng) -> np.ndarray:
@@ -830,10 +843,10 @@ def loop_build_contacts(scenario, model, cone_sides=wrench.DEFAULT_CONE_SIDES,
 
 def loop_tangent_frame(n):
     """Reference tangent frame of one normal, its z part a dot with +z."""
-    t1 = -Z + float(np.dot(Z, n)) * n
-    if np.linalg.norm(t1) < 1e-12:
+    t1 = -Z + ieee_dot(Z, n) * n
+    if ieee_norm(t1) < 1e-12:
         t1 = np.array([1.0, 0.0, 0.0]) - n[0] * n
-    t1 = t1 / np.linalg.norm(t1)
+    t1 = t1 / ieee_norm(t1)
     return t1, np.cross(n, t1)
 
 
@@ -988,7 +1001,7 @@ class TestStackedBuild:
                     loop_build_contacts(scenario, model, cup_indices=cups).contacts)
                 assert stack[1][k, :, :-1].T.tobytes() == cols.tobytes()
 
-    def test_norm_matches_numpy(self):
+    def test_norm_and_dot_are_in_order_sums(self):
         rng = np.random.default_rng(12)
         v = rng.normal(size=(6, 4000, 3))
         v *= np.array([1.0, 1e-150, 1e150, 1e-310, 1e-160, 1e153])[:, None, None]
@@ -997,10 +1010,14 @@ class TestStackedBuild:
         v[0, :8] = [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [5e-324, 0.0, -5e-324],
                     [1e-308, 2e-308, -3e-308], [1e150, 1e150, 1e150], [3.0, 4.0, 0.0],
                     [-1e-150, 1e-150, 0.0], [1.0, -0.0, 1e-300]]
-        want = np.array([[np.linalg.norm(x) for x in row] for row in v])
+        want = np.array([[ieee_norm(x) for x in row] for row in v])
         assert wrench._norm(v).tobytes() == want.tobytes()
-        want = np.array([[float(np.dot(Z, x)) for x in row] for row in v])
+        want = np.array([[ieee_dot(Z, x) for x in row] for row in v])
         assert wrench._dot(Z, v).tobytes() == want.tobytes()
+        want = np.array([[ieee_norm(x[:2]) for x in row] for row in v])
+        assert wrench._norm(v[..., :2]).tobytes() == want.tobytes()
+        # no leading zero: the dot with +z keeps the sign of an all -0.0 row
+        assert [np.signbit(wrench._dot(Z, v[0, k])) for k in (0, 1)] == [False, True]
 
     def test_offset_exceeding_radius_raises_from_batch(self):
         model = shipped_calibration()
@@ -1104,3 +1121,52 @@ class TestContactSetChecks:
                                       (3, "shear_capacity", 0.0), (3, "cone_sides", 3),
                                       (0, "position", np.array([37.5 + 5e-7, 0.0, 0.0]))]:
             assert dual_set_with(contact, field, value).contacts
+
+
+class TestQueryChecks:
+    """A scenario, a pull direction and a cup set are checked where they enter:
+    each case here once solved to a wrong strength or to 0 N, or failed with an
+    untyped error."""
+
+    @pytest.mark.parametrize("field,value,message", [
+        # solved as an axial pull: 37.18 N where a rotational one holds 22.71 N
+        ("pull_type", "rotational", "pull_type must be a PullType, got 'rotational'"),
+        ("mode", "dual", "mode must be an ActuationMode, got 'dual'"),
+        ("mode", PullType.AXIAL, "mode must be an ActuationMode"),
+    ])
+    def test_scenario_enums_are_enums(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            GraspScenario(37.5, **{field: value})
+
+    @pytest.mark.parametrize("direction", [
+        [0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0],
+        [1e200, 1e200, 0.0],   # its norm is past the float range
+        [0.0, 1.0], [[0.0, 0.0, 1.0]],
+    ])
+    def test_pull_direction_has_finite_nonzero_norm(self, direction):
+        contacts = build_contacts(GraspScenario(37.5), shipped_calibration())
+        with pytest.raises(ValueError, match="pull direction must be a 3-vector"):
+            solve_pull(contacts, direction)
+        assert solve_pull(contacts, [0.0, 0.0, 2.0]).alpha > 0.0
+
+    @pytest.mark.parametrize("cups", [
+        (0, 0, 1),      # held -0.0 N
+        (-1, 0, 1),     # wrapped to cup 2: 13.35 N
+        (0, 1, 1, 2),   # four cups
+        (5,),           # an IndexError
+        (0.0, 1.0), (True, False), ("0",),
+    ])
+    def test_cup_indices_are_distinct_ints_in_range(self, cups):
+        model = shipped_calibration()
+        for mode in (ActuationMode.SUCTION, ActuationMode.DUAL):
+            scenario = GraspScenario(37.5, mode=mode)
+            for query in (lambda: build_contacts(scenario, model, cups),
+                          lambda: predict_strength(scenario, model, cups),
+                          lambda: predict_strengths([(scenario, cups)] * 2, model)):
+                with pytest.raises(ValueError, match="cup indices must be distinct ints in 0..2"):
+                    query()
+
+    def test_one_bad_cup_set_fails_its_batch(self):
+        scenario = GraspScenario(37.5, mode=ActuationMode.SUCTION)
+        with pytest.raises(ValueError, match=r"got \[\(0, 1\), \(1, 1\)\]"):
+            predict_strengths([(scenario, (0, 1)), (scenario, (1, 1))], shipped_calibration())
