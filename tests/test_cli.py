@@ -775,12 +775,12 @@ class TestSimulateStats:
         (lambda d: {**d, "net_fdf": [-40, -30, -20, -10, -5]}, [], "field 'net_fdf' must be >= 0"),
         (lambda d: {**d, "branch_stiffness": [-400, -300, -200, -100, -50]}, [],
          "field 'branch_stiffness' must be >= 0"),
-        # a lateral distance: these offsets engaged every fingers trial
-        (lambda d: {**d, "gripper_offset": [-60, -50, -40, -35, -31]}, ["--mode", "fingers"],
-         "field 'gripper_offset' must be >= 0"),
         # float() read false and true as 0 and 1, and the campaign ran
         (lambda d: {**d, "net_fdf": [False, True, True, True, True]}, [],
          "field 'net_fdf': q_min must be a number, got False"),
+        # a lateral distance: these offsets engaged every fingers trial
+        (lambda d: {**d, "gripper_offset": [-60, -50, -40, -35, -31]}, ["--mode", "fingers"],
+         "field 'gripper_offset' must be >= 0"),
     ])
     def test_bad_trial_stats_usage_error(self, capsys, tmp_path, edit, argv, message):
         from tandemgrip.picksim import DEFAULT_FIELD_STATS
