@@ -232,6 +232,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.config is not None:   # ignoring it would hide a mistyped path
+        print("error: simulate does not read --config: campaigns use the shipped calibration",
+              file=sys.stderr)
+        return USAGE_ERROR
     from . import picksim
     from .wrench import ActuationMode
 
@@ -322,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="Monte-Carlo pick campaign",
                        description="Monte-Carlo pick campaign. Campaigns use the shipped "
-                                   "calibration: simulate does not read --config, so "
-                                   "its grasp_model is ignored.")
+                                   "calibration: simulate does not read --config and "
+                                   "exits 2 when it is given.")
     s.add_argument("--trials", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--mode", choices=("suction", "fingers", "dual"), default="dual")

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the gripper toolkit, and its input value guards.
+"""Exception hierarchy for the gripper toolkit, and its input guards.
 
 Every domain failure raises a subclass of ToolkitError so callers (and the
 CLI) can separate usage problems from geometry/numerical ones.
@@ -92,3 +92,29 @@ class ParseError(ToolkitError):
         if column is not None:
             loc += f" column {column!r}"
         super().__init__(message + loc)
+
+
+def csv_records(text: str):
+    """A CSV's header names and an iterator of its ``csv.DictReader`` records,
+    each as (physical line it ends on, record). A missing header and a name
+    that appears twice in it raise ``ParseError`` at once, and a non-blank cell
+    past the header when its record is read."""
+    import csv   # here, so that the commands that read no CSV do not load it
+    import io
+
+    reader = csv.DictReader(io.StringIO(text))
+    names = reader.fieldnames
+    if not names:  # no text at all, or a blank first line
+        raise ParseError("CSV has no header row")
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ParseError(f"duplicate column name {name!r} in the header row")
+
+    def records():
+        for rec in reader:
+            # DictReader gathers the cells past the header under the key None
+            if any(cell.strip() for cell in rec.get(None, ())):
+                raise ParseError(f"more cells than the {len(names)} header columns",
+                                 row=reader.line_num)
+            yield reader.line_num, rec
+    return names, records()

@@ -12,13 +12,11 @@ loads no numpy; sampling uses numpy, which ``sample`` imports when called.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, require_finite
+from .errors import ParseError, csv_records, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,20 +93,10 @@ def summarize(values) -> QuantileModel:
 
 
 def summarize_csv_text(text: str) -> dict[str, QuantileModel]:
-    """Per-column five-number summaries of a numeric CSV."""
-    reader = csv.DictReader(io.StringIO(text))
-    names = reader.fieldnames
-    if not names:  # no text at all, or a blank first line
-        raise ParseError("CSV has no header row")
-    for k, name in enumerate(names):
-        if name in names[:k]:
-            raise ParseError(f"duplicate column name {name!r} in the header row")
+    """Per-column five-number summaries of a numeric CSV (``errors.csv_records``)."""
+    names, records = csv_records(text)
     columns: dict[str, list[float]] = {name: [] for name in names}
-    for rec in reader:
-        i = reader.line_num   # the record's last physical line: blank lines count
-        # DictReader gathers the cells past the header under the key None
-        if any(cell.strip() for cell in rec.get(None, ())):
-            raise ParseError(f"more cells than the {len(names)} header columns", row=i)
+    for i, rec in records:
         for name in names:
             raw = (rec.get(name) or "").strip()
             if raw == "":

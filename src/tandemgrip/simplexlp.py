@@ -20,9 +20,11 @@ scalar scan's row order can matter, is scanned row by row.
 ``restart_batch`` re-solves a stack of problems, kept in ``standard_form``,
 each from a basis that was optimal for a nearby one (LP sensitivity analysis;
 Chvatal, *Linear Programming*, 1983, ch. 10). The basis kernel
-``_from_basis`` takes one stacked inverse of the basis matrices, which gives
-the primal and dual values, and accepts a basis only if both are feasible;
-each basis it rejects restarts (``_restart``), and the restarted ones are
+``_from_basis`` accepts a basis only if its primal and dual values are both
+feasible. Its matrix step (``basis_inverse``) takes one stacked inverse of
+the basis matrices and gives the duals; it does not read b, so a caller that
+changes only b may keep it. Its right-hand-side step gives the primal values.
+Each basis it rejects restarts (``_restart``), and the restarted ones are
 re-checked in one stacked call.
 """
 
@@ -162,15 +164,16 @@ def standard_form(c, a_eq, b_eq, a_ub, b_ub) -> tuple[np.ndarray, np.ndarray, np
     return a, np.concatenate([b_eq, b_ub], 1), np.concatenate([c, np.zeros((nb, n_slack))], 1)
 
 
-def _from_basis(a, b, cost, basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The basis kernel: where each standard-form problem's basis (one
-    ``LpResult.basis`` each) is optimal, x and the basis inverses B^-1.
+def basis_inverse(a, cost, basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis kernel's matrix step, on a and cost only: where each
+    standard-form problem's basis (one ``LpResult.basis`` each) is dual
+    feasible, its columns and the basis inverses B^-1.
 
-    x_B = B^-1 b and the duals y = c_B B^-1; a basis is accepted only if
-    x_B >= -tol and every reduced cost c - y A <= tol. A basis of another
-    length, with an artificial or with a singular B is rejected alone, and
-    its inverse reads NaN. The inverse and the matmuls make one problem's
-    LAPACK and BLAS calls per problem, so each result is the problem's alone.
+    With the duals y = c_B B^-1 a basis is dual feasible if every reduced cost
+    c - y A <= tol. A basis of another length, with an artificial or with a
+    singular B is rejected alone, and its inverse reads NaN. The inverse and
+    the matmuls make one problem's LAPACK and BLAS calls per problem, so each
+    result is the problem's alone.
     """
     nb, m, ncols = a.shape
     # a rejected basis reads column 0 and gets B = I: no index out of range, no singular stack
@@ -178,7 +181,8 @@ def _from_basis(a, b, cost, basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bas = np.array([bk if good else [0] * m for bk, good in zip(basis, ok)], int).reshape(nb, m)
     k = np.arange(nb)[:, None]
     mat = a[k, :, bas].transpose(0, 2, 1)   # the basis columns of each problem
-    mat[~ok] = np.eye(m)
+    if not ok.all():
+        mat[~ok] = np.eye(m)
     try:
         b_inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:   # a singular B: invert each problem alone
@@ -188,13 +192,21 @@ def _from_basis(a, b, cost, basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 b_inv[i] = np.linalg.inv(mat[i])
             except np.linalg.LinAlgError:
                 ok[i] = False
-    b_inv[~ok] = np.nan
-    x_b = (b_inv @ b[:, :, None])[:, :, 0]
+    if not ok.all():
+        b_inv[~ok] = np.nan
     reduced = cost - ((cost[k, bas][:, None] @ b_inv) @ a)[:, 0]
-    # (NaN fails both tests)
-    ok &= np.all(x_b >= -_TOL, axis=1) & np.all(reduced <= _TOL, axis=1)
-    x = np.zeros((nb, ncols))
-    x[k, bas] = x_b
+    return ok & np.all(reduced <= _TOL, axis=1), bas, b_inv   # (NaN fails the test)
+
+
+def _from_basis(a, b, cost, basis, inverse=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis kernel: where each standard-form problem's basis is optimal,
+    x and B^-1. The matrix step (``basis_inverse``) is ``inverse`` when given;
+    the right-hand-side step accepts a dual feasible basis if x_B = B^-1 b >= -tol."""
+    ok, bas, b_inv = basis_inverse(a, cost, basis) if inverse is None else inverse
+    x_b = (b_inv @ b[:, :, None])[:, :, 0]
+    ok = ok & np.all(x_b >= -_TOL, axis=1)
+    x = np.zeros(a.shape[::2])
+    x[np.arange(len(a))[:, None], bas] = x_b
     return ok, x, b_inv
 
 
@@ -233,13 +245,15 @@ def _restart(a, b, cost, basis, b_inv: np.ndarray) -> tuple[int, ...] | None:
     return None
 
 
-def restart_batch(a, b, cost, basis) -> tuple[np.ndarray, np.ndarray, list]:
-    """``_from_basis`` on a stack of standard-form problems, with each
-    rejected basis restarted (``_restart``) and the restarted bases re-checked
-    in one stacked call. Returns where a basis was accepted, x and the bases;
-    where none was, the problem must be solved cold."""
-    ok, x, b_inv = _from_basis(a, b, cost, basis)
+def restart_batch(a, b, cost, basis, inverse=None) -> tuple[np.ndarray, np.ndarray, list]:
+    """``_from_basis`` on a stack of standard-form problems (with ``inverse``),
+    with each rejected basis restarted (``_restart``) and the restarted bases
+    re-checked in one stacked call. Returns where a basis was accepted, x and
+    the bases; where none was, the problem must be solved cold."""
+    ok, x, b_inv = _from_basis(a, b, cost, basis, inverse)
     basis, again = list(basis), []
+    if ok.all():
+        return ok, x, basis
     # (a basis the kernel could not invert at all has a NaN inverse)
     for k in np.flatnonzero(~ok & np.isfinite(b_inv).all(axis=(1, 2))):
         new = _restart(a[k], b[k], cost[k], basis[k], b_inv[k])

@@ -24,13 +24,11 @@ Conventions fixed by the test geometry:
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -40,9 +38,10 @@ from .errors import (
     LpNumericalFailure,
     OffsetExceedsRadius,
     ParseError,
+    csv_records,
     require_finite,
 )
-from .simplexlp import restart_batch, solve_lp, solve_lp_batch, standard_form
+from .simplexlp import basis_inverse, restart_batch, solve_lp, solve_lp_batch, standard_form
 from .vectors import FRUIT_RADIUS_RANGE_MM, _cross, _dot, _norm, _unit
 
 _Z = np.array([0.0, 0.0, 1.0])
@@ -176,7 +175,8 @@ def _place(scenarios: list[GraspScenario], cup_indices: list[tuple[int, ...]]):
     Fingers contact at 120-deg longitudes, a latitude asin(offset/radius)
     below the equator. Cups sit in a ring around the axis on the palm side;
     ``cup_indices`` restricts which cups are present (partial engagement): each
-    set distinct ints in 0..2, checked once for the stack; fingers place none.
+    set distinct ints in 0..2 and no bool, checked once for the stack; fingers
+    place none.
     """
     for s in scenarios:
         if s.fruit_offset > s.fruit_radius:
@@ -200,8 +200,13 @@ def _place(scenarios: list[GraspScenario], cup_indices: list[tuple[int, ...]]):
     if mode in (ActuationMode.SUCTION, ActuationMode.DUAL):
         beta = [math.asin(min(CUP_RING_MM, 0.95 * r) / r) for r in radii]
         cups = np.array(cup_indices).reshape(nb, -1)
-        if cups.size and not (cups.dtype.kind in "iu" and 0 <= cups.min() and cups.max() <= 2
-                              and (cups[:, :, None] == cups[:, None, :]).sum() == cups.size):
+        try:   # numpy reads a bool among ints as an int, so look at each index itself
+            bools = not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(cup_indices)))
+        except TypeError:   # a query whose cups are no sequence
+            bools = True
+        if cups.size and (bools or not (
+                cups.dtype.kind in "iu" and 0 <= cups.min() and cups.max() <= 2
+                and (cups[:, :, None] == cups[:, None, :]).sum() == cups.size)):
             raise ValueError(f"cup indices must be distinct ints in 0..2, got {cup_indices!r}")
         cups = cups.astype(int)
         parts.append(ring([(math.sin(v), math.cos(v)) for v in beta], CUP_LONGITUDES_DEG, cups))
@@ -510,10 +515,10 @@ REFERENCE_FRUIT_RADIUS_MM = 37.5   # the reference rows were measured on a 75 mm
 
 def reference_from_csv(text: str) -> ReferenceMeasurements:
     """Parse the reference measurement CSV (see REFERENCE_CSV_HEADER); every
-    row's scenario is on a fruit of ``REFERENCE_FRUIT_RADIUS_MM``."""
-    reader = csv.DictReader(io.StringIO(text))
+    row's scenario is on a fruit of ``REFERENCE_FRUIT_RADIUS_MM``; its header
+    and cells are checked by ``errors.csv_records``, as ``stats`` checks them."""
     rows: list[ReferenceRow] = []
-    for rec in reader:
+    for line, rec in csv_records(text)[1]:
         try:
             # without a source (no column, or a short row) a row is authoritative
             source = "authoritative" if rec.get("source") is None else rec["source"]
@@ -535,7 +540,7 @@ def reference_from_csv(text: str) -> ReferenceMeasurements:
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad reference row: {exc}", row=reader.line_num) from exc
+            raise ParseError(f"bad reference row: {exc}", row=line) from exc
     if not rows:
         raise ParseError("reference CSV has no data rows")
     return ReferenceMeasurements(rows=tuple(rows))
@@ -647,10 +652,11 @@ def calibrate(
     pull-LP stack with its standard form, built at the first evaluation;
     every later evaluation rewrites its pad columns and capacities in place
     and solves it from its rows' previous bases (``simplexlp.restart_batch``).
-    A rejected basis restarts, and a row is solved cold only when its basis
-    neither holds nor restarts. The residuals are one cold
-    ``predict_strengths`` pass at the fitted point, and the reported error
-    is the loss over the fitted rows' residuals.
+    Their matrix step (``simplexlp.basis_inverse``) is kept while no basis
+    changes and the matrix holds (no pads). A rejected basis restarts, and a
+    row is solved cold only when its basis neither holds nor restarts. The
+    residuals are one cold ``predict_strengths`` pass at the fitted point,
+    and the reported error is the loss over the fitted rows' residuals.
     """
     if not reference.rows:
         raise ValueError("reference measurements must be nonempty")
@@ -668,8 +674,8 @@ def calibrate(
     layouts: dict[ActuationMode, list[int]] = {}
     for i, row in enumerate(rows):
         layouts.setdefault(row.scenario.mode, []).append(i)
-    # layout -> its rows' pull-LP stack, its standard form and each row's last basis
-    stacks: dict[ActuationMode, tuple[_PullLp, tuple, list[tuple[int, ...]]]] = {}
+    # layout -> its rows' pull-LP stack, standard form, last bases and their matrix step
+    stacks: dict[ActuationMode, tuple[_PullLp, tuple, list[tuple[int, ...]], tuple | None]] = {}
 
     def strengths(params: GraspModelParams) -> list[float]:
         preds = [0.0] * len(rows)
@@ -677,16 +683,19 @@ def calibrate(
             if mode not in stacks:
                 scenarios = [rows[i].scenario for i in members]
                 stack = _strength_stack(scenarios, [(0, 1, 2)] * len(members), params)
-                stacks[mode] = (stack, stack.standard_form(), [()] * len(members))
-            stack, std, bases = stacks[mode]
+                stacks[mode] = (stack, stack.standard_form(), [()] * len(members), None)
+            stack, std, bases, inverse = stacks[mode]
             lp = stack.refresh(params)
-            ok, x, bases[:] = restart_batch(*std, bases)
+            if inverse is None or len(stack.pads):   # mu_pad moves the pad columns
+                inverse = basis_inverse(std[0], std[2], bases)
+            ok, x, new = restart_batch(*std, bases, inverse)
             for k, i in enumerate(members):
                 if ok[k]:   # alpha, the last LP variable, read off the basis
                     preds[i] = float(x[k, lp[0].shape[1] - 1])
                     continue
                 res = solve_lp(*(a[k] for a in lp))
-                bases[k], preds[i] = res.basis, _alpha(res)
+                new[k], preds[i] = res.basis, _alpha(res)
+            stacks[mode] = (stack, std, new, inverse if new == bases else None)
         return preds
 
     def loss(preds) -> float:

@@ -393,6 +393,19 @@ class TestSimulate:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_config_usage_error(self, capsys, tmp_path, exists):
+        # simulate reads no config: the flag, even with a mistyped path,
+        # fails instead of being ignored
+        config = tmp_path / "gripper.json"
+        if exists:
+            config.write_text("{}")
+        code, out, err = run(capsys, tmp_path, "--config", str(config), "simulate",
+                             "--trials", "1")
+        assert (code, out) == (2, "")
+        assert "simulate does not read --config" in err
+        assert not (tmp_path / "campaign.json").exists()
+
     def test_csv_log(self, capsys, tmp_path):
         code = main(["--out", str(tmp_path), "--format", "csv", "simulate",
                      "--trials", "3", "--seed", "1"])
@@ -480,6 +493,7 @@ class TestCalibrateCommand:
         ("suction,0,0,axial,12,-1,authoritative", "stdev must be >= 0, got -1.0"),
         ("suction,0,0,axial,12,1,authorative", "source must be authoritative or approximate"),
         ("suction,0,450,axial,12,1,authoritative", "pull_angle must be in [0, 90] deg"),
+        ("suction,0,0,axial,12,1,authoritative,99", "more cells than the 7 header columns"),
     ])
     def test_bad_reference_row_usage_error(self, capsys, tmp_path, row, message):
         data = tmp_path / "ref.csv"
@@ -490,6 +504,14 @@ class TestCalibrateCommand:
         assert code == 2
         assert out == ""
         assert message in err and "row 3" in err
+
+    def test_repeated_column_usage_error(self, capsys, tmp_path):
+        data = tmp_path / "ref.csv"
+        data.write_text("mode,offset_mm,angle_deg,pull_type,strength_N,stdev_N,source,strength_N\n"
+                        "suction,0,0,axial,12.0,0.3,authoritative,99.0\n")
+        code, out, err = run(capsys, tmp_path, "calibrate", "--data", str(data))
+        assert (code, out) == (2, "")
+        assert "duplicate column name 'strength_N'" in err
 
     @pytest.mark.parametrize("strength", ["0", "-3"])
     def test_non_positive_strength_names_its_row(self, capsys, tmp_path, strength):

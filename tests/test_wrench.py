@@ -482,6 +482,24 @@ class TestCalibration:
         with pytest.raises(ParseError, match=f"source must be .* got {source!r} row 3"):
             reference_from_csv(text)
 
+    def test_repeated_column_rejected(self):
+        # DictReader keeps the last of two equal names: 99 N would be read
+        text = "\n".join([wrench.REFERENCE_CSV_HEADER + ",strength_N",
+                          "suction,0,0,axial,12.0,0.3,authoritative,99.0"])
+        with pytest.raises(ParseError, match="duplicate column name 'strength_N'"):
+            reference_from_csv(text)
+
+    @pytest.mark.parametrize("extra", ["99", " x", "0.0,"])
+    def test_cell_past_the_header_names_its_physical_line(self, extra):
+        text = "\n".join([wrench.REFERENCE_CSV_HEADER,
+                          "dual,0,0,axial,20.0,1.0,authoritative", "",
+                          f"suction,0,0,axial,12.0,0.3,authoritative,{extra}"])
+        with pytest.raises(ParseError, match="more cells than the 7 header columns row 4"):
+            reference_from_csv(text)
+        # blank cells past the header are no data, as in stats
+        text = text.replace(f",{extra}", ", ,")
+        assert len(reference_from_csv(text).rows) == 2
+
     def test_source_values(self):
         rows = ["suction,0,0,axial,12.0,0.3,authoritative",
                 "suction,5,0,axial,12.0,0.3,approximate",
@@ -635,8 +653,8 @@ class TestWarmCalibration:
         calls, gaps = [], []
         real = wrench.restart_batch
 
-        def checked(a, b, cost, bases):
-            ok, x, new = real(a, b, cost, bases)
+        def checked(a, b, cost, bases, inverse=None):
+            ok, x, new = real(a, b, cost, bases, inverse)
             for k, warm in enumerate(ok):
                 calls.append(bool(warm))
                 if warm:
@@ -681,8 +699,8 @@ class TestWarmCalibration:
         first, neither, warm, cold, restarts = [], [], [0], [0], []
         real_batch, real_cold, real_restart = wrench.restart_batch, wrench.solve_lp, simplexlp._restart
 
-        def checked(a, b, cost, bases):
-            ok, x, new = real_batch(a, b, cost, bases)
+        def checked(a, b, cost, bases, inverse=None):
+            ok, x, new = real_batch(a, b, cost, bases, inverse)
             warm[0] += int(ok.sum())
             for k in np.flatnonzero(~ok):
                 if bases[k] == ():
@@ -734,9 +752,9 @@ class TestRowLps:
         def lp_bytes(lp):
             return tuple(a.tobytes() for a in lp)
 
-        def spy_batch(a, b, cost, bases):
+        def spy_batch(a, b, cost, bases, inverse=None):
             stacked.extend((point[0], lp_bytes((a[k], b[k], cost[k]))) for k in range(len(a)))
-            return real_batch(a, b, cost, bases)
+            return real_batch(a, b, cost, bases, inverse)
 
         def spy_cold(*args):
             cold.append((point[0], lp_bytes(args)))
@@ -809,6 +827,101 @@ class TestRowLps:
         placed = [s for scenarios, _ in stacks for s in scenarios]
         assert sorted(placed, key=repr) == sorted(rows, key=repr)
         assert built == []
+
+
+class TestKeptMatrixStep:
+    """``calibrate`` keeps each layout's matrix step (``basis_inverse``) while
+    the stack's matrix and bases hold: the layouts with pads (fingers, dual)
+    run it at every evaluation, the suction layout once per basis change, and
+    every result is the full kernel's, byte for byte."""
+
+    @pytest.mark.parametrize("authoritative_only", [True, False])
+    def test_every_evaluation_matches_the_full_kernel(self, monkeypatch, authoritative_only):
+        real = wrench.restart_batch
+        last, kept, kept_rejected = {}, [0], [0]
+
+        def checked(a, b, cost, bases, inverse=None):
+            fresh = simplexlp.basis_inverse(a, cost, bases)
+            assert [v.tobytes() for v in inverse] == [v.tobytes() for v in fresh]
+            got = real(a, b, cost, bases, inverse)
+            want = real(a, b, cost, bases)   # the matrix step recomputed inside
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
+            if last.get(a.shape[1]) is inverse:   # this layout's step from before
+                kept[0] += 1
+                kept_rejected[0] += not simplexlp._from_basis(a, b, cost, bases, inverse)[0].all()
+            last[a.shape[1]] = inverse
+            return got
+
+        monkeypatch.setattr(wrench, "restart_batch", checked)
+        calibrate(reference_from_csv(data_text("grasp_reference.csv")),
+                  authoritative_only=authoritative_only)
+        # the kept step is used, and some bases it gives fail on the new capacities
+        assert kept[0] > 100 and kept_rejected[0] > 0
+
+    def test_matrix_step_once_per_basis_change_without_pads(self, monkeypatch):
+        steps, evals, changes, last = {}, {}, {}, {}   # by the layout's row count
+
+        def step(a, cost, bases):
+            m = a.shape[1]
+            steps[m] = steps.get(m, 0) + 1
+            return real_step(a, cost, bases)
+
+        def batch(a, b, cost, bases, inverse=None):
+            m = a.shape[1]
+            evals[m] = evals.get(m, 0) + 1
+            changes[m] = changes.get(m, 0) + (last.get(m) != list(bases))
+            last[m] = list(bases)
+            return real_batch(a, b, cost, bases, inverse)
+
+        real_step, real_batch = wrench.basis_inverse, wrench.restart_batch
+        monkeypatch.setattr(wrench, "basis_inverse", step)
+        monkeypatch.setattr(wrench, "restart_batch", batch)
+        calibrate(reference_from_csv(data_text("grasp_reference.csv")), authoritative_only=True)
+        # standard-form rows: 6 balance rows and the capacity rows of 3 pads,
+        # 3 cups (3 rows each) or both
+        fingers, suction, dual = 6 + 3, 6 + 9, 6 + 12
+        assert set(evals) == {fingers, suction, dual}
+        assert steps[fingers] == evals[fingers] and steps[dual] == evals[dual]
+        assert steps[suction] == changes[suction] < evals[suction] / 4
+
+    def test_capacity_change_past_the_basis_restarts(self, monkeypatch):
+        # a smaller shear fraction leaves the angled suction rows' bases
+        # dual feasible (the matrix did not move) but drives some x_B below
+        # -tol: those rows restart through the full path, as without the
+        # kept matrix step
+        reference = reference_from_csv(data_text("grasp_reference.csv"))
+        rows = [r.scenario for r in reference.rows if r.scenario.mode is ActuationMode.SUCTION]
+        model = shipped_calibration()
+        stack = wrench._strength_stack(rows, [(0, 1, 2)] * len(rows), model)
+        std = stack.standard_form()
+        lp = stack.refresh(model)
+        bases = [solve_lp(*(v[k] for v in lp)).basis for k in range(len(rows))]
+        inverse = simplexlp.basis_inverse(std[0], std[2], bases)
+        assert inverse[0].all()
+        lp = stack.refresh(dataclasses.replace(model, shear_fraction=0.3))
+        assert [v.tobytes() for v in simplexlp.basis_inverse(std[0], std[2], bases)] == [
+            v.tobytes() for v in inverse]
+        short = np.flatnonzero(((inverse[2] @ std[1][:, :, None])[:, :, 0] < -_TOL).any(axis=1))
+        assert 0 < len(short) < len(rows)
+
+        restarted = []
+        real_restart = simplexlp._restart
+
+        def restart(a, b, cost, basis, b_inv):
+            restarted.append(basis)
+            return real_restart(a, b, cost, basis, b_inv)
+        monkeypatch.setattr(simplexlp, "_restart", restart)
+        ok, x, new = simplexlp.restart_batch(*std, bases, inverse)
+        assert restarted == [bases[k] for k in short]
+        assert ok.all()
+        assert [k for k in range(len(rows)) if new[k] != bases[k]] == list(short)
+        want = simplexlp.restart_batch(*std, bases)
+        assert (ok.tobytes(), x.tobytes(), new) == (want[0].tobytes(), want[1].tobytes(), want[2])
+        for k in range(len(rows)):
+            alpha = solve_lp(*(v[k] for v in lp)).x[-1]
+            assert abs(x[k, lp[0].shape[1] - 1] - alpha) <= 1e-10 * max(1.0, alpha)
 
 
 def loop_build_contacts(scenario, model, cone_sides=wrench.DEFAULT_CONE_SIDES,
@@ -1155,14 +1268,21 @@ class TestQueryChecks:
         (0, 1, 1, 2),   # four cups
         (5,),           # an IndexError
         (0.0, 1.0), (True, False), ("0",),
+        (2, True),          # numpy reads a bool among ints as one: held 0 N
+        (True, False, 2),   # 13.35 N
+        (np.True_, 2),
     ])
     def test_cup_indices_are_distinct_ints_in_range(self, cups):
         model = shipped_calibration()
+        # a good cup set of the same size (while there is one) shares the batch
+        good = (2, 0, 1)[:len(cups)]
         for mode in (ActuationMode.SUCTION, ActuationMode.DUAL):
             scenario = GraspScenario(37.5, mode=mode)
             for query in (lambda: build_contacts(scenario, model, cups),
                           lambda: predict_strength(scenario, model, cups),
-                          lambda: predict_strengths([(scenario, cups)] * 2, model)):
+                          lambda: predict_strengths([(scenario, cups)] * 2, model),
+                          lambda: predict_strengths([(scenario, good), (scenario, cups)], model),
+                          lambda: predict_strengths([(scenario, cups), (scenario, good)], model)):
                 with pytest.raises(ValueError, match="cup indices must be distinct ints in 0..2"):
                     query()
 
