@@ -232,10 +232,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.config is not None:   # ignoring it would hide a mistyped path
-        print("error: simulate does not read --config: campaigns use the shipped calibration",
-              file=sys.stderr)
-        return USAGE_ERROR
     from . import picksim
     from .wrench import ActuationMode
 
@@ -285,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design and analysis toolkit for a tandem-actuated "
                     "(suction + cam-driven finger) fruit gripper.",
     )
-    p.add_argument("--config", default=None, help="gripper config JSON (default: bundled)")
+    p.add_argument("--config", default=None, help="gripper config JSON (default: bundled); "
+                   "calibrate, simulate and stats do not read it and exit 2 when it is given")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     sub = p.add_subparsers(dest="command", required=True)
@@ -326,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="Monte-Carlo pick campaign",
                        description="Monte-Carlo pick campaign. Campaigns use the shipped "
-                                   "calibration: simulate does not read --config and "
-                                   "exits 2 when it is given.")
+                                   "calibration: simulate, like calibrate and stats, does "
+                                   "not read --config and exits 2 when it is given.")
     s.add_argument("--trials", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--mode", choices=("suction", "fingers", "dual"), default="dual")
@@ -355,6 +352,10 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     if [] in vars(args).values():   # argparse before 3.13 parses "--opt=--" as []
         print("error: '--' is not an option value", file=sys.stderr)
+        return USAGE_ERROR
+    if args.config is not None and args.command in ("calibrate", "simulate", "stats"):
+        # ignoring the file would hide a mistyped path
+        print(f"error: {args.command} does not read --config", file=sys.stderr)
         return USAGE_ERROR
     try:
         code = args.func(args)

@@ -23,9 +23,10 @@ Chvatal, *Linear Programming*, 1983, ch. 10). The basis kernel
 ``_from_basis`` accepts a basis only if its primal and dual values are both
 feasible. Its matrix step (``basis_inverse``) takes one stacked inverse of
 the basis matrices and gives the duals; it does not read b, so a caller that
-changes only b may keep it. Its right-hand-side step gives the primal values.
-Each basis it rejects restarts (``_restart``), and the restarted ones are
-re-checked in one stacked call.
+changes only b may keep it, and one that keeps the bases may keep what the
+step reads of them (``basis_state``). Its right-hand-side step (``rhs_step``)
+gives the primal values. Each basis it rejects restarts (``_restart``), and
+the restarted ones are re-checked in one stacked call.
 """
 
 from __future__ import annotations
@@ -164,10 +165,19 @@ def standard_form(c, a_eq, b_eq, a_ub, b_ub) -> tuple[np.ndarray, np.ndarray, np
     return a, np.concatenate([b_eq, b_ub], 1), np.concatenate([c, np.zeros((nb, n_slack))], 1)
 
 
-def basis_inverse(a, cost, basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def basis_state(cost, basis, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the matrix step reads of a stack's bases (of ``m`` rows): where each is
+    valid, the int basis array (zeros where not) and c_B, the basic columns' costs."""
+    nb, ncols = cost.shape
+    ok = np.array([len(bk) == m > 0 and 0 <= min(bk) <= max(bk) < ncols for bk in basis], bool)
+    bas = np.array([bk if good else [0] * m for bk, good in zip(basis, ok)], int).reshape(nb, m)
+    return ok, bas, cost[np.arange(nb)[:, None], bas]
+
+
+def basis_inverse(a, cost, basis, state=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The basis kernel's matrix step, on a and cost only: where each
     standard-form problem's basis (one ``LpResult.basis`` each) is dual
-    feasible, its columns and the basis inverses B^-1.
+    feasible, its columns and the basis inverses B^-1 (``state``: a kept ``basis_state``).
 
     With the duals y = c_B B^-1 a basis is dual feasible if every reduced cost
     c - y A <= tol. A basis of another length, with an artificial or with a
@@ -176,17 +186,16 @@ def basis_inverse(a, cost, basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     result is the problem's alone.
     """
     nb, m, ncols = a.shape
+    ok, bas, c_b = basis_state(cost, basis, m) if state is None else state
     # a rejected basis reads column 0 and gets B = I: no index out of range, no singular stack
-    ok = np.array([len(bk) == m > 0 and 0 <= min(bk) <= max(bk) < ncols for bk in basis], bool)
-    bas = np.array([bk if good else [0] * m for bk, good in zip(basis, ok)], int).reshape(nb, m)
-    k = np.arange(nb)[:, None]
-    mat = a[k, :, bas].transpose(0, 2, 1)   # the basis columns of each problem
+    mat = a[np.arange(nb)[:, None], :, bas].transpose(0, 2, 1)   # the basis columns
     if not ok.all():
         mat[~ok] = np.eye(m)
     try:
         b_inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:   # a singular B: invert each problem alone
         b_inv = np.empty((nb, m, m))   # C order, as the stacked inverse returns it
+        ok = ok.copy()
         for i in range(nb):
             try:
                 b_inv[i] = np.linalg.inv(mat[i])
@@ -194,20 +203,26 @@ def basis_inverse(a, cost, basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 ok[i] = False
     if not ok.all():
         b_inv[~ok] = np.nan
-    reduced = cost - ((cost[k, bas][:, None] @ b_inv) @ a)[:, 0]
-    return ok & np.all(reduced <= _TOL, axis=1), bas, b_inv   # (NaN fails the test)
+    reduced = cost - ((c_b[:, None] @ b_inv) @ a)[:, 0]
+    return ok & (reduced <= _TOL).all(axis=1), bas, b_inv   # (NaN fails the test)
+
+
+def rhs_step(b, inverse) -> tuple[np.ndarray, np.ndarray]:
+    """The basis kernel's right-hand-side step after the matrix step ``inverse``: where
+    each basis is optimal (dual feasible, and x_B >= -tol), and x_B = B^-1 b."""
+    ok, _, b_inv = inverse
+    x_b = (b_inv @ b[:, :, None])[:, :, 0]
+    return ok & (x_b >= -_TOL).all(axis=1), x_b
 
 
 def _from_basis(a, b, cost, basis, inverse=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The basis kernel: where each standard-form problem's basis is optimal,
-    x and B^-1. The matrix step (``basis_inverse``) is ``inverse`` when given;
-    the right-hand-side step accepts a dual feasible basis if x_B = B^-1 b >= -tol."""
-    ok, bas, b_inv = basis_inverse(a, cost, basis) if inverse is None else inverse
-    x_b = (b_inv @ b[:, :, None])[:, :, 0]
-    ok = ok & np.all(x_b >= -_TOL, axis=1)
+    x and B^-1. The matrix step (``basis_inverse``) is ``inverse`` when given."""
+    inverse = basis_inverse(a, cost, basis) if inverse is None else inverse
+    ok, x_b = rhs_step(b, inverse)
     x = np.zeros(a.shape[::2])
-    x[np.arange(len(a))[:, None], bas] = x_b
-    return ok, x, b_inv
+    x[np.arange(len(a))[:, None], inverse[1]] = x_b
+    return ok, x, inverse[2]
 
 
 def _restart(a, b, cost, basis, b_inv: np.ndarray) -> tuple[int, ...] | None:
@@ -252,8 +267,6 @@ def restart_batch(a, b, cost, basis, inverse=None) -> tuple[np.ndarray, np.ndarr
     the bases; where none was, the problem must be solved cold."""
     ok, x, b_inv = _from_basis(a, b, cost, basis, inverse)
     basis, again = list(basis), []
-    if ok.all():
-        return ok, x, basis
     # (a basis the kernel could not invert at all has a NaN inverse)
     for k in np.flatnonzero(~ok & np.isfinite(b_inv).all(axis=(1, 2))):
         new = _restart(a[k], b[k], cost[k], basis[k], b_inv[k])

@@ -41,7 +41,8 @@ from .errors import (
     csv_records,
     require_finite,
 )
-from .simplexlp import basis_inverse, restart_batch, solve_lp, solve_lp_batch, standard_form
+from .simplexlp import (basis_inverse, basis_state, restart_batch, rhs_step, solve_lp,
+                        solve_lp_batch, standard_form)
 from .vectors import FRUIT_RADIUS_RANGE_MM, _cross, _dot, _norm, _unit
 
 _Z = np.array([0.0, 0.0, 1.0])
@@ -260,7 +261,9 @@ class _PullLp:
 
     def __init__(self, positions: np.ndarray, kinds: tuple[ContactKind, ...],
                  sides: tuple[int, ...], d: np.ndarray):
-        self.kinds = kinds
+        # of every capacity row: 0 pad, then a cup's 1 tension, 2 seat and 3 shear
+        self.cap_kind = np.array([j for kind in kinds for j in (
+            [0] if kind is ContactKind.FINGER_PAD else [1, 2, 3])], int)
         self.cap_row: list[int] = []   # capacity row of every contact variable
         self.owner: list[int] = []     # contact index of every contact variable
         phase: list[float] = []        # of every variable: 2 pi j / k for generator j of k
@@ -289,9 +292,14 @@ class _PullLp:
             t1, t2 = _tangent_frame(normals)
             cos, sin = (np.array([f(phase[j]) for j in self.pads])[:, None]
                         for f in (math.cos, math.sin))
-            self._pattern = (cos * t1 + sin * t2).reshape(-1, 3)
-            self._normals = normals.reshape(-1, 3)
-            self._pad_points = positions[:, self.pad_owner].reshape(-1, 3)
+            # B x 5 x pad generators, rows x y z x y: a turn of them is a slice
+            self._pattern = (cos * t1 + sin * t2).transpose(0, 2, 1)[:, [0, 1, 2, 0, 1]]
+            self._normals = normals.transpose(0, 2, 1)[:, [0, 1, 2, 0, 1]]
+            p = positions[:, self.pad_owner].transpose(0, 2, 1)
+            self._p1, self._p2 = p[:, [1, 2, 0]], p[:, [2, 0, 1]]   # _cross's first operands
+            # the pad columns, as a slice where contiguous (_place puts the pads first)
+            first, last = self.pads[0], self.pads[-1]
+            self._cols = slice(first, last + 1) if last - first < len(self.pads) else self.pads
         # the cup generators and the pull, with their moments in one step (the
         # pull's about an origin row: _cross(0, d) holds signed zeros); the
         # shear polygon is anchored to the cup's own azimuth so the contact set
@@ -314,14 +322,14 @@ class _PullLp:
                    np.empty((nb, n_caps)))
 
     def fill(self, mu, caps) -> tuple:
-        """The parameter step: pad friction ``mu`` (one value, or a stack-major column
-        of one per pad generator) and the capacities, in capacity-row order, alike
-        for the whole stack. Returns the stack, whose arrays the next fill reuses."""
+        """The parameter step: pad friction ``mu`` (one value, or one per pad
+        generator) and the capacities, in capacity-row order, alike for the whole
+        stack. Returns the stack, whose arrays the next fill reuses."""
         a_eq = self.lp[1]
         if len(self.pads):
             g = self._normals + mu * self._pattern
-            cols = np.concatenate([g, _cross(self._pad_points, g)], axis=1)
-            a_eq[:, :, self.pads] = cols.reshape(len(a_eq), -1, 6).transpose(0, 2, 1)
+            a_eq[:, :3, self._cols] = g[:, :3]
+            a_eq[:, 3:, self._cols] = self._p1 * g[:, 2:] - self._p2 * g[:, 1:4]
         self.lp[4][:] = caps
         return self.lp
 
@@ -336,11 +344,9 @@ class _PullLp:
     def refresh(self, model: GraspModelParams) -> tuple:
         """``fill`` from grasp-model parameters, with the capacities
         ``build_contacts`` gives each contact kind."""
-        pad = (model.pad_force,)
-        cup = (model.suction_axial, CUP_BACKING_N, model.shear_fraction * model.suction_axial)
-        return self.fill(model.mu_pad, [cap for kind in self.kinds
-                                        for cap in (pad if kind is ContactKind.FINGER_PAD
-                                                    else cup)])
+        caps = np.array([model.pad_force, model.suction_axial, CUP_BACKING_N,
+                         model.shear_fraction * model.suction_axial])
+        return self.fill(model.mu_pad, caps[self.cap_kind])
 
 
 def _pull_lp(contacts: tuple[Contact, ...], d: np.ndarray) -> _PullLp:
@@ -352,7 +358,7 @@ def _pull_lp(contacts: tuple[Contact, ...], d: np.ndarray) -> _PullLp:
     for c in contacts:
         caps += ([c.normal_capacity] if c.kind is ContactKind.FINGER_PAD
                  else [c.tension_capacity, c.normal_capacity, c.shear_capacity])
-    lp.fill(np.array([c.mu for c in contacts], dtype=float)[lp.pad_owner, None], caps)
+    lp.fill(np.array([c.mu for c in contacts], dtype=float)[lp.pad_owner], caps)
     return lp
 
 
@@ -491,6 +497,8 @@ def predict_strengths(
     groups: dict[tuple, list[int]] = {}
     for i, (scenario, cups) in enumerate(queries):
         uses_cups = scenario.mode is not ActuationMode.FINGERS
+        if uses_cups and not hasattr(cups, "__len__"):   # fail as predict_strength fails
+            _place([scenario], [cups])
         groups.setdefault((scenario.mode, len(cups) if uses_cups else 0), []).append(i)
     out = [0.0] * len(queries)
     for members in groups.values():
@@ -544,6 +552,53 @@ def reference_from_csv(text: str) -> ReferenceMeasurements:
     if not rows:
         raise ParseError("reference CSV has no data rows")
     return ReferenceMeasurements(rows=tuple(rows))
+
+
+class _FitLayout:
+    """The fitted rows of one layout in one ``calibrate`` call: their pull-LP
+    stack and its standard form, their last bases and, until one changes, the
+    bases' ``basis_state``, the row of alpha (the last LP variable) in each and,
+    while the matrix holds (no pads), their matrix step."""
+
+    def __init__(self, scenarios: list[GraspScenario], params: GraspModelParams):
+        self.stack = _strength_stack(scenarios, [(0, 1, 2)] * len(scenarios), params)
+        self.std = self.stack.standard_form()
+        self._keep([()] * len(scenarios))
+
+    def _keep(self, bases: list[tuple[int, ...]]) -> None:
+        a, _, cost = self.std
+        self.bases, self.inverse = bases, None
+        self.state = basis_state(cost, bases, a.shape[1])
+        hit = self.state[1] == self.stack.lp[0].shape[1] - 1
+        self.alpha_at = np.arange(len(a)) * a.shape[1] + hit.argmax(axis=1)   # in x_B, flat
+        self.alpha_basic = hit.any(axis=1).tolist()
+
+    def alphas(self, params: GraspModelParams) -> list[float]:
+        """Every row's strength at ``params`` in one pass: the refresh, the matrix
+        step where pads moved or a basis changed, and alpha read off x_B. Only a
+        rejected basis restarts (``restart_batch``); it goes cold where that fails."""
+        lp = self.stack.refresh(params)
+        a, b, cost = self.std
+        if self.inverse is None or len(self.stack.pads):   # mu_pad moves the pad columns
+            self.inverse = basis_inverse(a, cost, self.bases, self.state)
+        ok, x_b = rhs_step(b, self.inverse)
+        out = [v if basic else 0.0 for v, basic in zip(x_b.take(self.alpha_at).tolist(),
+                                                        self.alpha_basic)]
+        if ok.all():
+            return out
+        bad = np.flatnonzero(~ok).tolist()
+        new = list(self.bases)
+        warm, x, restarted = restart_batch(a[bad], b[bad], cost[bad], [new[k] for k in bad],
+                                           tuple(v[bad] for v in self.inverse))
+        for j, k in enumerate(bad):
+            if warm[j]:
+                out[k], new[k] = float(x[j, lp[0].shape[1] - 1]), restarted[j]
+            else:
+                res = solve_lp(*(v[k] for v in lp))
+                out[k], new[k] = _alpha(res), res.basis
+        if new != self.bases:
+            self._keep(new)
+        return out
 
 
 @dataclass(frozen=True)
@@ -649,14 +704,15 @@ def calibrate(
 
     A row's geometry is fixed; between two evaluations only ``mu_pad`` and
     the capacities move. So the fitted rows of each layout (mode) are one
-    pull-LP stack with its standard form, built at the first evaluation;
-    every later evaluation rewrites its pad columns and capacities in place
-    and solves it from its rows' previous bases (``simplexlp.restart_batch``).
-    Their matrix step (``simplexlp.basis_inverse``) is kept while no basis
-    changes and the matrix holds (no pads). A rejected basis restarts, and a
-    row is solved cold only when its basis neither holds nor restarts. The
-    residuals are one cold ``predict_strengths`` pass at the fitted point,
-    and the reported error is the loss over the fitted rows' residuals.
+    pull-LP stack with its standard form (``_FitLayout``), built at the first
+    evaluation; every later evaluation rewrites its pad columns and
+    capacities in place and reads alpha off each row's previous basis, with
+    the basis arrays kept until a basis changes and the matrix step
+    (``simplexlp.basis_inverse``) also while the matrix holds (no pads). A
+    rejected basis restarts, and a row is solved cold only when its basis
+    neither holds nor restarts. The residuals are one cold
+    ``predict_strengths`` pass at the fitted point, and the reported error is
+    the loss over the fitted rows' residuals.
     """
     if not reference.rows:
         raise ValueError("reference measurements must be nonempty")
@@ -674,28 +730,15 @@ def calibrate(
     layouts: dict[ActuationMode, list[int]] = {}
     for i, row in enumerate(rows):
         layouts.setdefault(row.scenario.mode, []).append(i)
-    # layout -> its rows' pull-LP stack, standard form, last bases and their matrix step
-    stacks: dict[ActuationMode, tuple[_PullLp, tuple, list[tuple[int, ...]], tuple | None]] = {}
+    fits: dict[ActuationMode, _FitLayout] = {}
 
     def strengths(params: GraspModelParams) -> list[float]:
         preds = [0.0] * len(rows)
         for mode, members in layouts.items():
-            if mode not in stacks:
-                scenarios = [rows[i].scenario for i in members]
-                stack = _strength_stack(scenarios, [(0, 1, 2)] * len(members), params)
-                stacks[mode] = (stack, stack.standard_form(), [()] * len(members), None)
-            stack, std, bases, inverse = stacks[mode]
-            lp = stack.refresh(params)
-            if inverse is None or len(stack.pads):   # mu_pad moves the pad columns
-                inverse = basis_inverse(std[0], std[2], bases)
-            ok, x, new = restart_batch(*std, bases, inverse)
-            for k, i in enumerate(members):
-                if ok[k]:   # alpha, the last LP variable, read off the basis
-                    preds[i] = float(x[k, lp[0].shape[1] - 1])
-                    continue
-                res = solve_lp(*(a[k] for a in lp))
-                new[k], preds[i] = res.basis, _alpha(res)
-            stacks[mode] = (stack, std, new, inverse if new == bases else None)
+            if mode not in fits:
+                fits[mode] = _FitLayout([rows[i].scenario for i in members], params)
+            for i, alpha in zip(members, fits[mode].alphas(params)):
+                preds[i] = alpha
         return preds
 
     def loss(preds) -> float:

@@ -572,6 +572,28 @@ class TestUsage:
         assert out == ""
         assert "'--' is not an option value" in err
 
+    @pytest.mark.parametrize("exists", [True, False])
+    @pytest.mark.parametrize("command,output", [("calibrate", "calibrated_params.json"),
+                                                ("simulate", "campaign.json"),
+                                                ("stats", "stats.json")])
+    def test_config_on_a_command_that_reads_none(self, capsys, tmp_path, command, output,
+                                                 exists):
+        # calibrate and stats once ran and exited 0 with the flag ignored, so
+        # a mistyped path went unnoticed; each fails before it runs
+        config = tmp_path / "gripper.json"
+        if exists:
+            config.write_text(data_text("default_config.json"))
+        extra = ["--trials", "1"] if command == "simulate" else []
+        code, out, err = run(capsys, tmp_path, "--config", str(config), command, *extra)
+        assert (code, out) == (2, "")
+        assert f"error: {command} does not read --config" in err
+        assert not (tmp_path / output).exists()
+
+    def test_config_help_names_the_commands_that_read_none(self, capsys):
+        assert main(["--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "calibrate, simulate and stats do not read it and exit 2" in text
+
 
 def toolkit_errors(cls=errors.ToolkitError):
     for sub in cls.__subclasses__():

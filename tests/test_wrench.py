@@ -649,22 +649,30 @@ class TestWarmCalibration:
 
     @pytest.fixture(scope="class")
     def authoritative_fit(self):
-        """The 13-row fit, with every LP read off a basis also solved cold."""
-        calls, gaps = [], []
-        real = wrench.restart_batch
+        """The 13-row fit, with every row's alpha of every layout pass also
+        solved cold; each row is warm unless the pass solved it cold."""
+        calls, gaps, cold = [], [], [0]
+        real_pass, real_cold = wrench._FitLayout.alphas, wrench.solve_lp
 
-        def checked(a, b, cost, bases, inverse=None):
-            ok, x, new = real(a, b, cost, bases, inverse)
-            for k, warm in enumerate(ok):
-                calls.append(bool(warm))
-                if warm:
-                    alpha = solve_lp(*pull_lp_of(a[k], b[k], cost[k])).x[-1]
-                    gaps.append(abs(cost[k] @ x[k] - alpha) / max(1.0, alpha))
-            return ok, x, new
+        def checked(layout, params):
+            before = cold[0]
+            alphas = real_pass(layout, params)
+            solved_cold = cold[0] - before
+            calls.extend([True] * (len(alphas) - solved_cold) + [False] * solved_cold)
+            a, b, cost = layout.std
+            for k, got in enumerate(alphas):
+                alpha = solve_lp(*pull_lp_of(a[k], b[k], cost[k])).x[-1]
+                gaps.append(abs(got - alpha) / max(1.0, alpha))
+            return alphas
+
+        def counted(*args):
+            cold[0] += 1
+            return real_cold(*args)
 
         reference = reference_from_csv(data_text("grasp_reference.csv"))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wrench, "restart_batch", checked)
+            mp.setattr(wrench._FitLayout, "alphas", checked)
+            mp.setattr(wrench, "solve_lp", counted)
             result = calibrate(reference, authoritative_only=True)
         return reference, result, calls, gaps
 
@@ -695,13 +703,20 @@ class TestWarmCalibration:
     def test_cold_only_where_the_old_basis_is_neither(self, monkeypatch, authoritative_only):
         # after a row's first solve, a rejected basis restarts and the
         # restart is accepted; only a basis that is neither primal nor dual
-        # feasible is solved cold again
-        first, neither, warm, cold, restarts = [], [], [0], [0], []
-        real_batch, real_cold, real_restart = wrench.restart_batch, wrench.solve_lp, simplexlp._restart
+        # feasible is solved cold again. The restart path sees the rejected
+        # rows only.
+        first, neither, total, cold, restarts = [], [], [0], [0], []
+        real_pass, real_batch = wrench._FitLayout.alphas, wrench.restart_batch
+        real_cold, real_restart = wrench.solve_lp, simplexlp._restart
+
+        def rows(layout, params):
+            alphas = real_pass(layout, params)
+            total[0] += len(alphas)
+            return alphas
 
         def checked(a, b, cost, bases, inverse=None):
+            assert not simplexlp._from_basis(a, b, cost, bases)[0].any()
             ok, x, new = real_batch(a, b, cost, bases, inverse)
-            warm[0] += int(ok.sum())
             for k in np.flatnonzero(~ok):
                 if bases[k] == ():
                     first.append(k)
@@ -722,18 +737,20 @@ class TestWarmCalibration:
             cold[0] += 1
             return real_cold(*args)
 
+        monkeypatch.setattr(wrench._FitLayout, "alphas", rows)
         monkeypatch.setattr(wrench, "restart_batch", checked)
         monkeypatch.setattr(wrench, "solve_lp", counted)
         monkeypatch.setattr(simplexlp, "_restart", restart)
         reference = reference_from_csv(data_text("grasp_reference.csv"))
         calibrate(reference, authoritative_only=authoritative_only)
-        rows = sum(r.authoritative or not authoritative_only for r in reference.rows)
-        assert len(first) == rows
+        fitted = sum(r.authoritative or not authoritative_only for r in reference.rows)
+        assert len(first) == fitted
         assert all(neither)
-        assert cold[0] == rows + len(neither)
+        assert cold[0] == fitted + len(neither)
         # every rejected basis that is not "neither" restarts, and its restart is accepted
         assert restarts.count(False) == len(neither) and restarts.count(True) > 0
-        assert warm[0] >= 0.9 * (warm[0] + cold[0])
+        assert (cold[0], restarts.count(True)) == {13: (13, 37), 27: (40, 339)}[fitted]
+        assert total[0] - cold[0] >= 0.9 * total[0]
 
 
 class TestRowLps:
@@ -752,9 +769,11 @@ class TestRowLps:
         def lp_bytes(lp):
             return tuple(a.tobytes() for a in lp)
 
-        def spy_batch(a, b, cost, bases, inverse=None):
+        def spy_pass(layout, params):
+            alphas = real_pass(layout, params)   # the pass refreshes the LPs in place
+            a, b, cost = layout.std
             stacked.extend((point[0], lp_bytes((a[k], b[k], cost[k]))) for k in range(len(a)))
-            return real_batch(a, b, cost, bases, inverse)
+            return alphas
 
         def spy_cold(*args):
             cold.append((point[0], lp_bytes(args)))
@@ -772,8 +791,8 @@ class TestRowLps:
                 x=np.array([p.pad_force, p.mu_pad, p.suction_axial, p.shear_fraction]),
                 fun=0.0, nit=1)
 
-        real_batch, real_cold = wrench.restart_batch, wrench.solve_lp
-        monkeypatch.setattr(wrench, "restart_batch", spy_batch)
+        real_pass, real_cold = wrench._FitLayout.alphas, wrench.solve_lp
+        monkeypatch.setattr(wrench._FitLayout, "alphas", spy_pass)
         monkeypatch.setattr(wrench, "solve_lp", spy_cold)
         monkeypatch.setattr(wrench, "minimize", visit)
         calibrate(reference)
@@ -830,54 +849,73 @@ class TestRowLps:
 
 
 class TestKeptMatrixStep:
-    """``calibrate`` keeps each layout's matrix step (``basis_inverse``) while
-    the stack's matrix and bases hold: the layouts with pads (fingers, dual)
-    run it at every evaluation, the suction layout once per basis change, and
-    every result is the full kernel's, byte for byte."""
+    """``calibrate`` keeps each layout's basis arrays until a basis changes,
+    and its matrix step (``basis_inverse``) also while the stack's matrix
+    holds: the layouts with pads (fingers, dual) run the step at every
+    evaluation, the suction layout once per basis change, and every pass
+    gives what the full path gives, byte for byte."""
 
     @pytest.mark.parametrize("authoritative_only", [True, False])
     def test_every_evaluation_matches_the_full_kernel(self, monkeypatch, authoritative_only):
-        real = wrench.restart_batch
-        last, kept, kept_rejected = {}, [0], [0]
+        # each pass, recomputed through the full path: the matrix step from
+        # the bases, the kernel with restarts, a cold solve where both fail;
+        # the pass restarts exactly the bases that the kernel rejects
+        real, real_batch = wrench._FitLayout.alphas, wrench.restart_batch
+        passes, kept, kept_rejected, restarted = [0], [0], [0], []
 
-        def checked(a, b, cost, bases, inverse=None):
-            fresh = simplexlp.basis_inverse(a, cost, bases)
-            assert [v.tobytes() for v in inverse] == [v.tobytes() for v in fresh]
-            got = real(a, b, cost, bases, inverse)
-            want = real(a, b, cost, bases)   # the matrix step recomputed inside
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
-            assert got[2] == want[2]
-            if last.get(a.shape[1]) is inverse:   # this layout's step from before
+        def checked(layout, params):
+            bases, step = list(layout.bases), layout.inverse
+            restarted.clear()
+            got = real(layout, params)
+            a, b, cost = layout.std
+            lp = layout.stack.lp
+            inverse = simplexlp.basis_inverse(a, cost, bases)
+            rejected = ~simplexlp._from_basis(a, b, cost, bases, inverse)[0]
+            assert restarted == ([int(rejected.sum())] if rejected.any() else [])
+            if step is not None and not len(layout.stack.pads):   # the kept step
+                assert [v.tobytes() for v in step] == [v.tobytes() for v in inverse]
                 kept[0] += 1
-                kept_rejected[0] += not simplexlp._from_basis(a, b, cost, bases, inverse)[0].all()
-            last[a.shape[1]] = inverse
+                kept_rejected[0] += bool(rejected.any())
+            ok, x, new = simplexlp.restart_batch(a, b, cost, bases, inverse)
+            want = x[:, lp[0].shape[1] - 1]
+            for k in np.flatnonzero(~ok):
+                res = simplexlp.solve_lp(*(v[k] for v in lp))
+                want[k], new[k] = res.x[-1], res.basis
+            assert np.array(got).tobytes() == want.tobytes()
+            assert layout.bases == new
+            passes[0] += 1
             return got
 
-        monkeypatch.setattr(wrench, "restart_batch", checked)
+        def batch(a, *args):
+            restarted.append(len(a))
+            return real_batch(a, *args)
+
+        monkeypatch.setattr(wrench._FitLayout, "alphas", checked)
+        monkeypatch.setattr(wrench, "restart_batch", batch)
         calibrate(reference_from_csv(data_text("grasp_reference.csv")),
                   authoritative_only=authoritative_only)
-        # the kept step is used, and some bases it gives fail on the new capacities
-        assert kept[0] > 100 and kept_rejected[0] > 0
+        # every pass is checked, the kept step is used, and some bases it
+        # gives fail on the new capacities
+        assert passes[0] > 600 and kept[0] > 100 and kept_rejected[0] > 0
 
     def test_matrix_step_once_per_basis_change_without_pads(self, monkeypatch):
         steps, evals, changes, last = {}, {}, {}, {}   # by the layout's row count
 
-        def step(a, cost, bases):
+        def step(a, cost, bases, state=None):
             m = a.shape[1]
             steps[m] = steps.get(m, 0) + 1
-            return real_step(a, cost, bases)
+            return real_step(a, cost, bases, state)
 
-        def batch(a, b, cost, bases, inverse=None):
-            m = a.shape[1]
+        def counted(layout, params):
+            m = layout.std[0].shape[1]
             evals[m] = evals.get(m, 0) + 1
-            changes[m] = changes.get(m, 0) + (last.get(m) != list(bases))
-            last[m] = list(bases)
-            return real_batch(a, b, cost, bases, inverse)
+            changes[m] = changes.get(m, 0) + (last.get(m) != list(layout.bases))
+            last[m] = list(layout.bases)
+            return real_pass(layout, params)
 
-        real_step, real_batch = wrench.basis_inverse, wrench.restart_batch
+        real_step, real_pass = wrench.basis_inverse, wrench._FitLayout.alphas
         monkeypatch.setattr(wrench, "basis_inverse", step)
-        monkeypatch.setattr(wrench, "restart_batch", batch)
+        monkeypatch.setattr(wrench._FitLayout, "alphas", counted)
         calibrate(reference_from_csv(data_text("grasp_reference.csv")), authoritative_only=True)
         # standard-form rows: 6 balance rows and the capacity rows of 3 pads,
         # 3 cups (3 rows each) or both
@@ -1285,6 +1323,22 @@ class TestQueryChecks:
                           lambda: predict_strengths([(scenario, cups), (scenario, good)], model)):
                 with pytest.raises(ValueError, match="cup indices must be distinct ints in 0..2"):
                     query()
+
+    @pytest.mark.parametrize("cups", [1, None, np.int64(2), iter((0, 1, 2))])
+    def test_cups_that_are_no_sequence_fail_as_one_query(self, cups):
+        # predict_strengths once failed them with a bare TypeError of its grouping
+        model = shipped_calibration()
+        for mode in (ActuationMode.SUCTION, ActuationMode.DUAL):
+            scenario = GraspScenario(37.5, mode=mode)
+            for query in (lambda: predict_strength(scenario, model, cups),
+                          lambda: predict_strengths([(scenario, cups)], model),
+                          lambda: predict_strengths([(scenario, (0, 1, 2)), (scenario, cups)],
+                                                    model)):
+                with pytest.raises(ValueError, match="cup indices must be distinct ints in 0..2"):
+                    query()
+        # fingers place no cups, so their cups are not read
+        fingers = GraspScenario(37.5, mode=ActuationMode.FINGERS)
+        assert predict_strengths([(fingers, cups)], model) == [predict_strength(fingers, model, cups)]
 
     def test_one_bad_cup_set_fails_its_batch(self):
         scenario = GraspScenario(37.5, mode=ActuationMode.SUCTION)
