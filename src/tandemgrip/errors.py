@@ -5,19 +5,21 @@ CLI) can separate usage problems from geometry/numerical ones.
 """
 
 import math
+from numbers import Real
 
 
 def require_finite(**values: float) -> None:
-    """Raise ``ValueError`` naming the first of ``values`` that is NaN or
-    infinite.
+    """Raise ``ValueError`` naming the first of ``values`` that is NaN,
+    infinite, a bool or not a real number (a numpy scalar is one).
 
     Shared by the parameter dataclasses and the config loader: Python's
     ``json`` reads ``NaN`` and ``Infinity``, which pass every ``<=``/``<``
     range check and fail later as a division by zero or an unbounded LP.
     """
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    for name, v in values.items():
+        # (float and int first: an ABC check costs more, and dataclasses call this often)
+        if isinstance(v, bool) or not isinstance(v, (float, int, Real)) or not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 def json_number(value, name: str) -> float:

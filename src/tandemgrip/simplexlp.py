@@ -17,16 +17,12 @@ ratio test is one min/argmin per iteration over the whole stack; only a
 problem whose ratios lie within a few tolerances of each other, where the
 scalar scan's row order can matter, is scanned row by row.
 
-``restart_batch`` re-solves a stack of problems, kept in ``standard_form``,
-each from a basis that was optimal for a nearby one (LP sensitivity analysis;
-Chvatal, *Linear Programming*, 1983, ch. 10). The basis kernel
-``_from_basis`` accepts a basis only if its primal and dual values are both
-feasible. Its matrix step (``basis_inverse``) takes one stacked inverse of
-the basis matrices and gives the duals; it does not read b, so a caller that
-changes only b may keep it, and one that keeps the bases may keep what the
-step reads of them (``basis_state``). Its right-hand-side step (``rhs_step``)
-gives the primal values. Each basis it rejects restarts (``_restart``), and
-the restarted ones are re-checked in one stacked call.
+A ``WarmStack`` re-solves a stack of problems, kept in ``standard_form``,
+each from its last optimal basis (LP sensitivity analysis; Chvatal, *Linear
+Programming*, 1983, ch. 10). Its basis kernel accepts a basis that is primal
+and dual feasible. The matrix step (``_basis_inverse``) gives the duals and
+does not read b; the right-hand-side step (``_rhs_step``) gives the primal
+values. A rejected basis restarts (``_restart``); the rest go cold.
 """
 
 from __future__ import annotations
@@ -165,19 +161,19 @@ def standard_form(c, a_eq, b_eq, a_ub, b_ub) -> tuple[np.ndarray, np.ndarray, np
     return a, np.concatenate([b_eq, b_ub], 1), np.concatenate([c, np.zeros((nb, n_slack))], 1)
 
 
-def basis_state(cost, basis, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _basis_state(cost, bases, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What the matrix step reads of a stack's bases (of ``m`` rows): where each is
     valid, the int basis array (zeros where not) and c_B, the basic columns' costs."""
     nb, ncols = cost.shape
-    ok = np.array([len(bk) == m > 0 and 0 <= min(bk) <= max(bk) < ncols for bk in basis], bool)
-    bas = np.array([bk if good else [0] * m for bk, good in zip(basis, ok)], int).reshape(nb, m)
+    ok = np.array([len(bk) == m > 0 and 0 <= min(bk) <= max(bk) < ncols for bk in bases], bool)
+    bas = np.array([bk if good else [0] * m for bk, good in zip(bases, ok)], int).reshape(nb, m)
     return ok, bas, cost[np.arange(nb)[:, None], bas]
 
 
-def basis_inverse(a, cost, basis, state=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _basis_inverse(a, cost, state) -> tuple[np.ndarray, np.ndarray]:
     """The basis kernel's matrix step, on a and cost only: where each
-    standard-form problem's basis (one ``LpResult.basis`` each) is dual
-    feasible, its columns and the basis inverses B^-1 (``state``: a kept ``basis_state``).
+    standard-form problem's basis (``state``: the stack's ``_basis_state``) is
+    dual feasible, and the basis inverses B^-1.
 
     With the duals y = c_B B^-1 a basis is dual feasible if every reduced cost
     c - y A <= tol. A basis of another length, with an artificial or with a
@@ -186,7 +182,7 @@ def basis_inverse(a, cost, basis, state=None) -> tuple[np.ndarray, np.ndarray, n
     result is the problem's alone.
     """
     nb, m, ncols = a.shape
-    ok, bas, c_b = basis_state(cost, basis, m) if state is None else state
+    ok, bas, c_b = state
     # a rejected basis reads column 0 and gets B = I: no index out of range, no singular stack
     mat = a[np.arange(nb)[:, None], :, bas].transpose(0, 2, 1)   # the basis columns
     if not ok.all():
@@ -204,31 +200,21 @@ def basis_inverse(a, cost, basis, state=None) -> tuple[np.ndarray, np.ndarray, n
     if not ok.all():
         b_inv[~ok] = np.nan
     reduced = cost - ((c_b[:, None] @ b_inv) @ a)[:, 0]
-    return ok & (reduced <= _TOL).all(axis=1), bas, b_inv   # (NaN fails the test)
+    return ok & (reduced <= _TOL).all(axis=1), b_inv   # (NaN fails the test)
 
 
-def rhs_step(b, inverse) -> tuple[np.ndarray, np.ndarray]:
+def _rhs_step(b, inverse) -> tuple[np.ndarray, np.ndarray]:
     """The basis kernel's right-hand-side step after the matrix step ``inverse``: where
     each basis is optimal (dual feasible, and x_B >= -tol), and x_B = B^-1 b."""
-    ok, _, b_inv = inverse
+    ok, b_inv = inverse
     x_b = (b_inv @ b[:, :, None])[:, :, 0]
     return ok & (x_b >= -_TOL).all(axis=1), x_b
 
 
-def _from_basis(a, b, cost, basis, inverse=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The basis kernel: where each standard-form problem's basis is optimal,
-    x and B^-1. The matrix step (``basis_inverse``) is ``inverse`` when given."""
-    inverse = basis_inverse(a, cost, basis) if inverse is None else inverse
-    ok, x_b = rhs_step(b, inverse)
-    x = np.zeros(a.shape[::2])
-    x[np.arange(len(a))[:, None], inverse[1]] = x_b
-    return ok, x, inverse[2]
-
-
 def _restart(a, b, cost, basis, b_inv: np.ndarray) -> tuple[int, ...] | None:
-    """The basis one standard-form problem reaches from a basis ``_from_basis``
-    rejected, on the tableau B^-1 [A | b] and reduced costs d of that basis'
-    ``b_inv``; None where it must be solved cold.
+    """The basis one standard-form problem reaches from a basis the basis
+    kernel rejected, on the tableau B^-1 [A | b] and reduced costs d of that
+    basis' ``b_inv``; None where it must be solved cold.
 
     A dual feasible basis runs the dual simplex (Lemke, *Naval Res. Logist.
     Q.* 1(1), 1954) with Bland's rule: the row of the smallest basic index
@@ -260,23 +246,60 @@ def _restart(a, b, cost, basis, b_inv: np.ndarray) -> tuple[int, ...] | None:
     return None
 
 
-def restart_batch(a, b, cost, basis, inverse=None) -> tuple[np.ndarray, np.ndarray, list]:
-    """``_from_basis`` on a stack of standard-form problems (with ``inverse``),
-    with each rejected basis restarted (``_restart``) and the restarted bases
-    re-checked in one stacked call. Returns where a basis was accepted, x and
-    the bases; where none was, the problem must be solved cold."""
-    ok, x, b_inv = _from_basis(a, b, cost, basis, inverse)
-    basis, again = list(basis), []
-    # (a basis the kernel could not invert at all has a NaN inverse)
-    for k in np.flatnonzero(~ok & np.isfinite(b_inv).all(axis=(1, 2))):
-        new = _restart(a[k], b[k], cost[k], basis[k], b_inv[k])
-        if new is not None:
-            basis[k] = new
-            again.append(k)
-    if again:
-        ok[again], x[again], _ = _from_basis(a[again], b[again], cost[again],
-                                             [basis[k] for k in again])
-    return ok, x, basis
+class WarmStack:
+    """A stack of problems (``solve_lp_batch``'s arguments) re-solved from their
+    last optimal bases after A or b moved in place in ``lp``, the stack's views
+    into its ``standard_form`` (``form``: a, b, cost); c stays. Kept until a basis
+    changes: the bases, what the matrix step reads of them and x_j's place in x_B."""
+
+    def __init__(self, c, a_eq, b_eq, a_ub, b_ub, j: int):
+        self.form = a, b, cost = standard_form(c, a_eq, b_eq, a_ub, b_ub)
+        n = np.shape(c)[1]
+        m_eq = a.shape[1] + n - a.shape[2]
+        self.lp = cost[:, :n], a[:, :m_eq, :n], b[:, :m_eq], a[:, m_eq:, :n], b[:, m_eq:]
+        self.j = range(n)[j]
+        self._keep([()] * len(a))
+
+    def _keep(self, bases: list[tuple[int, ...]]) -> None:
+        a, _, cost = self.form
+        self.bases, self.inverse, self.state = bases, None, _basis_state(cost, bases, a.shape[1])
+        hit = self.state[1] == self.j
+        self.at = np.arange(len(a)) * a.shape[1] + hit.argmax(axis=1)   # in x_B, flat
+        self.basic = hit.any(axis=1).tolist()
+
+    def values(self, matrix_moved: bool) -> list[float]:
+        """x_j of every problem at its optimum; the matrix step is kept while the
+        bases hold and A did not move (``matrix_moved``). A cold solve that is
+        not optimal raises ``LpNumericalFailure``."""
+        a, b, cost = self.form
+        if self.inverse is None or matrix_moved:
+            self.inverse = _basis_inverse(a, cost, self.state)
+        ok, x_b = _rhs_step(b, self.inverse)
+        out = [v if basic else 0.0 for v, basic in zip(x_b.take(self.at).tolist(), self.basic)]
+        if ok.all():
+            return out
+        bases, b_inv = list(self.bases), self.inverse[1]
+        cold, again = np.flatnonzero(~ok).tolist(), []
+        for k in cold:   # (a basis the kernel could not invert at all has a NaN inverse)
+            new = np.isfinite(b_inv[k]).all() and _restart(a[k], b[k], cost[k], bases[k], b_inv[k])
+            if new:
+                bases[k] = new
+                again.append(k)
+        state = _basis_state(cost[again], [bases[k] for k in again], a.shape[1])
+        warm, x_b = _rhs_step(b[again], _basis_inverse(a[again], cost[again], state))
+        x = np.zeros((len(again), a.shape[2]))
+        x[np.arange(len(again))[:, None], state[1]] = x_b
+        for k, v in itertools.compress(zip(again, x[:, self.j].tolist()), warm):
+            out[k] = v
+            cold.remove(k)
+        for k in cold:
+            res = solve_lp(*(v[k] for v in self.lp))
+            if res.status != "optimal":
+                raise LpNumericalFailure(f"problem {k} of the stack ended {res.status}")
+            out[k], bases[k] = float(res.x[self.j]), res.basis
+        if bases != self.bases:
+            self._keep(bases)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +426,9 @@ def _solve(c, a_eq, b_eq, a_ub, b_ub, iterate, pivot) -> list[LpResult]:
     c = np.asarray(c, dtype=float)
     nb, n = c.shape
     (a_eq, b_eq), (a_ub, b_ub) = _block("eq", a_eq, b_eq, nb, n), _block("ub", a_ub, b_ub, nb, n)
+    for name, v in zip(("c", "a_eq", "b_eq", "a_ub", "b_ub"), (c, a_eq, b_eq, a_ub, b_ub)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
     n_eq, n_slack = b_eq.shape[1], b_ub.shape[1]
     m = n_eq + n_slack
     if m == 0:

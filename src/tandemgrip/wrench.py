@@ -41,8 +41,7 @@ from .errors import (
     csv_records,
     require_finite,
 )
-from .simplexlp import (basis_inverse, basis_state, restart_batch, rhs_step, solve_lp,
-                        solve_lp_batch, standard_form)
+from .simplexlp import WarmStack, solve_lp, solve_lp_batch
 from .vectors import FRUIT_RADIUS_RANGE_MM, _cross, _dot, _norm, _unit
 
 _Z = np.array([0.0, 0.0, 1.0])
@@ -333,14 +332,6 @@ class _PullLp:
         self.lp[4][:] = caps
         return self.lp
 
-    def standard_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stack as ``simplexlp.standard_form`` (a, b, cost), built once; the
-        stack's arrays become views into it, so each later fill writes there."""
-        a, b, cost = standard_form(*self.lp)
-        m_eq, nv = self.lp[1].shape[1:]
-        self.lp = (self.lp[0], a[:, :m_eq, :nv], b[:, :m_eq], a[:, m_eq:, :nv], b[:, m_eq:])
-        return a, b, cost
-
     def refresh(self, model: GraspModelParams) -> tuple:
         """``fill`` from grasp-model parameters, with the capacities
         ``build_contacts`` gives each contact kind."""
@@ -554,53 +545,6 @@ def reference_from_csv(text: str) -> ReferenceMeasurements:
     return ReferenceMeasurements(rows=tuple(rows))
 
 
-class _FitLayout:
-    """The fitted rows of one layout in one ``calibrate`` call: their pull-LP
-    stack and its standard form, their last bases and, until one changes, the
-    bases' ``basis_state``, the row of alpha (the last LP variable) in each and,
-    while the matrix holds (no pads), their matrix step."""
-
-    def __init__(self, scenarios: list[GraspScenario], params: GraspModelParams):
-        self.stack = _strength_stack(scenarios, [(0, 1, 2)] * len(scenarios), params)
-        self.std = self.stack.standard_form()
-        self._keep([()] * len(scenarios))
-
-    def _keep(self, bases: list[tuple[int, ...]]) -> None:
-        a, _, cost = self.std
-        self.bases, self.inverse = bases, None
-        self.state = basis_state(cost, bases, a.shape[1])
-        hit = self.state[1] == self.stack.lp[0].shape[1] - 1
-        self.alpha_at = np.arange(len(a)) * a.shape[1] + hit.argmax(axis=1)   # in x_B, flat
-        self.alpha_basic = hit.any(axis=1).tolist()
-
-    def alphas(self, params: GraspModelParams) -> list[float]:
-        """Every row's strength at ``params`` in one pass: the refresh, the matrix
-        step where pads moved or a basis changed, and alpha read off x_B. Only a
-        rejected basis restarts (``restart_batch``); it goes cold where that fails."""
-        lp = self.stack.refresh(params)
-        a, b, cost = self.std
-        if self.inverse is None or len(self.stack.pads):   # mu_pad moves the pad columns
-            self.inverse = basis_inverse(a, cost, self.bases, self.state)
-        ok, x_b = rhs_step(b, self.inverse)
-        out = [v if basic else 0.0 for v, basic in zip(x_b.take(self.alpha_at).tolist(),
-                                                        self.alpha_basic)]
-        if ok.all():
-            return out
-        bad = np.flatnonzero(~ok).tolist()
-        new = list(self.bases)
-        warm, x, restarted = restart_batch(a[bad], b[bad], cost[bad], [new[k] for k in bad],
-                                           tuple(v[bad] for v in self.inverse))
-        for j, k in enumerate(bad):
-            if warm[j]:
-                out[k], new[k] = float(x[j, lp[0].shape[1] - 1]), restarted[j]
-            else:
-                res = solve_lp(*(v[k] for v in lp))
-                out[k], new[k] = _alpha(res), res.basis
-        if new != self.bases:
-            self._keep(new)
-        return out
-
-
 @dataclass(frozen=True)
 class ResidualRow:
     scenario: GraspScenario
@@ -704,16 +648,14 @@ def calibrate(
 
     A row's geometry is fixed; between two evaluations only ``mu_pad`` and
     the capacities move. So the fitted rows of each layout (mode) are one
-    pull-LP stack with its standard form (``_FitLayout``), built at the first
-    evaluation; every later evaluation rewrites its pad columns and
-    capacities in place and reads alpha off each row's previous basis, with
-    the basis arrays kept until a basis changes and the matrix step
-    (``simplexlp.basis_inverse``) also while the matrix holds (no pads). A
-    rejected basis restarts, and a row is solved cold only when its basis
-    neither holds nor restarts. The residuals are one cold
+    pull-LP stack in a ``simplexlp.WarmStack``, built at the first evaluation;
+    every later one rewrites its pad columns and capacities in place and
+    re-solves each row from its previous basis. The residuals are one cold
     ``predict_strengths`` pass at the fitted point, and the reported error is
     the loss over the fitted rows' residuals.
     """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
     if not reference.rows:
         raise ValueError("reference measurements must be nonempty")
     fit = [r.authoritative or not authoritative_only for r in reference.rows]
@@ -730,14 +672,19 @@ def calibrate(
     layouts: dict[ActuationMode, list[int]] = {}
     for i, row in enumerate(rows):
         layouts.setdefault(row.scenario.mode, []).append(i)
-    fits: dict[ActuationMode, _FitLayout] = {}
+    fits: dict[ActuationMode, tuple[_PullLp, WarmStack]] = {}
 
     def strengths(params: GraspModelParams) -> list[float]:
         preds = [0.0] * len(rows)
         for mode, members in layouts.items():
             if mode not in fits:
-                fits[mode] = _FitLayout([rows[i].scenario for i in members], params)
-            for i, alpha in zip(members, fits[mode].alphas(params)):
+                stack = _strength_stack([rows[i].scenario for i in members],
+                                        [(0, 1, 2)] * len(members), params)
+                warm = WarmStack(*stack.lp, -1)   # alpha, the last variable
+                stack.lp, fits[mode] = warm.lp, (stack, warm)
+            stack, warm = fits[mode]
+            stack.refresh(params)
+            for i, alpha in zip(members, warm.values(len(stack.pads) > 0)):   # mu_pad moves pads
                 preds[i] = alpha
         return preds
 

@@ -9,10 +9,12 @@ from scipy.optimize import linprog
 
 from tandemgrip import simplexlp, wrench
 from tandemgrip.config import data_text, shipped_calibration
+from tandemgrip.errors import LpNumericalFailure
 from tandemgrip.picksim import DEFAULT_FIELD_STATS, LEAF_OCCLUSION_FAIL_PROB, run_campaign
 from tandemgrip.simplexlp import (
     _TOL,
     LpResult,
+    WarmStack,
     solve_lp,
     solve_lp_batch,
     standard_form,
@@ -218,10 +220,22 @@ class TestBatch:
         assert count > 0 and len(solved) > 1
 
 
+def kernel_std(a, b, cost, bases):
+    """The basis kernel on a stack of standard-form problems, its matrix step
+    taken afresh from the bases: where each basis is accepted, x (x_B
+    scattered to the basic columns) and B^-1."""
+    state = simplexlp._basis_state(cost, bases, a.shape[1])
+    inverse = simplexlp._basis_inverse(a, cost, state)
+    ok, x_b = simplexlp._rhs_step(b, inverse)
+    x = np.zeros(a.shape[::2])
+    x[np.arange(len(a))[:, None], state[1]] = x_b
+    return ok, x, inverse[1]
+
+
 def kernel(c, a_eq, b_eq, a_ub, b_ub, bases):
     """The basis kernel on a stack of problems in ``solve_lp_batch``'s
     arguments: where each basis is accepted, and x of the original variables."""
-    ok, x, _ = simplexlp._from_basis(*standard_form(c, a_eq, b_eq, a_ub, b_ub), bases)
+    ok, x, _ = kernel_std(*standard_form(c, a_eq, b_eq, a_ub, b_ub), bases)
     return ok, x[:, :np.shape(c)[1]]
 
 
@@ -239,7 +253,8 @@ def assert_kernel_matches(ok, x, want):
 
 
 class TestSolveFromBasis:
-    """The basis kernel, ``simplexlp._from_basis``, on one problem."""
+    """The basis kernel (``simplexlp._basis_inverse``, then ``_rhs_step``) on one
+    problem."""
 
     def test_own_optimal_basis(self):
         rng = np.random.default_rng(11)
@@ -461,11 +476,11 @@ class TestRestart:
 
     def restarted(self, prob, basis):
         """The kernel's verdict on ``basis``, and on the basis a restart from it reaches."""
-        ok, _, b_inv = simplexlp._from_basis(*(v[None] for v in prob), [basis])
+        ok, _, b_inv = kernel_std(*(v[None] for v in prob), [basis])
         new = simplexlp._restart(*prob, basis, b_inv[0])
         if new is None:
             return ok[0], None, None
-        ok2, x, _ = simplexlp._from_basis(*(v[None] for v in prob), [new])
+        ok2, x, _ = kernel_std(*(v[None] for v in prob), [new])
         return ok[0], ok2[0], prob[2] @ x[0]
 
     @pytest.mark.parametrize("perturb,kind,iterates", [
@@ -483,20 +498,26 @@ class TestRestart:
             cold = solve_lp(*lp)
             assert abs(alpha - cold.objective) <= 1e-10 * max(1.0, cold.objective)
 
-    def test_neither_goes_cold(self, phase2_calls):
+    def test_neither_goes_cold(self, phase2_calls, cold_solves):
         cases = perturbed_bases(scale_all, (False, False), points=24)
         assert len(cases) >= 10
-        phase2_calls.clear()
         for lp, prob, basis in cases:
+            phase2_calls.clear()
             was_ok, ok, _ = self.restarted(prob, basis)
             assert not was_ok and ok is None
-            ok, _, bases = simplexlp.restart_batch(*(v[None] for v in prob), [basis])
-            assert not ok[0] and bases == [basis]
-        assert phase2_calls == []
+            assert phase2_calls == []
+            # a WarmStack at that basis solves the problem cold, once
+            cold_solves.clear()
+            warm = warm_stack(tuple(v[None] for v in lp), [basis])
+            got = warm.values(True)
+            cold = solve_lp(*lp)
+            assert len(cold_solves) == 1
+            assert np.float64(got[0]).tobytes() == cold.x[-1].tobytes()
+            assert warm.bases == [cold.basis]
 
-    def test_batch_equals_one_at_a_time(self):
-        # accepted, restarted and cold rows of one stack: the kernel, the
-        # restarts and the stacked re-check give each row its own result
+    def test_batch_equals_one_at_a_time(self, cold_solves):
+        # accepted, restarted and cold rows of one stack: one WarmStack of n
+        # rows gives each row what n WarmStacks of one row give
         rng = np.random.default_rng(1956)
         restarted = cold = 0
         for stack in calibration_stacks().values():
@@ -504,17 +525,117 @@ class TestRestart:
                 x = random_params(rng)
                 lp = stack.refresh(as_params(x))
                 bases = [solve_lp(*(a[k] for a in lp)).basis for k in range(len(lp[0]))]
-                std = standard_form(*stack.refresh(as_params(scale_all(rng, x.copy()))))
-                ok, x_all, new = simplexlp.restart_batch(*std, bases)
-                first, _, _ = simplexlp._from_basis(*std, bases)
+                lp = tuple(v.copy() for v in stack.refresh(as_params(scale_all(rng, x.copy()))))
+                first = kernel(*lp, bases)[0]
+                cold_solves.clear()
+                warm = warm_stack(lp, bases)
+                got = np.array(warm.values(True))
+                stack_cold = len(cold_solves)
                 for k, basis in enumerate(bases):
-                    one = tuple(v[k:k + 1] for v in std)
-                    ok1, x1, new1 = simplexlp.restart_batch(*one, [basis])
-                    assert ok[k] == ok1[0] and new[k] == new1[0]
-                    assert x_all[k].tobytes() == x1[0].tobytes()
-                    restarted += bool(ok[k] and not first[k])
-                    cold += not ok[k]
+                    cold_solves.clear()
+                    one = warm_stack(tuple(v[k:k + 1] for v in lp), [basis])
+                    assert np.array(one.values(True)).tobytes() == got[k:k + 1].tobytes()
+                    assert one.bases == [warm.bases[k]]
+                    restarted += bool(not first[k] and not cold_solves)
+                    cold += len(cold_solves)
+                    stack_cold -= len(cold_solves)
+                assert stack_cold == 0
         assert restarted > 10 and cold > 0
+
+
+def warm_stack(lp, bases):
+    """A ``WarmStack`` of pull LPs (alpha, the last variable, reported) whose
+    last bases are ``bases``."""
+    warm = WarmStack(*lp, -1)
+    warm._keep(list(bases))
+    return warm
+
+
+@pytest.fixture
+def cold_solves(monkeypatch):
+    """The arguments of every cold ``solve_lp`` a ``WarmStack`` runs."""
+    calls = []
+    real = simplexlp.solve_lp
+
+    def solve(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(simplexlp, "solve_lp", solve)
+    return calls
+
+
+class TestWarmStack:
+    # max x + y  st  x + 2y <= 4,  3x + y <= 6: optimum (1.6, 1.2)
+    LP = TestSolveFromBasis.LP
+
+    def test_lp_views_write_into_the_form(self):
+        warm = WarmStack(*simplexlp._one(*self.LP), 0)
+        c, a_eq, b_eq, a_ub, b_ub = warm.lp
+        a_ub[0, 1, 0], b_ub[0, 1] = 2.0, 5.0
+        assert [v.tobytes() for v in warm.form] == [v.tobytes() for v in standard_form(
+            c, a_eq, b_eq, np.array([[[1.0, 2.0], [2.0, 1.0]]]), np.array([[4.0, 5.0]]))]
+
+    def test_rewritten_b_that_leaves_no_feasible_point_raises(self):
+        warm = WarmStack(*simplexlp._one(*self.LP), 0)
+        assert warm.values(False) == [pytest.approx(1.6, abs=1e-12)]
+        # x + 2y <= -1 has no point with x, y >= 0: the basis is rejected,
+        # its dual simplex finds no entering column and the cold solve ends
+        # infeasible
+        warm.lp[4][0, 0] = -1.0
+        with pytest.raises(LpNumericalFailure, match="infeasible"):
+            warm.values(False)
+
+    def test_restarted_basis_is_checked_again(self, monkeypatch, cold_solves):
+        warm = WarmStack(*simplexlp._one(*self.LP), 0)
+        warm.values(False)
+        # x + 2y <= 1: the optimal basis {x, y} of before gives y = -0.6. A
+        # restart that hands it back unchanged is caught by the re-check, and
+        # the problem is solved cold
+        warm.lp[4][0, 0] = 1.0
+        monkeypatch.setattr(simplexlp, "_restart", lambda a, b, cost, basis, b_inv: basis)
+        cold_solves.clear()
+        got = warm.values(False)
+        want = solve_lp(*(v[0] for v in warm.lp))
+        assert len(cold_solves) == 1
+        assert (got, warm.bases) == ([want.x[0]], [want.basis])
+        assert got == [pytest.approx(1.0, abs=1e-12)]
+
+    def test_first_cold_solve_that_is_not_optimal_raises(self):
+        # max x  st  -x <= 1: unbounded
+        warm = WarmStack(np.array([[1.0]]), None, None, np.array([[[-1.0]]]), np.array([[1.0]]), 0)
+        with pytest.raises(LpNumericalFailure, match="unbounded"):
+            warm.values(True)
+
+
+class TestNonFiniteData:
+    """NaN or an infinity anywhere in c, A or b is rejected, by name, in both
+    solvers; it used to solve to a wrong answer or escape as a warning."""
+
+    LP = dict(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[0.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["c", "a_eq", "b_eq", "a_ub", "b_ub"])
+    def test_rejected_by_name(self, name, value):
+        lp = {k: np.array(v, dtype=float) for k, v in self.LP.items()}
+        lp[name].flat[-1] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            solve_lp(**lp)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            solve_lp_batch(**{k: np.stack([v, self.LP[k] * np.ones_like(v)])
+                              for k, v in lp.items()})
+
+    @pytest.mark.parametrize("lp", [
+        # each solved to "optimal", "unbounded" or a RuntimeWarning before
+        dict(c=[np.nan, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]),
+        dict(c=[1.0, 1.0], a_ub=[[np.nan, 1.0]], b_ub=[1.0]),
+        dict(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[np.nan]),
+        dict(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[np.inf]),
+    ])
+    def test_cases_found_by_hand(self, lp):
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_lp(**lp)
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_lp_batch(**{k: np.array(v, dtype=float)[None] for k, v in lp.items()})
 
 
 def reference_pivot(tab, basis, row, col):

@@ -12,7 +12,7 @@ from scipy.spatial import ConvexHull
 from tandemgrip import simplexlp, wrench
 from tandemgrip.config import data_text, shipped_calibration
 from tandemgrip.errors import OffsetExceedsRadius, ParseError
-from tandemgrip.simplexlp import _TOL, solve_lp, standard_form
+from tandemgrip.simplexlp import _TOL, WarmStack, solve_lp, standard_form
 from tandemgrip.vectors import _unit
 from tandemgrip.wrench import (
     ActuationMode,
@@ -577,6 +577,18 @@ class TestNelderMead:
                 assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
                 assert got.nit == want.nit
 
+    @pytest.mark.parametrize("max_iter", [0, -5, True, False, 2.0, "400", None])
+    def test_max_iter_must_be_an_int_of_at_least_one(self, max_iter):
+        # 0 and -5 once returned the starting point as the fit
+        with pytest.raises(ValueError, match="max_iter must be an int >= 1"):
+            calibrate(reference_from_csv(data_text("grasp_reference.csv")), max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [1, np.int64(1)])
+    def test_one_iteration_keeps_the_best_first_vertex(self, max_iter):
+        result = calibrate(reference_from_csv(data_text("grasp_reference.csv")),
+                           authoritative_only=True, max_iter=max_iter)
+        assert result.params == GraspModelParams()
+
     def test_calibrate_searches_through_module_name(self, monkeypatch):
         # calibrate looks the search up as wrench.minimize at call time, so
         # a caller can wrap it (the benchmark does, to cut the fit into pieces)
@@ -643,6 +655,37 @@ def stacked_standard_form(lp):
     return tuple(v[0] for v in standard_form(*(np.asarray(v)[None] for v in lp)))
 
 
+def fresh_kernel(a, b, cost, bases):
+    """The basis kernel on a stack of standard-form problems, its matrix step
+    taken afresh from the bases: where each basis is accepted, x (x_B
+    scattered to the basic columns) and the matrix step (dual verdict, B^-1)."""
+    state = simplexlp._basis_state(cost, bases, a.shape[1])
+    inverse = simplexlp._basis_inverse(a, cost, state)
+    ok, x_b = simplexlp._rhs_step(b, inverse)
+    x = np.zeros(a.shape[::2])
+    x[np.arange(len(a))[:, None], state[1]] = x_b
+    return ok, x, inverse
+
+
+def full_path(lp, form, bases, restart):
+    """Every row's alpha and basis through the full path, row by row: the
+    kernel with a fresh matrix step, then where it rejects, ``restart`` from
+    the rejected basis re-checked alone, and a cold solve where both fail."""
+    a, b, cost = form
+    ok, x, (_, b_inv) = fresh_kernel(a, b, cost, bases)
+    want, new = x[:, lp[0].shape[1] - 1], list(bases)
+    for k in np.flatnonzero(~ok):
+        basis = np.isfinite(b_inv[k]).all() and restart(a[k], b[k], cost[k], bases[k], b_inv[k])
+        if basis:
+            ok_k, x_k, _ = fresh_kernel(a[k:k + 1], b[k:k + 1], cost[k:k + 1], [basis])
+            if ok_k[0]:
+                want[k], new[k] = x_k[0, lp[0].shape[1] - 1], basis
+                continue
+        res = solve_lp(*(v[k] for v in lp))
+        want[k], new[k] = res.x[-1], res.basis
+    return want, new
+
+
 class TestWarmCalibration:
     """``calibrate`` restarts each layout's stack of LPs from their previous
     optimal bases; its fit is still the cold fit, byte for byte."""
@@ -652,14 +695,14 @@ class TestWarmCalibration:
         """The 13-row fit, with every row's alpha of every layout pass also
         solved cold; each row is warm unless the pass solved it cold."""
         calls, gaps, cold = [], [], [0]
-        real_pass, real_cold = wrench._FitLayout.alphas, wrench.solve_lp
+        real_pass, real_cold = WarmStack.values, simplexlp.solve_lp
 
-        def checked(layout, params):
+        def checked(warm, matrix_moved):
             before = cold[0]
-            alphas = real_pass(layout, params)
+            alphas = real_pass(warm, matrix_moved)
             solved_cold = cold[0] - before
             calls.extend([True] * (len(alphas) - solved_cold) + [False] * solved_cold)
-            a, b, cost = layout.std
+            a, b, cost = warm.form
             for k, got in enumerate(alphas):
                 alpha = solve_lp(*pull_lp_of(a[k], b[k], cost[k])).x[-1]
                 gaps.append(abs(got - alpha) / max(1.0, alpha))
@@ -671,8 +714,8 @@ class TestWarmCalibration:
 
         reference = reference_from_csv(data_text("grasp_reference.csv"))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wrench._FitLayout, "alphas", checked)
-            mp.setattr(wrench, "solve_lp", counted)
+            mp.setattr(WarmStack, "values", checked)
+            mp.setattr(simplexlp, "solve_lp", counted)
             result = calibrate(reference, authoritative_only=True)
         return reference, result, calls, gaps
 
@@ -706,18 +749,24 @@ class TestWarmCalibration:
         # feasible is solved cold again. The restart path sees the rejected
         # rows only.
         first, neither, total, cold, restarts = [], [], [0], [0], []
-        real_pass, real_batch = wrench._FitLayout.alphas, wrench.restart_batch
-        real_cold, real_restart = wrench.solve_lp, simplexlp._restart
+        real_pass, real_cold, real_restart = WarmStack.values, simplexlp.solve_lp, simplexlp._restart
 
-        def rows(layout, params):
-            alphas = real_pass(layout, params)
+        def rows(warm, matrix_moved):
+            a, b, cost = warm.form
+            bases = list(warm.bases)
+            ok, _, (_, b_inv) = fresh_kernel(a, b, cost, bases)
+            tried_before, cold_before = len(restarts), cold[0]
+            alphas = real_pass(warm, matrix_moved)
             total[0] += len(alphas)
-            return alphas
-
-        def checked(a, b, cost, bases, inverse=None):
-            assert not simplexlp._from_basis(a, b, cost, bases)[0].any()
-            ok, x, new = real_batch(a, b, cost, bases, inverse)
-            for k in np.flatnonzero(~ok):
+            # restarts run from exactly the rejected bases that have an inverse
+            rejected = np.flatnonzero(~ok).tolist()
+            tried = [k for k in rejected if np.isfinite(b_inv[k]).all()]
+            assert [basis for basis, _ in restarts[tried_before:]] == [bases[k] for k in tried]
+            # a rejected row goes cold unless its restart is accepted
+            accepted = {k for k, (_, new) in zip(tried, restarts[tried_before:]) if new is not None}
+            gone_cold = [k for k in rejected if k not in accepted]
+            assert cold[0] - cold_before == len(gone_cold)
+            for k in gone_cold:
                 if bases[k] == ():
                     first.append(k)
                     continue
@@ -726,20 +775,19 @@ class TestWarmCalibration:
                 primal = np.all(np.linalg.solve(mat, b[k]) >= -_TOL)
                 dual = np.all(cost[k] - np.linalg.solve(mat.T, cost[k][basis]) @ a[k] <= _TOL)
                 neither.append(not primal and not dual)
-            return ok, x, new
+            return alphas
 
-        def restart(*args):
-            new = real_restart(*args)
-            restarts.append(new is not None)
+        def restart(a, b, cost, basis, b_inv):
+            new = real_restart(a, b, cost, basis, b_inv)
+            restarts.append((basis, new))
             return new
 
         def counted(*args):
             cold[0] += 1
             return real_cold(*args)
 
-        monkeypatch.setattr(wrench._FitLayout, "alphas", rows)
-        monkeypatch.setattr(wrench, "restart_batch", checked)
-        monkeypatch.setattr(wrench, "solve_lp", counted)
+        monkeypatch.setattr(WarmStack, "values", rows)
+        monkeypatch.setattr(simplexlp, "solve_lp", counted)
         monkeypatch.setattr(simplexlp, "_restart", restart)
         reference = reference_from_csv(data_text("grasp_reference.csv"))
         calibrate(reference, authoritative_only=authoritative_only)
@@ -748,8 +796,9 @@ class TestWarmCalibration:
         assert all(neither)
         assert cold[0] == fitted + len(neither)
         # every rejected basis that is not "neither" restarts, and its restart is accepted
-        assert restarts.count(False) == len(neither) and restarts.count(True) > 0
-        assert (cold[0], restarts.count(True)) == {13: (13, 37), 27: (40, 339)}[fitted]
+        failed = sum(new is None for _, new in restarts)
+        assert failed == len(neither) and len(restarts) - failed > 0
+        assert (cold[0], len(restarts) - failed) == {13: (13, 37), 27: (40, 339)}[fitted]
         assert total[0] - cold[0] >= 0.9 * total[0]
 
 
@@ -769,9 +818,9 @@ class TestRowLps:
         def lp_bytes(lp):
             return tuple(a.tobytes() for a in lp)
 
-        def spy_pass(layout, params):
-            alphas = real_pass(layout, params)   # the pass refreshes the LPs in place
-            a, b, cost = layout.std
+        def spy_pass(warm, matrix_moved):
+            alphas = real_pass(warm, matrix_moved)   # calibrate refreshed the LPs in place
+            a, b, cost = warm.form
             stacked.extend((point[0], lp_bytes((a[k], b[k], cost[k]))) for k in range(len(a)))
             return alphas
 
@@ -791,9 +840,9 @@ class TestRowLps:
                 x=np.array([p.pad_force, p.mu_pad, p.suction_axial, p.shear_fraction]),
                 fun=0.0, nit=1)
 
-        real_pass, real_cold = wrench._FitLayout.alphas, wrench.solve_lp
-        monkeypatch.setattr(wrench._FitLayout, "alphas", spy_pass)
-        monkeypatch.setattr(wrench, "solve_lp", spy_cold)
+        real_pass, real_cold = WarmStack.values, simplexlp.solve_lp
+        monkeypatch.setattr(WarmStack, "values", spy_pass)
+        monkeypatch.setattr(simplexlp, "solve_lp", spy_cold)
         monkeypatch.setattr(wrench, "minimize", visit)
         calibrate(reference)
         assert len(cold) < len(stacked) == len(points) * len(reference.rows)
@@ -850,8 +899,8 @@ class TestRowLps:
 
 class TestKeptMatrixStep:
     """``calibrate`` keeps each layout's basis arrays until a basis changes,
-    and its matrix step (``basis_inverse``) also while the stack's matrix
-    holds: the layouts with pads (fingers, dual) run the step at every
+    and its matrix step (``simplexlp._basis_inverse``) also while the stack's
+    matrix holds: the layouts with pads (fingers, dual) run the step at every
     evaluation, the suction layout once per basis change, and every pass
     gives what the full path gives, byte for byte."""
 
@@ -860,38 +909,33 @@ class TestKeptMatrixStep:
         # each pass, recomputed through the full path: the matrix step from
         # the bases, the kernel with restarts, a cold solve where both fail;
         # the pass restarts exactly the bases that the kernel rejects
-        real, real_batch = wrench._FitLayout.alphas, wrench.restart_batch
+        real, real_restart = WarmStack.values, simplexlp._restart
         passes, kept, kept_rejected, restarted = [0], [0], [0], []
 
-        def checked(layout, params):
-            bases, step = list(layout.bases), layout.inverse
+        def checked(warm, matrix_moved):
+            bases, step = list(warm.bases), warm.inverse
             restarted.clear()
-            got = real(layout, params)
-            a, b, cost = layout.std
-            lp = layout.stack.lp
-            inverse = simplexlp.basis_inverse(a, cost, bases)
-            rejected = ~simplexlp._from_basis(a, b, cost, bases, inverse)[0]
-            assert restarted == ([int(rejected.sum())] if rejected.any() else [])
-            if step is not None and not len(layout.stack.pads):   # the kept step
+            got = real(warm, matrix_moved)
+            a, b, cost = warm.form
+            ok, _, inverse = fresh_kernel(a, b, cost, bases)
+            rejected = np.flatnonzero(~ok)
+            assert restarted == [bases[k] for k in rejected if np.isfinite(inverse[1][k]).all()]
+            if step is not None and not matrix_moved:   # the kept step
                 assert [v.tobytes() for v in step] == [v.tobytes() for v in inverse]
                 kept[0] += 1
-                kept_rejected[0] += bool(rejected.any())
-            ok, x, new = simplexlp.restart_batch(a, b, cost, bases, inverse)
-            want = x[:, lp[0].shape[1] - 1]
-            for k in np.flatnonzero(~ok):
-                res = simplexlp.solve_lp(*(v[k] for v in lp))
-                want[k], new[k] = res.x[-1], res.basis
+                kept_rejected[0] += bool(rejected.size)
+            want, new = full_path(warm.lp, warm.form, bases, real_restart)
             assert np.array(got).tobytes() == want.tobytes()
-            assert layout.bases == new
+            assert warm.bases == new
             passes[0] += 1
             return got
 
-        def batch(a, *args):
-            restarted.append(len(a))
-            return real_batch(a, *args)
+        def restart(a, b, cost, basis, b_inv):
+            restarted.append(basis)
+            return real_restart(a, b, cost, basis, b_inv)
 
-        monkeypatch.setattr(wrench._FitLayout, "alphas", checked)
-        monkeypatch.setattr(wrench, "restart_batch", batch)
+        monkeypatch.setattr(WarmStack, "values", checked)
+        monkeypatch.setattr(simplexlp, "_restart", restart)
         calibrate(reference_from_csv(data_text("grasp_reference.csv")),
                   authoritative_only=authoritative_only)
         # every pass is checked, the kept step is used, and some bases it
@@ -900,29 +944,34 @@ class TestKeptMatrixStep:
 
     def test_matrix_step_once_per_basis_change_without_pads(self, monkeypatch):
         steps, evals, changes, last = {}, {}, {}, {}   # by the layout's row count
+        forms = []   # each layout's standard-form matrix
 
-        def step(a, cost, bases, state=None):
-            m = a.shape[1]
-            steps[m] = steps.get(m, 0) + 1
-            return real_step(a, cost, bases, state)
+        def step(a, cost, state):
+            # the whole stack's step; a re-check of restarted rows takes a copy of theirs
+            if any(a is f for f in forms):
+                steps[a.shape[1]] = steps.get(a.shape[1], 0) + 1
+            return real_step(a, cost, state)
 
-        def counted(layout, params):
-            m = layout.std[0].shape[1]
+        def counted(warm, matrix_moved):
+            m = warm.form[0].shape[1]
+            if not any(warm.form[0] is f for f in forms):
+                forms.append(warm.form[0])
             evals[m] = evals.get(m, 0) + 1
-            changes[m] = changes.get(m, 0) + (last.get(m) != list(layout.bases))
-            last[m] = list(layout.bases)
-            return real_pass(layout, params)
+            changes[m] = changes.get(m, 0) + (last.get(m) != list(warm.bases))
+            last[m] = list(warm.bases)
+            return real_pass(warm, matrix_moved)
 
-        real_step, real_pass = wrench.basis_inverse, wrench._FitLayout.alphas
-        monkeypatch.setattr(wrench, "basis_inverse", step)
-        monkeypatch.setattr(wrench._FitLayout, "alphas", counted)
+        real_step, real_pass = simplexlp._basis_inverse, WarmStack.values
+        monkeypatch.setattr(simplexlp, "_basis_inverse", step)
+        monkeypatch.setattr(WarmStack, "values", counted)
         calibrate(reference_from_csv(data_text("grasp_reference.csv")), authoritative_only=True)
         # standard-form rows: 6 balance rows and the capacity rows of 3 pads,
         # 3 cups (3 rows each) or both
         fingers, suction, dual = 6 + 3, 6 + 9, 6 + 12
-        assert set(evals) == {fingers, suction, dual}
+        assert set(evals) == {fingers, suction, dual} and len(forms) == 3
         assert steps[fingers] == evals[fingers] and steps[dual] == evals[dual]
         assert steps[suction] == changes[suction] < evals[suction] / 4
+        assert steps[suction] == 17
 
     def test_capacity_change_past_the_basis_restarts(self, monkeypatch):
         # a smaller shear fraction leaves the angled suction rows' bases
@@ -933,33 +982,51 @@ class TestKeptMatrixStep:
         rows = [r.scenario for r in reference.rows if r.scenario.mode is ActuationMode.SUCTION]
         model = shipped_calibration()
         stack = wrench._strength_stack(rows, [(0, 1, 2)] * len(rows), model)
-        std = stack.standard_form()
+        warm = WarmStack(*stack.lp, -1)
+        stack.lp = warm.lp
         lp = stack.refresh(model)
-        bases = [solve_lp(*(v[k] for v in lp)).basis for k in range(len(rows))]
-        inverse = simplexlp.basis_inverse(std[0], std[2], bases)
+        warm.values(False)   # every row cold: the bases
+        bases = list(warm.bases)
+        assert bases == [solve_lp(*(v[k] for v in lp)).basis for k in range(len(rows))]
+        warm.values(False)   # the bases hold, and the matrix step is kept
+        inverse = warm.inverse
         assert inverse[0].all()
+        std = warm.form
         lp = stack.refresh(dataclasses.replace(model, shear_fraction=0.3))
-        assert [v.tobytes() for v in simplexlp.basis_inverse(std[0], std[2], bases)] == [
+        assert [v.tobytes() for v in fresh_kernel(*std, bases)[2]] == [
             v.tobytes() for v in inverse]
-        short = np.flatnonzero(((inverse[2] @ std[1][:, :, None])[:, :, 0] < -_TOL).any(axis=1))
+        short = np.flatnonzero(((inverse[1] @ std[1][:, :, None])[:, :, 0] < -_TOL).any(axis=1))
         assert 0 < len(short) < len(rows)
 
-        restarted = []
-        real_restart = simplexlp._restart
+        restarted, steps, cold = [], [], []
+        real_restart, real_step, real_cold = (simplexlp._restart, simplexlp._basis_inverse,
+                                              simplexlp.solve_lp)
 
         def restart(a, b, cost, basis, b_inv):
             restarted.append(basis)
             return real_restart(a, b, cost, basis, b_inv)
+
+        def step(a, *args):
+            steps.append(a is std[0])
+            return real_step(a, *args)
+
+        def counted(*args):
+            cold.append(args)
+            return real_cold(*args)
         monkeypatch.setattr(simplexlp, "_restart", restart)
-        ok, x, new = simplexlp.restart_batch(*std, bases, inverse)
+        monkeypatch.setattr(simplexlp, "_basis_inverse", step)
+        monkeypatch.setattr(simplexlp, "solve_lp", counted)
+        got = warm.values(False)
+        # the kept step served the whole stack; only the re-check took a step
+        assert steps == [False]
         assert restarted == [bases[k] for k in short]
-        assert ok.all()
-        assert [k for k in range(len(rows)) if new[k] != bases[k]] == list(short)
-        want = simplexlp.restart_batch(*std, bases)
-        assert (ok.tobytes(), x.tobytes(), new) == (want[0].tobytes(), want[1].tobytes(), want[2])
+        assert cold == []
+        assert [k for k in range(len(rows)) if warm.bases[k] != bases[k]] == list(short)
+        want, new = full_path(lp, std, bases, real_restart)
+        assert (np.array(got).tobytes(), warm.bases) == (want.tobytes(), new)
         for k in range(len(rows)):
             alpha = solve_lp(*(v[k] for v in lp)).x[-1]
-            assert abs(x[k, lp[0].shape[1] - 1] - alpha) <= 1e-10 * max(1.0, alpha)
+            assert abs(got[k] - alpha) <= 1e-10 * max(1.0, alpha)
 
 
 def loop_build_contacts(scenario, model, cone_sides=wrench.DEFAULT_CONE_SIDES,
@@ -1199,12 +1266,19 @@ class TestStackedBuild:
 
 
 class TestNonFinite:
+    # a bool or a string once passed (True as a 1 mm fruit) or escaped as a
+    # TypeError; numpy scalars are numbers
     @pytest.mark.parametrize("field", ["fruit_radius", "fruit_offset", "pull_angle"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "30", None, 1j])
     def test_scenario_rejects(self, field, value):
         kwargs = {"fruit_radius": 37.5, "fruit_offset": 0.0, "pull_angle": 0.0, field: value}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             GraspScenario(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.float64(30.0), np.float32(30.0), np.int64(30)])
+    def test_scenario_takes_numpy_scalars(self, value):
+        s = GraspScenario(value, fruit_offset=value, pull_angle=value)
+        assert (s.fruit_radius, s.fruit_offset, s.pull_angle) == (30.0, 30.0, 30.0)
 
     @pytest.mark.parametrize("radius", [0.5, 1000.5, 1e-300, 1e300])
     def test_scenario_rejects_radius_outside_range(self, radius):
@@ -1213,7 +1287,7 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("field", ["pad_force", "mu_pad", "suction_axial",
                                        "shear_fraction"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, False, "18"])
     def test_model_params_reject(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             GraspModelParams(**{field: value})
