@@ -1,7 +1,7 @@
 """Dense simplex solver vs known solutions and an independent solver; the
 batched solver vs the scalar one, the pivot and the basis kernel vs
 one-problem references, byte for byte; restarts from a rejected basis vs
-cold solves; the phase hooks a tracer uses."""
+cold solves; ``WarmStack``; the phase hooks a tracer uses."""
 
 import numpy as np
 import pytest
@@ -20,6 +20,8 @@ from tandemgrip.simplexlp import (
     standard_form,
 )
 from tandemgrip.wrench import ActuationMode, GraspModelParams
+
+from test_wrench import fresh_kernel
 
 
 class TestKnownProblems:
@@ -220,22 +222,10 @@ class TestBatch:
         assert count > 0 and len(solved) > 1
 
 
-def kernel_std(a, b, cost, bases):
-    """The basis kernel on a stack of standard-form problems, its matrix step
-    taken afresh from the bases: where each basis is accepted, x (x_B
-    scattered to the basic columns) and B^-1."""
-    state = simplexlp._basis_state(cost, bases, a.shape[1])
-    inverse = simplexlp._basis_inverse(a, cost, state)
-    ok, x_b = simplexlp._rhs_step(b, inverse)
-    x = np.zeros(a.shape[::2])
-    x[np.arange(len(a))[:, None], state[1]] = x_b
-    return ok, x, inverse[1]
-
-
 def kernel(c, a_eq, b_eq, a_ub, b_ub, bases):
     """The basis kernel on a stack of problems in ``solve_lp_batch``'s
     arguments: where each basis is accepted, and x of the original variables."""
-    ok, x, _ = kernel_std(*standard_form(c, a_eq, b_eq, a_ub, b_ub), bases)
+    ok, x, _ = fresh_kernel(*standard_form(c, a_eq, b_eq, a_ub, b_ub), bases)
     return ok, x[:, :np.shape(c)[1]]
 
 
@@ -476,11 +466,11 @@ class TestRestart:
 
     def restarted(self, prob, basis):
         """The kernel's verdict on ``basis``, and on the basis a restart from it reaches."""
-        ok, _, b_inv = kernel_std(*(v[None] for v in prob), [basis])
+        ok, _, (_, b_inv) = fresh_kernel(*(v[None] for v in prob), [basis])
         new = simplexlp._restart(*prob, basis, b_inv[0])
         if new is None:
             return ok[0], None, None
-        ok2, x, _ = kernel_std(*(v[None] for v in prob), [new])
+        ok2, x, _ = fresh_kernel(*(v[None] for v in prob), [new])
         return ok[0], ok2[0], prob[2] @ x[0]
 
     @pytest.mark.parametrize("perturb,kind,iterates", [
