@@ -28,7 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import PoseUnsolvable, SynthesisFailed, json_number, require_finite
+from .errors import PoseUnsolvable, SynthesisFailed, json_number, require_finite, require_int
 from .vectors import FRUIT_RADIUS_RANGE_MM, _dot, _norm
 
 Point = tuple[float, float]
@@ -418,8 +418,7 @@ def _segment_clearance(a: np.ndarray, b: np.ndarray, center: np.ndarray,
 
 def validate_path(spec: CamTrackSpec, samples: int) -> PathReport:
     """Solve poses uniformly in u, once each; report them with clearance and contact."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    require_int(2, samples=samples)
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}")
     center = np.array(spec.fruit_center)

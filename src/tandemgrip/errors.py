@@ -5,7 +5,16 @@ CLI) can separate usage problems from geometry/numerical ones.
 """
 
 import math
-from numbers import Real
+from numbers import Integral, Real
+
+
+def require_int(low: int | None = None, /, **values) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is a bool, is
+    not an int (a numpy integer is one) or is below ``low`` when given."""
+    at_least = "" if low is None else f" >= {low}"
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, Integral) or (low is not None and v < low):
+            raise ValueError(f"{name} must be an int{at_least}, got {v!r}")
 
 
 def require_finite(**values: float) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DenominatorNonpositive, require_finite
+from .errors import DenominatorNonpositive, require_finite, require_int
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,9 @@ class ScrewParams:
     def __post_init__(self):
         require_finite(pitch=self.pitch, thread_angle=self.thread_angle,
                        d_outer=self.d_outer, mu=self.mu)
+        require_int(1, n_starts=self.n_starts)
         if self.pitch <= 0.0:
             raise ValueError("pitch must be > 0")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
         if not 0.0 <= self.thread_angle < math.pi / 2:
             raise ValueError("thread_angle must be in [0, pi/2)")
         if self.d_outer <= self.pitch / 2:

@@ -1,15 +1,11 @@
-"""Pick-protocol simulation against a proxy branch model.
+"""Monte-Carlo pick campaigns driven by field-trial quantile models.
 
-A single pick follows the protocol of the physical trials: approach up to
-50 mm, engage suction cups, deploy the fingers, then pull back until the
-detachment threshold or grasp failure. Its outcome tells where it ended:
-``no_engage`` before the pull, ``grasp_slip`` during it. Campaigns
-Monte-Carlo the same protocol with per-trial draws from field-statistics
-quantile models; both use the same engagement rule (a suction grasp needs
-``SUCTION_ENGAGE_CUPS`` of the three cups, fingers funnel the fruit in from
-within ``FINGER_CAPTURE_TOL_MM``) and the same strength-vs-detachment compare.
-Each trial derives its own RNG stream from (seed, trial index), so results
-are bit-identical regardless of execution order.
+Each trial runs the pick protocol of the physical trials (engage the
+suction cups, deploy the fingers, pull) on variables drawn from the
+quantile models; its outcome tells where it ended: ``no_engage`` before
+the pull, ``grasp_slip`` during it. Each trial derives its own RNG stream
+from (seed, trial index), so results are bit-identical regardless of
+execution order.
 
 Campaigns run trials in blocks. A block's first attempts are one array
 step: the trials' draws are stacked, each quantile model samples its
@@ -21,8 +17,7 @@ batched LPs (``wrench.predict_strengths``), whose results are
 byte-identical to solving them one at a time. A retry re-solves the
 strength LP only when it lands on an engaged cup set the trial has not
 solved yet; nothing is cached across trials or campaigns, so a campaign
-run again in the same process re-solves every strength. ``threads`` is
-accepted for compatibility and has no effect.
+run again in the same process re-solves every strength.
 
 Modeling notes (documented limitations):
   - variables are sampled independently; the field data carries no joint
@@ -32,8 +27,8 @@ Modeling notes (documented limitations):
     is taken as zero for the strength query;
   - the pull direction per trial combines the net and tangential detachment
     components into an equivalent pull angle;
-  - the pull is quasi-static: branch stiffness only converts the sampled
-    detachment force into pull travel.
+  - the pull is quasi-static: the sampled branch stiffness is logged and
+    does not enter the outcome.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParseError, json_number, require_finite
+from .errors import ParseError, json_number, require_int
 from .quantiles import QuantileModel
 from .vectors import _norm
 from .wrench import (
@@ -59,7 +54,6 @@ from .wrench import (
     predict_strengths,
 )
 
-APPROACH_LIMIT_MM = 50.0
 CUP_ENGAGE_TOL_MM = 15.0        # per-cup lateral slack beyond the ring radius
 FINGER_CAPTURE_TOL_MM = 30.0    # lateral offset the sweeping fingers can funnel in
 SUCTION_ENGAGE_CUPS = 2         # cups a suction-only grasp needs (of three)
@@ -74,28 +68,6 @@ class PickOutcome(enum.Enum):
     PICKED = "picked"
     GRASP_SLIP = "grasp_slip"
     NO_ENGAGE = "no_engage"
-
-
-@dataclass(frozen=True)
-class ProxyModel:
-    """Lab stand-in for the fruit/branch mechanics."""
-
-    detachment_force: float = 16.0    # N
-    branch_stiffness: float = 455.0   # N/m
-
-    def __post_init__(self):
-        require_finite(detachment_force=self.detachment_force,
-                       branch_stiffness=self.branch_stiffness)
-        if min(self.detachment_force, self.branch_stiffness) <= 0.0:
-            raise ValueError("proxy parameters must be positive")
-
-
-@dataclass(frozen=True)
-class PickState:
-    cups_engaged: int
-    travel: float          # mm: the approach limit without engagement, else the pull travel
-    outcome: PickOutcome
-    strength: float = 0.0  # N, grasp strength used in the pull comparison
 
 
 _CUP_CENTERS = CUP_RING_MM * np.array([(math.cos(a), math.sin(a)) for a in map(
@@ -126,6 +98,7 @@ def _trial_scenario(mode: ActuationMode, radius: float, angle_deg: float,
                          mode=mode if cups else ActuationMode.FINGERS)
 
 
+# no caller: perfbench/spans.py hooks it by name, and test_bench_hooks fails on a missing hook
 def _trial_strength(scenario: GraspScenario, cups: tuple[int, ...],
                     model: GraspModelParams) -> float:
     # the scenario's offset is a lateral misalignment: the query's axial offset is zero
@@ -144,34 +117,6 @@ def _engage(mode: ActuationMode, offsets, azimuths) -> list[tuple]:
     if mode is ActuationMode.SUCTION:
         return [(cups, len(cups) >= SUCTION_ENGAGE_CUPS) for cups in cup_sets]
     return [(cups, d <= FINGER_CAPTURE_TOL_MM) for cups, d in zip(cup_sets, offsets)]
-
-
-def _pull_outcome(strength: float, detachment_force: float) -> PickOutcome:
-    return PickOutcome.PICKED if strength >= detachment_force else PickOutcome.GRASP_SLIP
-
-
-def run_pick(
-    proxy: ProxyModel,
-    scenario: GraspScenario,
-    model: GraspModelParams,
-    misalignment_azimuth: float = 0.0,
-) -> PickState:
-    """Execute one pick: approach, engage, then pull.
-
-    The scenario's fruit offset doubles as the lateral misalignment for cup
-    engagement (lab usage); the strength query keeps the scenario's pull angle
-    and type at zero axial offset. All failure paths are outcomes, not errors.
-    """
-    require_finite(misalignment_azimuth=misalignment_azimuth)
-    # approach: advance until the palm meets the fruit (placed 50 mm away)
-    mode, offset = scenario.mode, scenario.fruit_offset
-    [(cups, engaged)] = _engage(mode, [offset], [misalignment_azimuth])
-    if not engaged:
-        return PickState(len(cups), APPROACH_LIMIT_MM, PickOutcome.NO_ENGAGE)
-    strength = _trial_strength(scenario, cups, model)
-    pull_travel = proxy.detachment_force / proxy.branch_stiffness * 1000.0
-    return PickState(len(cups), pull_travel, _pull_outcome(strength, proxy.detachment_force),
-                     strength)
 
 
 @dataclass(frozen=True)
@@ -343,7 +288,7 @@ def _run_trial(stats: TrialStats, mode: ActuationMode, retries: int, index: int,
             if cups not in strengths:
                 strengths[cups] = yield (_trial_scenario(mode, diameter / 2.0, angle, cups), cups)
             strength = strengths[cups]
-            outcome = _pull_outcome(strength, net)
+            outcome = PickOutcome.PICKED if strength >= net else PickOutcome.GRASP_SLIP
         else:
             outcome, strength = PickOutcome.NO_ENGAGE, 0.0
         if outcome is PickOutcome.PICKED:
@@ -372,6 +317,7 @@ def run_campaign(
     the calling thread. ``trials`` is at most ``MAX_TRIALS`` and
     ``retries`` at most ``MAX_RETRIES``.
     """
+    require_int(trials=trials, retries=retries, seed=seed, threads=threads)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > MAX_TRIALS:
@@ -384,7 +330,7 @@ def run_campaign(
         raise ValueError("threads must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    if not 0.0 <= occlusion_fail_prob <= 1.0:   # (NaN fails both)
+    if isinstance(occlusion_fail_prob, bool) or not 0.0 <= occlusion_fail_prob <= 1.0:  # NaN fails
         raise ValueError(f"occlusion_fail_prob must be in [0, 1], got {occlusion_fail_prob!r}")
     records: dict[int, TrialRecord] = {}
     for start in range(0, trials, CAMPAIGN_BLOCK):
@@ -410,7 +356,7 @@ def run_campaign(
     for r in log:
         breakdown[r.outcome] += 1
     return CampaignResult(
-        trials=trials,
+        trials=int(trials),   # a numpy int would not serialise
         success_rate=breakdown[PickOutcome.PICKED] / trials,
         breakdown=breakdown,
         log=log,

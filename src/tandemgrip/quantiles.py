@@ -48,9 +48,14 @@ class QuantileModel:
         return (self.q_min, self.q1, self.median, self.q3, self.q_max)
 
     def sample(self, u) -> np.ndarray | float:
-        """Inverse-CDF transform of uniform variates ``u`` in [0, 1]."""
+        """Inverse-CDF transform of uniform variates ``u`` in [0, 1]; one outside
+        it or NaN raises ``ValueError``, where ``np.interp`` would clamp it."""
         import numpy as np
 
+        v = np.asarray(u)
+        outside = ~((v >= 0.0) & (v <= 1.0))
+        if outside.any():
+            raise ValueError(f"u must be in [0, 1], got {float(v[outside][0])!r}")
         return np.interp(u, _PROBS, self.as_tuple())
 
 

@@ -40,6 +40,7 @@ from .errors import (
     ParseError,
     csv_records,
     require_finite,
+    require_int,
 )
 from .simplexlp import WarmStack, solve_lp, solve_lp_batch
 from .vectors import FRUIT_RADIUS_RANGE_MM, _cross, _dot, _norm, _unit
@@ -128,8 +129,7 @@ class ContactSet:
                 raise ValueError("contact capacities and mu must be >= 0")
             if not isinstance(c.kind, ContactKind):
                 raise ValueError(f"contact kind must be a ContactKind, got {c.kind!r}")
-            if not isinstance(c.cone_sides, int) or c.cone_sides < 3:
-                raise ValueError(f"cone_sides must be an int >= 3, got {c.cone_sides!r}")
+            require_int(3, cone_sides=c.cone_sides)
             if not abs(math.hypot(x, y, z) - self.fruit_radius) <= 1e-6:   # NaN fails
                 raise ValueError("contact position not on the sphere surface")
             if c.kind is ContactKind.FINGER_PAD and c.tension_capacity != 0.0:
@@ -654,8 +654,7 @@ def calibrate(
     ``predict_strengths`` pass at the fitted point, and the reported error is
     the loss over the fitted rows' residuals.
     """
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
+    require_int(1, max_iter=max_iter)
     if not reference.rows:
         raise ValueError("reference measurements must be nonempty")
     fit = [r.authoritative or not authoritative_only for r in reference.rows]

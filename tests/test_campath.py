@@ -275,6 +275,15 @@ class TestValidateReport:
         with pytest.raises(ValueError):
             validate_path(spec75, 1)
 
+    @pytest.mark.parametrize("samples", [2.5, True, "500"])
+    def test_sample_count_must_be_an_int(self, spec75, samples):
+        # 2.5 escaped from linspace as a TypeError, and "500" from the range check
+        with pytest.raises(ValueError, match=f"samples must be an int >= 2, got {samples!r}"):
+            validate_path(spec75, samples)
+
+    def test_numpy_int_sample_count(self, spec75):
+        assert validate_path(spec75, np.int64(5)) == validate_path(spec75, 5)
+
     def test_sample_bound_checked_before_solving(self, spec75, monkeypatch):
         calls = []
 

@@ -5,6 +5,7 @@ Frozen values from the 50-digit mpmath oracle for the stock Tr8x8 screw.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -141,3 +142,13 @@ class TestValidation:
     def test_d_outer_vs_pitch(self):
         with pytest.raises(ValueError):
             ScrewParams(pitch=10.0, n_starts=1, thread_angle=0.1, d_outer=4.0, mu=0.2)
+
+    @pytest.mark.parametrize("n_starts", [2.5, True, "4"])
+    def test_n_starts_must_be_an_int(self, n_starts):
+        # 2.5 and True gave leads of 2.5 and 1 pitches; "4" escaped as a TypeError
+        with pytest.raises(ValueError, match=f"n_starts must be an int >= 1, got {n_starts!r}"):
+            ScrewParams(pitch=2.0, n_starts=n_starts, thread_angle=0.1, d_outer=8.0, mu=0.2)
+
+    def test_numpy_int_n_starts(self):
+        screw = ScrewParams(pitch=2.0, n_starts=np.int64(4), thread_angle=0.1, d_outer=8.0, mu=0.2)
+        assert derive(screw).lead == 8.0

@@ -1,6 +1,5 @@
-"""Single picks and Monte-Carlo campaigns."""
+"""Monte-Carlo pick campaigns and the trial grasp they rest on."""
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -14,13 +13,11 @@ from tandemgrip.errors import ParseError
 from tandemgrip.picksim import (
     DEFAULT_FIELD_STATS,
     PickOutcome,
-    ProxyModel,
     TrialStats,
     TRIALS_CSV_HEADER,
     TrialRecord,
     cups_engaged_at,
     run_campaign,
-    run_pick,
     trials_to_csv,
 )
 from tandemgrip.quantiles import QuantileModel
@@ -31,11 +28,6 @@ from test_wrench import ieee_norm
 @pytest.fixture(scope="module")
 def model():
     return shipped_calibration()
-
-
-@pytest.fixture(scope="module")
-def proxy():
-    return ProxyModel()
 
 
 def reference_trial(stats, model, mode, seed, index, occlusion_fail_prob, retries,
@@ -77,74 +69,32 @@ def reference_trial(stats, model, mode, seed, index, occlusion_fail_prob, retrie
     return TrialRecord(index, net, offset, stiffness, mode, strength, outcome)
 
 
-class TestRunPick:
-    def test_dual_picks_with_expected_travel(self, proxy, model):
-        state = run_pick(proxy, GraspScenario(37.5, mode=ActuationMode.DUAL), model)
-        assert state.outcome is PickOutcome.PICKED
-        assert state.travel == pytest.approx(16.0 / 455.0 * 1000.0, abs=1e-9)
-        assert round(state.travel, 1) == 35.2
+class TestTrialGrasp:
+    """A campaign trial's engagement and strength, checked on its parts."""
 
-    def test_suction_slips_below_detachment(self, proxy, model):
-        state = run_pick(proxy, GraspScenario(37.5, mode=ActuationMode.SUCTION), model)
-        assert state.outcome is PickOutcome.GRASP_SLIP
-        assert state.strength < proxy.detachment_force
-
-    def test_offset_beyond_cup_tolerance(self, proxy, model):
-        state = run_pick(
-            proxy,
-            GraspScenario(37.5, fruit_offset=36.0, mode=ActuationMode.SUCTION),
-            model,
-            misalignment_azimuth=math.radians(60.0),
-        )
-        assert state.outcome is PickOutcome.NO_ENGAGE
-
-    def test_two_of_three_cups_engage_suction(self, proxy, model):
+    def test_two_of_three_cups_engage_suction(self):
         # one side of SUCTION_ENGAGE_CUPS: two cups reach the pull
         assert picksim.SUCTION_ENGAGE_CUPS == 2
-        state = run_pick(proxy, GraspScenario(37.5, fruit_offset=25.0,
-                                              mode=ActuationMode.SUCTION), model,
-                         misalignment_azimuth=0.0)
-        assert cups_engaged_at(25.0, 0.0) == (0, 2)
-        assert state.cups_engaged == 2
-        assert state.outcome is not PickOutcome.NO_ENGAGE
-        assert state.travel == pytest.approx(16.0 / 455.0 * 1000.0)
+        assert picksim._engage(ActuationMode.SUCTION, [25.0], [0.0]) == [((0, 2), True)]
 
-    def test_one_cup_does_not_engage_suction(self, proxy, model):
+    def test_one_cup_does_not_engage_suction(self):
         # the other side: one cup stops before the pull
-        state = run_pick(proxy, GraspScenario(37.5, fruit_offset=36.0,
-                                              mode=ActuationMode.SUCTION), model,
-                         misalignment_azimuth=math.radians(60.0))
-        assert cups_engaged_at(36.0, math.radians(60.0)) == (0,)
-        assert state.cups_engaged == 1
-        assert state.outcome is PickOutcome.NO_ENGAGE
+        assert picksim._engage(ActuationMode.SUCTION, [36.0], [math.radians(60.0)]) == [
+            ((0,), False)]
 
     @pytest.mark.parametrize("diameter", [16.0, 240.0])
-    def test_fruit_without_default_cam_tracks(self, proxy, model, diameter):
+    def test_fruit_without_default_cam_tracks(self, model, diameter):
         # no default cam tracks can be synthesised for these fruit (sweep
-        # clearance, palm envelope); the pick needs none and still picks
-        state = run_pick(proxy, GraspScenario(diameter / 2.0, mode=ActuationMode.DUAL), model)
-        assert state.outcome is PickOutcome.PICKED
+        # clearance, palm envelope); the grasp strength needs none
+        scenario = GraspScenario(diameter / 2.0, mode=ActuationMode.DUAL)
+        assert wrench.predict_strength(scenario, model) > 0.0
 
-    @pytest.mark.parametrize("mode", list(ActuationMode))
-    def test_strength_keeps_the_pull_type(self, proxy, model, mode):
-        # a rotational pull stays rotational; the offset only misaligns the
-        # cups, and the strength query takes the axial offset as zero
-        scenario = GraspScenario(37.5, fruit_offset=10.0, pull_angle=90.0,
-                                 pull_type=PullType.ROTATIONAL, mode=mode)
-        state = run_pick(proxy, scenario, model)
-        want = wrench.predict_strength(dataclasses.replace(scenario, fruit_offset=0.0), model,
-                                       cup_indices=cups_engaged_at(10.0, 0.0))
-        assert state.strength == want
-        if mode is ActuationMode.SUCTION:
-            assert round(state.strength, 2) == 4.51   # 8.96 N as an axial pull
-
-    @pytest.mark.parametrize("azimuth", [math.nan, math.inf])
-    @pytest.mark.parametrize("mode", [ActuationMode.DUAL, ActuationMode.SUCTION])
-    def test_non_finite_azimuth_is_rejected(self, proxy, model, mode, azimuth):
-        # NaN once engaged no cup, and inf failed inside math.cos
-        with pytest.raises(ValueError, match="misalignment_azimuth must be finite"):
-            run_pick(proxy, GraspScenario(37.5, mode=mode), model,
-                     misalignment_azimuth=azimuth)
+    def test_rotational_suction_pull(self, model):
+        scenario = GraspScenario(37.5, pull_angle=90.0, pull_type=PullType.ROTATIONAL,
+                                 mode=ActuationMode.SUCTION)
+        strength = wrench.predict_strength(scenario, model,
+                                           cup_indices=cups_engaged_at(10.0, 0.0))
+        assert round(strength, 2) == 4.51   # 8.96 N as an axial pull
 
 
 class TestEngagement:
@@ -349,15 +299,33 @@ class TestCampaign:
         ({"occlusion_fail_prob": 1.5}, "occlusion_fail_prob must be in"),
         ({"occlusion_fail_prob": math.inf}, "occlusion_fail_prob must be in"),
         ({"occlusion_fail_prob": -math.inf}, "occlusion_fail_prob must be in"),
+        # True once occluded every trial
+        ({"occlusion_fail_prob": True}, "occlusion_fail_prob must be in"),
+        # a float count escaped as a TypeError, and True counted as 1
+        ({"trials": 2.5}, "trials must be an int, got 2.5"),
+        ({"trials": True}, "trials must be an int, got True"),
+        ({"trials": "3"}, "trials must be an int, got '3'"),
+        ({"retries": 1.5}, "retries must be an int, got 1.5"),
+        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"threads": 1.5}, "threads must be an int, got 1.5"),
     ])
     def test_bad_seed_and_occlusion_rejected(self, model, monkeypatch, kwargs, message):
         # checked before any trial runs
         started = []
         monkeypatch.setattr(picksim, "_run_trial", lambda *a: started.append(a))
         with pytest.raises(ValueError, match=message):
-            run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL, 3,
-                         **{"seed": 0, **kwargs})
+            run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.DUAL,
+                         **{"trials": 3, "seed": 0, **kwargs})
         assert started == []
+
+    def test_numpy_int_inputs_run_as_ints(self, model):
+        def campaign(cast):
+            return run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.SUCTION, cast(20),
+                                seed=cast(8), retries=cast(1), threads=cast(1))
+
+        assert campaign(np.int64) == campaign(int)
+        assert campaign(np.int32).to_json() == campaign(int).to_json()
 
     def test_occlusion_probability_bounds_accepted(self, model):
         never = run_campaign(DEFAULT_FIELD_STATS, model, ActuationMode.FINGERS, 20, seed=4,
@@ -404,17 +372,6 @@ class TestTrialStats:
     def test_json_round_trip(self):
         clone = TrialStats.from_json(DEFAULT_FIELD_STATS.to_json())
         assert clone == DEFAULT_FIELD_STATS
-
-    def test_proxy_validation(self):
-        with pytest.raises(ValueError):
-            ProxyModel(detachment_force=-1.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["detachment_force", "branch_stiffness"])
-    def test_proxy_rejects_non_finite(self, field, value):
-        # NaN passed the positivity check and gave a NaN pull travel
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            ProxyModel(**{field: value})
 
     @pytest.mark.parametrize("edit,message", [
         (lambda d: {}, "field 'fruit_diameter' is missing"),

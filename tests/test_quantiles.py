@@ -96,6 +96,17 @@ class TestSampling:
         with pytest.raises(ValueError, match="float range"):
             QuantileModel(*vals)
 
+    @pytest.mark.parametrize("u,shown", [
+        (1.5, 1.5), (-0.2, -0.2), (np.nan, np.nan), (1.0000000000000002, 1.0000000000000002),
+        (-5e-324, -5e-324), (np.array([0.0, 0.5, 1.5, -1.0]), 1.5),
+        (np.array([[np.nan]]), np.nan),
+    ])
+    def test_variate_outside_unit_interval_rejected(self, u, shown):
+        # np.interp clamped these to an end quantile, and gave NaN for NaN
+        with pytest.raises(ValueError, match=r"u must be in \[0, 1\], got ") as raised:
+            QuantileModel(1, 5, 10, 16, 30).sample(u)
+        assert str(raised.value).endswith(repr(float(shown)))
+
     def test_quantile_anchors(self):
         q = QuantileModel(7, 11, 15, 28, 38)
         assert [float(q.sample(p)) for p in (0, 0.25, 0.5, 0.75, 1)] == [7, 11, 15, 28, 38]

@@ -68,6 +68,16 @@ def unit_vec(rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def minkowski_sum(vertex_sets) -> np.ndarray:
+    """Every sum of one vertex from each set, in ``itertools.product`` order
+    and with the bytes of ``sum(combo)``: from 0.0 (so -0.0 sums to +0.0),
+    adding one set at a time by broadcasting."""
+    points = np.zeros((1, 6))
+    for verts in vertex_sets:
+        points = (points[:, None, :] + np.asarray(verts)[None, :, :]).reshape(-1, 6)
+    return points
+
+
 def enumeration_oracle(contacts: ContactSet, d) -> float:
     """Independent route: per-contact wrench polytope vertices, Minkowski sum,
     convex hull, then a ray cast from the origin along the negated pull wrench
@@ -102,7 +112,7 @@ def enumeration_oracle(contacts: ContactSet, d) -> float:
                 shear.append(c.shear_capacity * np.concatenate([e, np.cross(p, e)]))
             verts = [a + b + s for a in tension for b in compression for s in shear]
         vertex_sets.append(verts)
-    points = np.array([sum(combo) for combo in itertools.product(*vertex_sets)])
+    points = minkowski_sum(vertex_sets)
     d = np.asarray(d, float) / np.linalg.norm(d)
     w = np.concatenate([d, np.zeros(3)])
     # reduce to the affine span to keep qhull happy
@@ -118,12 +128,10 @@ def enumeration_oracle(contacts: ContactSet, d) -> float:
         hull = ConvexHull(proj)
     except Exception:
         hull = ConvexHull(proj, qhull_options="QJ")
-    alpha = np.inf
-    for eq in hull.equations:
-        a, b = eq[:-1], -eq[-1]
-        denom = float(a @ (-w_proj))
-        if denom > 1e-12:
-            alpha = min(alpha, b / denom)
+    # each facet a.x <= b that the ray -t * w_proj leaves through caps t at b / (a.-w_proj)
+    denom = hull.equations[:, :-1] @ -w_proj
+    exits = denom > 1e-12
+    alpha = np.min(-hull.equations[exits, -1] / denom[exits], initial=np.inf)
     return max(float(alpha), 0.0)
 
 
@@ -201,6 +209,16 @@ class TestAnalyticCases:
 
 
 class TestOracleEquivalence:
+    def test_minkowski_sum_matches_the_product_loop(self):
+        rng = np.random.default_rng(2718)
+        sets = [rng.normal(size=(k, 6)) for k in (2, 3, 4)]
+        for verts in sets:
+            verts[0] = 0.0
+            verts[-1, ::2] = -0.0
+        loop = np.array([sum(combo) for combo in itertools.product(*sets)])
+        assert minkowski_sum(sets).tobytes() == loop.tobytes()
+        assert np.signbit(loop).any()
+
     def test_random_instances_match_enumeration(self):
         rng = np.random.default_rng(20240817)
         for trial in range(100):
@@ -1344,6 +1362,7 @@ class TestContactSetChecks:
     def test_accepts_zero_capacities_and_rounding(self):
         for contact, field, value in [(0, "normal_capacity", 0.0), (0, "mu", 0.0),
                                       (3, "shear_capacity", 0.0), (3, "cone_sides", 3),
+                                      (3, "cone_sides", np.int64(3)),
                                       (0, "position", np.array([37.5 + 5e-7, 0.0, 0.0]))]:
             assert dual_set_with(contact, field, value).contacts
 
