@@ -69,8 +69,22 @@ def reference_trial(stats, model, mode, seed, index, occlusion_fail_prob, retrie
     return TrialRecord(index, net, offset, stiffness, mode, strength, outcome)
 
 
-class TestTrialGrasp:
-    """A campaign trial's engagement and strength, checked on its parts."""
+class TestRunPick:
+    """One pick of a campaign trial: its engagement and strength, checked on its parts."""
+
+    def test_offset_beyond_cup_tolerance(self):
+        # a suction trial whose fruit sits 36 mm off at 60 deg records NO_ENGAGE
+        # without asking for a strength
+        offset, azimuth = 36.0, math.radians(60.0)
+        [first] = picksim._engage(ActuationMode.SUCTION, [offset], [azimuth])
+        draws = (20.0, 5.0, 75.0, offset, 300.0, azimuth, False)
+        trial = picksim._run_trial(DEFAULT_FIELD_STATS, ActuationMode.SUCTION, 0, 0,
+                                   np.random.default_rng(0), draws, first)
+        with pytest.raises(StopIteration) as stop:
+            next(trial)
+        record = stop.value.value
+        assert record.outcome is PickOutcome.NO_ENGAGE
+        assert record.strength == 0.0
 
     def test_two_of_three_cups_engage_suction(self):
         # one side of SUCTION_ENGAGE_CUPS: two cups reach the pull
@@ -79,6 +93,7 @@ class TestTrialGrasp:
 
     def test_one_cup_does_not_engage_suction(self):
         # the other side: one cup stops before the pull
+        assert cups_engaged_at(36.0, math.radians(60.0)) == (0,)
         assert picksim._engage(ActuationMode.SUCTION, [36.0], [math.radians(60.0)]) == [
             ((0,), False)]
 
