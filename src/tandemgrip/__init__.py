@@ -9,29 +9,28 @@ Subsystems:
   cli        command-line front end over all of the above
 """
 
-from .config import GraspModelParams
-from .leadscrew import DEFAULT_SCREW, ScrewParams
-from .linkage import DEFAULT_LINKAGE, DEFAULT_TRAVEL, LinkageParams, TravelRange
+# each public name's home module: ``import tandemgrip`` loads none of them,
+# and a name loads its module (the wrench names numpy too) when first asked for
+_HOMES = {
+    "ActuationMode": "wrench",
+    "DEFAULT_LINKAGE": "linkage",
+    "DEFAULT_SCREW": "leadscrew",
+    "DEFAULT_TRAVEL": "linkage",
+    "GraspModelParams": "config",
+    "GraspScenario": "wrench",
+    "LinkageParams": "linkage",
+    "PullType": "wrench",
+    "ScrewParams": "leadscrew",
+    "TravelRange": "linkage",
+}
 
-__all__ = [
-    "ActuationMode",
-    "DEFAULT_LINKAGE",
-    "DEFAULT_SCREW",
-    "DEFAULT_TRAVEL",
-    "GraspModelParams",
-    "GraspScenario",
-    "LinkageParams",
-    "PullType",
-    "ScrewParams",
-    "TravelRange",
-]
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # the wrench names load numpy and the LP layer only when first asked for
-    if name in ("ActuationMode", "GraspScenario", "PullType"):
-        from . import wrench
-        return getattr(wrench, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)

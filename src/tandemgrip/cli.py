@@ -4,8 +4,11 @@ Exit codes: 0 success, 1 stdout closed before the output was written
 (for example by ``| head``), 2 usage/config error, 3 domain/geometry error,
 4 numerical failure.
 
-Each command imports the layers it runs in its own body, so a short
-command such as ``transmission`` does not pay for numpy or the LP layer.
+Each command imports the layers it runs in its own body (this module
+imports only ``errors``), and ``svgplot`` only under ``--format svg``.
+``grasp`` reads a config only under ``--config`` or ``--config-model``,
+``campath`` only under ``--config``; a file that is given is always read,
+so a bad one still exits 2.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import svgplot
-from .config import GripperConfig, data_text, default_config, shipped_calibration
 from .errors import (
     CalibrationDiverged,
     LpNumericalFailure,
@@ -26,20 +27,13 @@ from .errors import (
     ToolkitError,
     require_finite,
 )
-from .linkage import (
-    TravelRange,
-    check_step,
-    solve_geometry,
-    sweep_rows_to_csv,
-    sweep_transmission,
-    transmission_row,
-    travel_grid,
-)
 
 USAGE_ERROR, DOMAIN_ERROR, NUMERICAL_ERROR = 2, 3, 4
 
 
-def _load_config(args) -> GripperConfig:
+def _load_config(args):
+    from .config import GripperConfig, default_config
+
     if args.config is None:
         return default_config()
     return GripperConfig.load(args.config)
@@ -68,6 +62,9 @@ def _parse_range(text: str) -> tuple[float, float, float | None]:
 
 
 def cmd_transmission(args) -> int:
+    from .linkage import (TravelRange, check_step, sweep_rows_to_csv, sweep_transmission,
+                          transmission_row)
+
     cfg = _load_config(args)
     lo, hi, step = (cfg.travel.x_min, cfg.travel.x_max, None)
     if args.range is not None:
@@ -89,6 +86,7 @@ def cmd_transmission(args) -> int:
     csv_text = sweep_rows_to_csv(rows)
     (out / "transmission.csv").write_text(csv_text)
     if args.format == "svg":
+        from . import svgplot
         feas = [r for r in rows if r.feasible]
         xs = [r.x for r in feas]
         svg = svgplot.line_chart(
@@ -106,6 +104,8 @@ def cmd_transmission(args) -> int:
 
 
 def cmd_bruise(args) -> int:
+    from .linkage import solve_geometry, travel_grid
+
     cfg = _load_config(args)
     anchor = args.anchor
     if "@" in anchor:
@@ -136,6 +136,7 @@ def cmd_bruise(args) -> int:
     csv_text = "\n".join(lines) + "\n"
     (out / "bruise.csv").write_text(csv_text)
     if args.format == "svg":
+        from . import svgplot
         svg = svgplot.line_chart(
             xs,
             {"predicted pad force [N]": fs,
@@ -154,9 +155,10 @@ def cmd_campath(args) -> int:
 
     from . import campath
 
-    cfg = _load_config(args)
-    if cfg.cam is not None and args.fruit_diameter is None:
-        spec, report = cfg.cam, None
+    # the bundled config names the default tracks (its cam is None)
+    cam = _load_config(args).cam if args.config is not None else None
+    if cam is not None and args.fruit_diameter is None:
+        spec, report = cam, None
     else:
         diameter = args.fruit_diameter if args.fruit_diameter is not None else 75.0
         spec, report = campath.build_default_tracks(diameter / 2.0, args.clearance)
@@ -167,6 +169,7 @@ def cmd_campath(args) -> int:
     (out / "campath_report.json").write_text(campath.report_to_json(report))
     (out / "campath_poses.csv").write_text(campath.poses_to_csv(report))
     if args.format == "svg":
+        from . import svgplot
         ts = np.array([i / 127 for i in range(128)])
         curves = {}
         for k, seg in enumerate(spec.outer_path):
@@ -185,10 +188,12 @@ def cmd_campath(args) -> int:
 
 
 def cmd_grasp(args) -> int:
+    from .config import shipped_calibration
     from .wrench import (ActuationMode, GraspScenario, PullType, build_contacts,
                          pull_direction_for, solve_pull, verify_witness)
 
-    cfg = _load_config(args)
+    # a config file that is given is read, so a bad one exits 2
+    cfg = _load_config(args) if args.config is not None or args.config_model else None
     model = cfg.grasp_model if args.config_model else shipped_calibration()
     scenario = GraspScenario(
         fruit_radius=args.fruit_diameter / 2.0,
@@ -216,6 +221,7 @@ def cmd_grasp(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .config import data_text
     from .wrench import calibrate, calibration_to_json, reference_from_csv
 
     if args.data is not None:
@@ -233,6 +239,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_simulate(args) -> int:
     from . import picksim
+    from .config import shipped_calibration
     from .wrench import ActuationMode
 
     model = shipped_calibration()
@@ -254,6 +261,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .config import data_text
     from .quantiles import summarize_csv_text
 
     if args.csv is not None:

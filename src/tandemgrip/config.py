@@ -14,11 +14,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ParseError, json_number, require_finite
-from .leadscrew import ScrewParams
-from .linkage import LinkageParams, TravelRange
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:   # imported where a config is built: commands that build none skip them
     from .campath import CamTrackSpec
+    from .leadscrew import ScrewParams
+    from .linkage import LinkageParams, TravelRange
 
 
 def _number(section: dict, key: str) -> float:
@@ -67,6 +67,9 @@ class GripperConfig:
 
     @classmethod
     def from_json(cls, text: str, base_dir: Path | None = None) -> "GripperConfig":
+        from .leadscrew import ScrewParams
+        from .linkage import LinkageParams, TravelRange
+
         try:
             d = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParseError, json_number, require_int
+from .errors import ParseError, json_number, require_finite, require_int
 from .quantiles import QuantileModel
 from .vectors import _norm
 from .wrench import (
@@ -88,6 +88,7 @@ def cups_engaged_at(offset: float, azimuth: float) -> tuple[int, ...]:
     A cup engages when its center lies within ring + CUP_ENGAGE_TOL_MM of
     the fruit axis shifted by ``offset`` toward ``azimuth``.
     """
+    require_finite(offset=offset, azimuth=azimuth)
     return _cup_sets([offset], [azimuth])[0]
 
 

@@ -49,10 +49,13 @@ class QuantileModel:
 
     def sample(self, u) -> np.ndarray | float:
         """Inverse-CDF transform of uniform variates ``u`` in [0, 1]; one outside
-        it or NaN raises ``ValueError``, where ``np.interp`` would clamp it."""
+        it or NaN raises ``ValueError``, where ``np.interp`` would clamp it, and
+        so does a bool or a value that is not a number."""
         import numpy as np
 
         v = np.asarray(u)
+        if v.dtype.kind not in "iuf":
+            raise ValueError(f"u must be a real number or an array of them, got {u!r}")
         outside = ~((v >= 0.0) & (v <= 1.0))
         if outside.any():
             raise ValueError(f"u must be in [0, 1], got {float(v[outside][0])!r}")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import tandemgrip
 from tandemgrip import campath, cli, errors, picksim
 from tandemgrip.cli import main
-from tandemgrip.config import data_text
+from tandemgrip.config import data_text, default_config
 
 
 def run(capsys, tmp_path, *argv):
@@ -232,6 +232,16 @@ class TestCampath:
         assert out == ""
         assert "cam synthesis failed: sweep clearance" in err
 
+    def test_bundled_config_names_the_default_tracks(self, capsys, tmp_path):
+        # campath reads no config unless --config is given, which is the same
+        # only while the bundled config names the default tracks
+        assert default_config().cam is None
+        config = tmp_path / "gripper.json"
+        config.write_text(data_text("default_config.json"))
+        bundled = run(capsys, tmp_path, "campath")
+        assert bundled[0] == 0
+        assert run(capsys, tmp_path, "--config", str(config), "campath") == bundled
+
 
 class TestCampathPoseSolves:
     """Each sampled pose is solved once: synthesis samples 500 poses, and a
@@ -325,7 +335,7 @@ class TestCampathNonFinite:
         assert out == ""
         assert message in err
 
-    @pytest.mark.parametrize("command", ["transmission", "bruise"])
+    @pytest.mark.parametrize("command", ["transmission", "bruise", "grasp"])
     @pytest.mark.parametrize("malformed,message", [
         pytest.param(True, "tip_extension must be finite", id="malformed"),
         pytest.param(False, "cam track file not found", id="missing"),
@@ -333,7 +343,8 @@ class TestCampathNonFinite:
     def test_every_command_checks_the_cam_file(self, capsys, tmp_path, cam_doc, command,
                                                malformed, message):
         # config.py imports campath only when a config names a cam file,
-        # so commands that never use the tracks must still check them
+        # so commands that never use the tracks must still check them; grasp
+        # without --config-model uses no config, but reads one that is given
         config = cam_config(tmp_path, {**cam_doc, "tip_extension_mm": float("nan")}
                             if malformed else cam_doc)
         if not malformed:
@@ -589,6 +600,15 @@ class TestUsage:
         assert f"error: {command} does not read --config" in err
         assert not (tmp_path / output).exists()
 
+    @pytest.mark.parametrize("command", ["grasp", "campath"])
+    def test_missing_config_file_usage_error(self, capsys, tmp_path, command):
+        # neither needs the bundled config, but a file that is given is read,
+        # so a mistyped path still fails
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, tmp_path, "--config", str(missing), command)
+        assert (code, out) == (2, "")
+        assert str(missing) in err
+
     def test_config_help_names_the_commands_that_read_none(self, capsys):
         assert main(["--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
@@ -733,20 +753,31 @@ class TestColdStart:
         assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
     # modules each command must not load: every command imports its layers in
-    # its own body, and a module-level import in cli.py, config.py or
-    # __init__.py would put them back in front of every command
+    # its own body, svgplot only under --format svg, and config.py imports the
+    # linkage and lead screw only to build a config, which grasp and campath
+    # read only when --config is given; a module-level import in cli.py,
+    # config.py or __init__.py would put them back in front of every command
+    COMMANDS = {**BENCH_COMMANDS, "calibrate": ["calibrate"],
+                "simulate": ["simulate", "--trials", "20"]}
+    CONFIG = {"tandemgrip.linkage", "tandemgrip.leadscrew"}
+    SVG = {"tandemgrip.svgplot"}
     NOT_LOADED = {
-        "transmission": {"numpy"},
-        "bruise": {"numpy"},
-        "grasp-dual": {"tandemgrip.campath", "tandemgrip.picksim", "tandemgrip.quantiles"},
-        "grasp-suction": {"tandemgrip.campath", "tandemgrip.picksim", "tandemgrip.quantiles"},
-        "stats": {"numpy", "tandemgrip.wrench", "tandemgrip.campath"},
-        "campath": {"tandemgrip.wrench", "tandemgrip.simplexlp", "tandemgrip.picksim"},
+        "transmission": {"numpy", *SVG},
+        "bruise": {"numpy", *SVG},
+        "grasp-dual": {"tandemgrip.campath", "tandemgrip.picksim", "tandemgrip.quantiles",
+                       *CONFIG, *SVG},
+        "grasp-suction": {"tandemgrip.campath", "tandemgrip.picksim",
+                          "tandemgrip.quantiles", *CONFIG, *SVG},
+        "stats": {"numpy", "tandemgrip.wrench", "tandemgrip.campath", *CONFIG, *SVG},
+        "campath": {"tandemgrip.wrench", "tandemgrip.simplexlp", "tandemgrip.picksim",
+                    "tandemgrip.config", *CONFIG, *SVG},
+        "calibrate": {"tandemgrip.campath", "tandemgrip.picksim", *CONFIG, *SVG},
+        "simulate": {"tandemgrip.campath", *CONFIG, *SVG},
     }
 
-    @pytest.mark.parametrize("command", BENCH_COMMANDS)
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_command_loads_only_its_layers(self, tmp_path, command):
-        loaded = modules_after_command(tmp_path, BENCH_COMMANDS[command])
+        loaded = modules_after_command(tmp_path, self.COMMANDS[command])
         assert not self.NOT_LOADED[command] & loaded
 
 
@@ -787,12 +818,34 @@ class TestPackageSurface:
     def test_bare_import_loads_no_numpy(self):
         fresh_python("import sys, tandemgrip\nassert 'numpy' not in sys.modules\n")
 
+    def test_bare_import_loads_no_layer(self):
+        # each public name loads its home module when first asked for
+        fresh_python("import sys, tandemgrip\n"
+                     "assert not [m for m in sys.modules if m.startswith('tandemgrip.')]\n"
+                     "tandemgrip.TravelRange\n"
+                     "assert 'tandemgrip.linkage' in sys.modules\n"
+                     "assert 'tandemgrip.config' not in sys.modules\n")
+
     def test_summaries_load_no_numpy(self):
         # summaries are pure Python; only QuantileModel.sample imports numpy
         fresh_python("import sys\n"
                      "from tandemgrip.quantiles import summarize_csv_text\n"
                      "summarize_csv_text('a,b\\n1,2\\n3,4.5\\n')\n"
                      "assert 'numpy' not in sys.modules\n")
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv", [["stats"], ["bogus"]])
+    def test_package_runs_the_cli(self, tmp_path, argv):
+        # ``python -m tandemgrip`` is the command line of ``python -m tandemgrip.cli``
+        env = {**os.environ, "PYTHONPATH": str(Path(tandemgrip.__file__).parents[1])}
+
+        def run_module(module):
+            proc = subprocess.run([sys.executable, "-m", module, "--out", str(tmp_path), *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        assert run_module("tandemgrip") == run_module("tandemgrip.cli")
 
 
 class TestSimulateStats:

@@ -122,6 +122,17 @@ class TestEngagement:
     def test_partial_engagement_band(self):
         assert cups_engaged_at(25.0, math.radians(0.0)) == (0, 2)
 
+    @pytest.mark.parametrize("offset,azimuth,name", [
+        (math.nan, 0.0, "offset"), (math.inf, 0.0, "offset"), ("1", 0.0, "offset"),
+        (True, 0.0, "offset"), (10.0, math.inf, "azimuth"), (10.0, -math.inf, "azimuth"),
+        (10.0, math.nan, "azimuth"), (10.0, None, "azimuth"),
+    ])
+    def test_bad_input_names_the_parameter(self, offset, azimuth, name):
+        # a NaN offset engaged no cup, a bool engaged all three, and an infinite
+        # azimuth or a string failed without naming the parameter
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            cups_engaged_at(offset, azimuth)
+
     def test_block_mask_matches_one_trial_at_the_boundary(self):
         # fruit axes at the reach of each cup, nudged a few ulps either way:
         # the block mask, the one-trial case and the per-cup ieee_norm rule

@@ -107,6 +107,15 @@ class TestSampling:
             QuantileModel(1, 5, 10, 16, 30).sample(u)
         assert str(raised.value).endswith(repr(float(shown)))
 
+    @pytest.mark.parametrize("u", [True, False, np.bool_(True), [True, False], "0.5",
+                                   None, 0.5 + 0j, np.array([0.5], dtype=object)],
+                             ids=repr)
+    def test_variate_that_is_no_real_number_rejected(self, u):
+        # a bool read as 0 or 1 gave an end quantile; a string or None escaped
+        # as numpy's UFuncTypeError or a TypeError
+        with pytest.raises(ValueError, match="^u must be a real number"):
+            QuantileModel(1, 5, 10, 16, 30).sample(u)
+
     def test_quantile_anchors(self):
         q = QuantileModel(7, 11, 15, 28, 38)
         assert [float(q.sample(p)) for p in (0, 0.25, 0.5, 0.75, 1)] == [7, 11, 15, 28, 38]
