@@ -4,11 +4,11 @@ Exit codes: 0 success, 1 stdout closed before the output was written
 (for example by ``| head``), 2 usage/config error, 3 domain/geometry error,
 4 numerical failure.
 
-Each command imports the layers it runs in its own body (this module
-imports only ``errors``), and ``svgplot`` only under ``--format svg``.
-``grasp`` reads a config only under ``--config`` or ``--config-model``,
-``campath`` only under ``--config``; a file that is given is always read,
-so a bad one still exits 2.
+Each command imports the layers it runs in its own body (of the toolkit,
+this module imports only ``errors``), and ``svgplot`` only under ``--format
+svg``. ``grasp`` reads a config only under ``--config`` or
+``--config-model``, ``campath`` only under ``--config``; a file that is
+given is always read, so a bad one still exits 2.
 """
 
 from __future__ import annotations
